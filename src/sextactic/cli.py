@@ -194,13 +194,13 @@ def cmd_wronski(args, rep: Reporter):
         args.parser.error("--at requires --omega")
     param = parse_param(args.param)
     if args.omega:
-        family = osculating_conic_family(param)
         if args.at:
             at = parse_parameter(args.at)
             conic = osculating_conic_family(param, at=at)
             rep.kv("at", _point_str(at))
             rep.kv("O", conic)
             return
+        family = osculating_conic_family(param)
         rep.kv("d", param.degree)
         for expo, form in sorted(
             conic_coefficients(family).items(), key=lambda kv: kv[0], reverse=True

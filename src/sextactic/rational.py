@@ -20,6 +20,7 @@ from .poly import (
     MPoly,
     PolyMatrix,
     binaryform_gcd,
+    laplace_minors,
     linear_factor_orders,
     squarefree_decomp,
 )
@@ -122,42 +123,38 @@ def _derivative_rows(forms, order: int):
     return rows
 
 
-def _minors_along_top(rows):
-    """Signed 5x5 minors for expansion along a (virtual) first row."""
-    minors = []
-    for j in range(6):
-        sub = [[row[k] for k in range(6) if k != j] for row in rows]
-        minor = PolyMatrix(sub).det()
-        minors.append(minor if j % 2 == 0 else -minor)
-    return minors
-
-
 def osculating_conic_family(param: RationalParam, at=None):
     """Conic with binary-form coefficients tracing the osculating conic.
 
-    Without ``at``, the result is a polynomial in (x, y, z, s, t): a conic in
-    the first three variables whose coefficients are forms of degree 10d-20
-    in the last two.  With ``at``, the coefficients are evaluated and the
-    conic is returned in canonical primitive form.
+    Its six coefficients are the signed 5x5 minors of the fourth-order
+    partials of the Veronese products.  Without ``at``, the result is a
+    polynomial in (x, y, z, s, t): a conic in the first three variables
+    whose coefficients are forms of degree 10d-20 in the last two.  With
+    ``at``, the partials are evaluated first (evaluation commutes with the
+    determinant) and the minors are taken over the rationals; the conic is
+    returned in canonical primitive form.  Only when that conic is zero are
+    the symbolic minors built, to tell an identically zero family from one
+    that vanishes at the parameter.
     """
     if param.degree < 3:
         raise RationalError(f"need degree >= 3, got {param.degree}")
     rows = _derivative_rows(param.veronese(), 4)
-    minors = _minors_along_top(rows)
+    if at is not None:
+        s0, t0 = Fraction(at[0]), Fraction(at[1])
+        values = [[f.eval((s0, t0)) for f in row] for row in rows]
+        conic = MPoly(XYZ, dict(zip(CONIC_BASIS, laplace_minors(values))))
+        if not conic.is_zero():
+            return conic.canonical()
+    minors = laplace_minors(rows)
     if all(m.is_zero() for m in minors):
         raise DegenerateParam("conic family is identically zero")
-    if at is None:
-        terms = {}
-        for expo, minor in zip(CONIC_BASIS, minors):
-            for (es, et), c in minor.terms.items():
-                terms[expo + (es, et)] = c
-        return MPoly(XYZST, terms)
-    s0, t0 = Fraction(at[0]), Fraction(at[1])
-    coeffs = [m.eval((s0, t0)) for m in minors]
-    conic = MPoly(XYZ, {expo: c for expo, c in zip(CONIC_BASIS, coeffs)})
-    if conic.is_zero():
+    if at is not None:
         raise DegenerateParam(f"conic family vanishes at ({s0} : {t0})")
-    return conic.canonical()
+    terms = {}
+    for expo, minor in zip(CONIC_BASIS, minors):
+        for (es, et), c in minor.terms.items():
+            terms[expo + (es, et)] = c
+    return MPoly(XYZST, terms)
 
 
 def conic_coefficients(family: MPoly):
@@ -195,15 +192,19 @@ class WeierstrassScan:
 def _rational_roots(u):
     """Rational roots of a primitive squarefree integer univariate."""
     lead, const = u[-1], u[0]
-    roots = []
+    roots = set()
     for p in _divisors(abs(const)):
         for q in _divisors(abs(lead)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
+            if gcd(p, q) > 1:
+                continue
+            for a in (p, -p):
+                # q^n * u(a/q) = sum u_i a^i q^(n-i), by Horner in integers
+                acc, qpow = 0, 1
                 for c in reversed(u):
-                    acc = acc * cand + c
-                if acc == 0 and cand not in roots:
-                    roots.append(cand)
+                    acc = acc * a + c * qpow
+                    qpow *= q
+                if acc == 0:
+                    roots.add(Fraction(a, q))
     return sorted(roots)
 
 

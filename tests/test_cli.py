@@ -258,3 +258,24 @@ class TestPerBranchCli:
         data = machine_dict(r.stdout)
         assert data["conic"] == "x^2 - y*z"
         assert data["contact_order"] == "6"
+
+
+class TestOmegaAtErrors:
+    ZERO_FAMILY = "(s^3 : s^3 + t^3 : t^3)"
+
+    def test_identically_zero_family(self):
+        r = run_cli("wronski", "--param", self.ZERO_FAMILY, "--omega", "--at", "(1:1)")
+        assert r.returncode == 1
+        assert "error: DegenerateParam: conic family is identically zero" in r.stderr
+
+    def test_family_vanishing_at_parameter(self):
+        r = run_cli("wronski", "--param", "(s^3 : s*t^2 : t^3)", "--omega", "--at", "(1:0)")
+        assert r.returncode == 1
+        assert "error: DegenerateParam: conic family vanishes at (1 : 0)" in r.stderr
+
+    def test_malformed_at_reported_first(self):
+        # the parameter is parsed before any conic is computed, so a bad
+        # --at wins over an identically zero family
+        r = run_cli("wronski", "--param", self.ZERO_FAMILY, "--omega", "--at", "(1:")
+        assert r.returncode == 1
+        assert "error: ParseError" in r.stderr

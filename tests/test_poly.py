@@ -19,6 +19,7 @@ from sextactic.poly import (
     ZeroFormError,
     binaryform_gcd,
     exact_div,
+    laplace_minors,
     linear_factor_orders,
     linear_root_form,
     squarefree_decomp,
@@ -194,6 +195,26 @@ class TestDeterminant:
         zero = MPoly.zero(XYZ)
         m = PolyMatrix([[zero, X], [zero, Y]])
         assert m.det("bareiss").is_zero()
+        assert m.det().is_zero()
+
+    def test_laplace_minors_of_rationals(self):
+        # virtual top row (a, b, c): det = a*m0 + b*m1 + c*m2
+        h = Fraction(1, 2)
+        rows = [[1, 2, 3], [4, 5, h]]
+        assert laplace_minors(rows) == [2 * h - 3 * 5, -(1 * h - 3 * 4), 1 * 5 - 2 * 4]
+        assert laplace_minors([[0, 0]]) == [0, 0]
+        assert laplace_minors([]) == [1]
+
+    def test_laplace_minors_match_bareiss(self):
+        rng = random.Random(43)
+        rows = [[random_poly(rng, XYZ, 2, 3) for _ in range(5)] for _ in range(4)]
+        rows[1][2] = MPoly.zero(XYZ)
+        for j, minor in enumerate(laplace_minors(rows)):
+            want = PolyMatrix([r[:j] + r[j + 1 :] for r in rows]).det("bareiss")
+            assert minor == (want if j % 2 == 0 else -want)
+
+    def test_one_by_one(self):
+        assert PolyMatrix([[X]]).det() == X
 
 
 class TestExactDiv:

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from sextactic import cli, rational
 from sextactic.branch import weight2
 from sextactic.differential import hessian, second_hessian
 from sextactic.parse import parse_param, parse_poly
-from sextactic.poly import ST, XYZ, MPoly, squarefree_decomp
+from sextactic.poly import ST, XYZ, MPoly, PolyMatrix, laplace_minors, squarefree_decomp
 from sextactic.rational import (
     CommonFactorError,
     DegenerateParam,
@@ -106,6 +109,21 @@ class TestConicFamily:
     def test_low_degree_rejected(self):
         with pytest.raises(RationalError):
             osculating_conic_family(parse_param("(s : t : t)"))
+
+    def test_identically_zero_family(self):
+        # the image lies on the line y = x + z, so the Veronese products obey
+        # three linear relations and every 5x5 minor vanishes; the error is
+        # the same with or without a parameter
+        param = parse_param("(s^3 : s^3 + t^3 : t^3)")
+        for at in (None, (1, 1), (1, 0)):
+            with pytest.raises(DegenerateParam, match="^conic family is identically zero$"):
+                osculating_conic_family(param, at=at)
+
+    def test_family_vanishing_at_parameter(self):
+        param = parse_param("(s^3 : s*t^2 : t^3)")
+        with pytest.raises(DegenerateParam, match=r"^conic family vanishes at \(1 : 0\)$"):
+            osculating_conic_family(param, at=(1, 0))
+        assert not osculating_conic_family(param).is_zero()
 
 
 class TestWronskian:
@@ -310,3 +328,131 @@ class TestLocalBranch:
             from sextactic.poly import linear_factor_orders
 
             assert linear_factor_orders(pb, at) == want
+
+
+# -- the evaluate-first conic and the shared Laplace expansion ---------------
+
+CHECK = settings(
+    max_examples=6,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def coprime_params(draw, d):
+    coeffs = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+    forms = [
+        MPoly(ST, {(i, d - i): c for i, c in enumerate(draw(coeffs))})
+        for _ in range(3)
+    ]
+    try:
+        return RationalParam(*forms)
+    except RationalError:
+        assume(False)
+
+
+parameters = st.one_of(
+    st.sampled_from([(1, 0), (0, 1)]),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda p: p != (0, 0)),
+)
+
+
+def check_evaluated_conic(param, at):
+    """The evaluate-first conic equals the symbolic family at ``at``."""
+    try:
+        family = osculating_conic_family(param)
+    except DegenerateParam:
+        with pytest.raises(DegenerateParam, match="identically zero"):
+            osculating_conic_family(param, at=at)
+        return
+    co = conic_coefficients(family)
+    conic = MPoly(XYZ, {expo: form.eval(at) for expo, form in co.items()})
+    if conic.is_zero():
+        with pytest.raises(DegenerateParam, match="vanishes at"):
+            osculating_conic_family(param, at=at)
+    else:
+        assert osculating_conic_family(param, at=at) == conic.canonical()
+
+
+DEGREES = pytest.mark.parametrize("d", range(3, 8))
+
+
+class TestEvaluateFirst:
+    @pytest.mark.parametrize(
+        "text, at",
+        [
+            (NODAL_PARAM, (1, 0)),
+            ("(s^3 : s^3 + t^3 : t^3)", (0, 1)),
+            ("(s^3 : s*t^2 : t^3)", (1, 0)),
+        ],
+    )
+    def test_evaluated_conic_on_known_cubics(self, text, at):
+        check_evaluated_conic(parse_param(text), at)
+
+    @DEGREES
+    @CHECK
+    @given(data=st.data())
+    def test_evaluated_conic_matches_symbolic_family(self, d, data):
+        check_evaluated_conic(data.draw(coprime_params(d)), data.draw(parameters))
+
+    @DEGREES
+    @CHECK
+    @given(data=st.data())
+    def test_shared_minors_match_bareiss(self, d, data):
+        param = data.draw(coprime_params(d))
+        rows = rational._derivative_rows(param.veronese(), 4)
+        for j, minor in enumerate(laplace_minors(rows)):
+            sub = [[row[k] for k in range(6) if k != j] for row in rows]
+            want = PolyMatrix(sub).det("bareiss")
+            assert minor == (want if j % 2 == 0 else -want)
+
+    @DEGREES
+    @CHECK
+    @given(data=st.data())
+    def test_wronskian_det_matches_bareiss(self, d, data):
+        param = data.draw(coprime_params(d))
+        m = PolyMatrix(rational._derivative_rows(param.veronese(), 5))
+        assert m.det() == m.det("bareiss")
+
+
+class TestDeterminantPath:
+    """Guards on which determinant routine the rational pipeline reaches."""
+
+    def test_omega_at_builds_no_symbolic_minor(self, monkeypatch, capsys):
+        entry_kinds = []
+
+        def counting(rows):
+            entry_kinds.append(type(rows[0][0]).__name__)
+            return laplace_minors(rows)
+
+        def no_det(self, method="auto"):
+            raise AssertionError("PolyMatrix.det reached")
+
+        monkeypatch.setattr(rational, "laplace_minors", counting)
+        monkeypatch.setattr(PolyMatrix, "det", no_det)
+        argv = ["wronski", "--param", NODAL_PARAM, "--omega", "--at", "(1:2)"]
+        assert cli.main(argv) == 0
+        assert "O = " in capsys.readouterr().out
+        assert len(entry_kinds) == 1
+        assert entry_kinds[0] != "MPoly"
+
+    def test_bareiss_unreached(self, monkeypatch):
+        reached = []
+        real = PolyMatrix._det_bareiss
+
+        def counting(self):
+            reached.append(self.rows)
+            return real(self)
+
+        monkeypatch.setattr(PolyMatrix, "_det_bareiss", counting)
+        for text in (NODAL_PARAM, QUINTIC_PARAM):
+            param = parse_param(text)
+            conic_wronskian(param)
+            osculating_conic_family(param)
+            osculating_conic_family(param, at=(1, 2))
+        with pytest.raises(DegenerateParam):
+            osculating_conic_family(parse_param("(s^3 : s*t^2 : t^3)"), at=(1, 0))
+        assert reached == []
