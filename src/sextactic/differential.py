@@ -88,11 +88,6 @@ def _adjugate3(m: PolyMatrix) -> PolyMatrix:
     return PolyMatrix([[A, Hq, Gq], [Hq, B, Fq], [Gq, Fq, C]])
 
 
-def _det3(rows) -> MPoly:
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def hessian(F: MPoly) -> HessianBundle:
     """Hessian determinant and matrices of a form of degree >= 3."""
     if F.variables != XYZ:
@@ -120,16 +115,19 @@ def _paired_trace(adj6, hess6):
 
 
 def covariants(bundle: HessianBundle) -> CovariantSet:
-    """All first-order covariants entering the excess-contact determinants."""
+    """All first-order covariants entering the excess-contact determinants.
+
+    ``trace_grad_hess`` is built from its definition, sum adj_f * d_v(hess_H);
+    ``trace_grad_adj`` is derived as ``d_v(trace) - trace_grad_hess[v]`` by
+    the product rule, which saves the products of d_v(adj_f) with hess_H.
+    """
     adj6 = _sym_entries(bundle.adj_f)
     hess6 = _sym_entries(bundle.hess_h)
     trace = _paired_trace(adj6, hess6)
-    grad_adj = tuple(
-        _paired_trace([p.partial(v) for p in adj6], hess6) for v in XYZ
-    )
     grad_hess = tuple(
         _paired_trace(adj6, [p.partial(v) for p in hess6]) for v in XYZ
     )
+    grad_adj = tuple(trace.partial(v) - g for v, g in zip(XYZ, grad_hess))
     hx, hy, hz = bundle.H.grad()
     form6 = (hx * hx, hy * hy, hz * hz, hy * hz, hx * hz, hx * hy)
     gradient_form = _paired_trace(adj6, form6)
@@ -170,21 +168,31 @@ def second_hessian(F: MPoly, variant: str = "corrected") -> MPoly:
         )
     cov = covariants(bundle)
     d = bundle.d
-    grad_f = F.grad()
-    grad_h = bundle.H.grad()
-    jac_adj = _det3([grad_f, grad_h, cov.trace_grad_adj])
-    jac_hess = _det3([grad_f, grad_h, cov.trace_grad_hess])
-    jac_form = _det3([grad_f, grad_h, cov.gradient_form.grad()])
-    return (
-        (12 * d * d - 54 * d + 57) * bundle.H * jac_adj
-        + (d - 2) * (12 * d - 27) * bundle.H * jac_hess
-        - kappa * (d - 2) * (d - 2) * jac_form
+    H = bundle.H
+    # The three Jacobians det(grad F, grad H, r) share their first two rows,
+    # so each is (grad F x grad H) . r; combine the third rows first.
+    fx, fy, fz = F.grad()
+    hx, hy, hz = H.grad()
+    cross = (fy * hz - fz * hy, fz * hx - fx * hz, fx * hy - fy * hx)
+    alpha = 12 * d * d - 54 * d + 57
+    beta = (d - 2) * (12 * d - 27)
+    gamma = kappa * (d - 2) * (d - 2)
+    rows = zip(
+        cov.trace_grad_adj, cov.trace_grad_hess, cov.gradient_form.grad()
     )
+    combined = (H * (alpha * ta + beta * th) - gamma * g for ta, th, g in rows)
+    return sum((c * r for c, r in zip(cross, combined)), MPoly.zero(XYZ))
 
 
 def osculating_conic(F: MPoly, p) -> MPoly:
     """Canonical primitive conic with fifth-order contact at the smooth,
-    non-inflection rational point p on V(F)."""
+    non-inflection rational point p on V(F).
+
+    The covariants enter only through their values at p, so the Hessian
+    matrices are evaluated first: the trace covariant is the paired trace
+    of adj_f(p) and hess_H(p), and the gradient form is grad H(p) paired
+    with adj_f(p).  ``covariants`` is never built here.
+    """
     try:
         point = tuple(Fraction(v) for v in p)
     except (TypeError, ValueError):
@@ -200,10 +208,12 @@ def osculating_conic(F: MPoly, p) -> MPoly:
     h_at = bundle.H.eval(point)
     if h_at == 0:
         raise InflectionPoint(f"the Hessian vanishes at {p!r}")
-    cov = covariants(bundle)
+    adj6 = [q.eval(point) for q in _sym_entries(bundle.adj_f)]
+    hess6 = [q.eval(point) for q in _sym_entries(bundle.hess_h)]
+    hx, hy, hz = (g.eval(point) for g in bundle.H.grad())
+    form6 = (hx * hx, hy * hy, hz * hz, hy * hz, hx * hz, hx * hy)
     lam = Fraction(
-        -3 * Fraction(cov.trace_product.eval(point)) * Fraction(h_at)
-        + 4 * Fraction(cov.gradient_form.eval(point)),
+        -3 * _paired_trace(adj6, hess6) * h_at + 4 * _paired_trace(adj6, form6),
         9 * Fraction(h_at) ** 3,
     )
     x, y, z = (MPoly.variable(XYZ, v) for v in XYZ)
@@ -213,7 +223,6 @@ def osculating_conic(F: MPoly, p) -> MPoly:
         x * x * a + y * y * b + z * z * c
         + 2 * (x * y * h + x * z * g + y * z * f)
     )
-    hgrads = [g.eval(point) for g in bundle.H.grad()]
-    dh = x * hgrads[0] + y * hgrads[1] + z * hgrads[2]
+    dh = x * hx + y * hy + z * hz
     conic = d2f - (dh * Fraction(2, 3 * h_at) + df * lam) * df
     return conic.canonical()

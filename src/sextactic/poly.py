@@ -77,6 +77,30 @@ def _coeff_str(c) -> str:
     return str(int(c))
 
 
+def _pack_terms(terms, width):
+    """(packed exponent, coefficient) pairs, one `width`-byte field a variable."""
+    if width == 1:
+        return [(int.from_bytes(bytes(e), "big"), c) for e, c in terms.items()]
+    return [
+        (int.from_bytes(b"".join(x.to_bytes(width, "big") for x in e), "big"), c)
+        for e, c in terms.items()
+    ]
+
+
+def _unpack_terms(packed, n, width):
+    """Inverse of `_pack_terms` for n variables, dropping zero coefficients."""
+    if width == 1:
+        return {tuple(k.to_bytes(n, "big")): c for k, c in packed.items() if c}
+    size = n * width
+    fields = range(0, size, width)
+    out = {}
+    for k, c in packed.items():
+        if c:
+            raw = k.to_bytes(size, "big")
+            out[tuple(int.from_bytes(raw[i : i + width], "big") for i in fields)] = c
+    return out
+
+
 class MPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
@@ -235,14 +259,27 @@ class MPoly:
             )
         self._check_vars(other)
         a, b = self.terms, other.terms
+        if not a or not b:
+            return MPoly.zero(self.variables)
         if len(a) > len(b):
             a, b = b, a
+        # Each exponent vector is packed into one int: one big-endian field of
+        # `width` bytes per variable.  A field holds the largest exponent the
+        # product can reach, so adding two packed keys never carries from one
+        # field into the next, and the sum packs the product's exponent.
+        top = max(map(max, a)) + max(map(max, b))
+        width = (top.bit_length() + 7) // 8 or 1
+        pb = _pack_terms(b, width)
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MPoly._make(self.variables, out)
+        get = out.get
+        for k1, c1 in _pack_terms(a, width):
+            for k2, c2 in pb:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        prod = object.__new__(MPoly)
+        prod.variables = self.variables
+        prod.terms = _unpack_terms(out, len(self.variables), width)
+        return prod
 
     __rmul__ = __mul__
 

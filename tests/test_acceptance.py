@@ -461,6 +461,16 @@ def test_criterion_12_property_suite():
                 cov.trace_product.partial(v)
                 == cov.trace_grad_adj[j] + cov.trace_grad_hess[j]
             )
+            # the direct formula, sum d_v(adj_f) * hess_H, as the reference
+            assert cov.trace_grad_adj[j] == sum(
+                (
+                    bundle.adj_f.entries[r][c].partial(v)
+                    * bundle.hess_h.entries[r][c]
+                    for r in range(3)
+                    for c in range(3)
+                ),
+                MPoly.zero(XYZ),
+            )
 
     for i in range(cases):
         d = (3, 4, 5)[i % 3]

@@ -17,7 +17,7 @@ from sextactic.differential import (
     osculating_conic,
     second_hessian,
 )
-from sextactic.poly import XYZ, MPoly, NotHomogeneous
+from sextactic.poly import XYZ, MPoly, NotHomogeneous, PolyMatrix
 from sextactic.rational import linear_factor_orders, pullback
 from sextactic.parse import parse_param
 
@@ -26,6 +26,36 @@ X, Y, Z = (MPoly.variable(XYZ, v) for v in XYZ)
 NODAL_CUBIC = Y**2 * Z - X**3 - X**2 * Z
 QUARTIC = X**4 - X**3 * Y + Y**3 * Z
 FERMAT = X**3 + Y**3 + Z**3
+
+
+def dense_form(rng, degree):
+    """Every monomial of the degree, coefficients in [-5, 5]."""
+    return MPoly(
+        XYZ,
+        {
+            (i, j, degree - i - j): rng.randint(-5, 5)
+            for i in range(degree + 1)
+            for j in range(degree + 1 - i)
+        },
+    )
+
+
+def paired_trace(m, n):
+    """Sum over all nine entries of m[i][j] * n[i][j]."""
+    return sum(
+        (a * b for ra, rb in zip(m, n) for a, b in zip(ra, rb)), MPoly.zero(XYZ)
+    )
+
+
+def direct_trace_grad_adj(bundle):
+    """sum d_v(adj_f) * hess_H, entry by entry, for v = x, y, z."""
+    return tuple(
+        paired_trace(
+            [[q.partial(v) for q in row] for row in bundle.adj_f.entries],
+            bundle.hess_h.entries,
+        )
+        for v in XYZ
+    )
 
 
 def random_form(rng, degree, max_terms=5):
@@ -73,10 +103,22 @@ class TestCovariants:
     def test_split_identity_quartic(self):
         b = hessian(QUARTIC)
         cov = covariants(b)
+        assert cov.trace_grad_adj == direct_trace_grad_adj(b)
         for i, v in enumerate(XYZ):
             assert (
                 cov.trace_product.partial(v)
                 == cov.trace_grad_adj[i] + cov.trace_grad_hess[i]
+            )
+
+    @pytest.mark.parametrize("degree", [3, 4, 5])
+    def test_split_against_direct_formula_dense(self, degree):
+        rng = random.Random(f"split/{degree}")
+        for _ in range(2):
+            b = hessian(dense_form(rng, degree))
+            cov = covariants(b)
+            assert cov.trace_grad_adj == direct_trace_grad_adj(b)
+            assert cov.trace_product == paired_trace(
+                b.adj_f.entries, b.hess_h.entries
             )
 
     def test_gradient_form_two_formulas(self):
@@ -105,14 +147,37 @@ class TestSecondHessian:
         assert got == want
 
     def test_variant_difference(self):
-        from sextactic.differential import _det3
-
         d = 4
         b = hessian(QUARTIC)
         cov = covariants(b)
-        jac = _det3([QUARTIC.grad(), b.H.grad(), cov.gradient_form.grad()])
+        jac = PolyMatrix(
+            [QUARTIC.grad(), b.H.grad(), cov.gradient_form.grad()]
+        ).det()
         diff = second_hessian(QUARTIC) - second_hessian(QUARTIC, "cayley1865")
         assert diff == 20 * (d - 2) ** 2 * jac
+
+    @pytest.mark.parametrize("degree", [3, 4, 5])
+    def test_three_determinant_formula_dense(self, degree):
+        rng = random.Random(f"h2/{degree}")
+        f = dense_form(rng, degree)
+        b = hessian(f)
+        cov = covariants(b)
+        jac_adj, jac_hess, jac_form = (
+            PolyMatrix([f.grad(), b.H.grad(), r]).det()
+            for r in (
+                cov.trace_grad_adj,
+                cov.trace_grad_hess,
+                cov.gradient_form.grad(),
+            )
+        )
+        d = degree
+        for variant, kappa in (("corrected", 20), ("cayley1865", 40)):
+            want = (
+                (12 * d * d - 54 * d + 57) * b.H * jac_adj
+                + (d - 2) * (12 * d - 27) * b.H * jac_hess
+                - kappa * (d - 2) * (d - 2) * jac_form
+            )
+            assert second_hessian(f, variant) == want
 
     def test_degree_random(self):
         # sparse forms often factor into lines/conics, where the covariant
@@ -182,3 +247,57 @@ class TestOsculatingConic:
                 assert order == 6
             else:
                 assert order == 5
+
+    @pytest.mark.parametrize("degree", [3, 4, 5])
+    def test_matches_symbolic_covariant_formula(self, degree):
+        rng = random.Random(f"osc/{degree}")
+        checked = 0
+        while checked < 3:
+            f = dense_form(rng, degree)
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            f = f - MPoly.constant(XYZ, f.eval((a, b, 1))) * Z**degree
+            point = (a, b, 1)
+            bundle = hessian(f)
+            grads = [g.eval(point) for g in f.grad()]
+            h_at = bundle.H.eval(point)
+            if not any(grads) or h_at == 0:
+                continue
+            assert osculating_conic(f, point) == symbolic_osculating_conic(
+                bundle, point, grads, h_at
+            )
+            checked += 1
+
+    def test_never_builds_covariants(self, monkeypatch):
+        from sextactic import differential
+
+        def refuse(bundle):
+            raise AssertionError("osculating_conic built the covariants")
+
+        monkeypatch.setattr(differential, "covariants", refuse)
+        conic = osculating_conic(NODAL_CUBIC, (-1, 0, 1))
+        assert conic == 2 * X**2 + Y**2 + Z**2 + 3 * X * Z
+
+
+def symbolic_osculating_conic(bundle, point, grads, h_at):
+    """The osculating conic from the covariants evaluated at the point."""
+    cov = covariants(bundle)
+    lam = Fraction(
+        -3 * Fraction(cov.trace_product.eval(point)) * h_at
+        + 4 * Fraction(cov.gradient_form.eval(point)),
+        9 * Fraction(h_at) ** 3,
+    )
+    df = sum((g * v for g, v in zip(grads, (X, Y, Z))), MPoly.zero(XYZ))
+    dh = sum(
+        (g.eval(point) * v for g, v in zip(bundle.H.grad(), (X, Y, Z))),
+        MPoly.zero(XYZ),
+    )
+    d2f = sum(
+        (
+            bundle.hess_f.entries[i][j].eval(point) * u * v
+            for i, u in enumerate((X, Y, Z))
+            for j, v in enumerate((X, Y, Z))
+        ),
+        MPoly.zero(XYZ),
+    )
+    conic = d2f - (dh * Fraction(2, 3 * h_at) + df * lam) * df
+    return conic.canonical()

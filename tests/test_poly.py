@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sextactic.poly import (
     ST,
@@ -102,6 +104,68 @@ class TestArithmetic:
     def test_zero_degree_is_distinct(self):
         assert MPoly.zero(XYZ).degree() is None
         assert MPoly.constant(XYZ, 5).degree() == 0
+
+
+# -- packed-exponent products against a tuple-adding reference ---------------
+
+# Exponents on both sides of each field-width edge: a product field holds
+# max(a) + max(b), so sums cross 255/256, 65535/65536 and 2^40 here.
+EXPONENTS = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from([127, 128, 255, 256, 65535, 65536, 2**40 - 1, 2**40]),
+)
+COEFFS = st.one_of(
+    st.integers(-20, 20), st.fractions(min_value=-5, max_value=5, max_denominator=7)
+)
+
+
+@st.composite
+def poly_pairs(draw):
+    variables = XYZ[: draw(st.integers(1, 3))]
+    expo = st.tuples(*[EXPONENTS] * len(variables))
+    one = st.one_of(
+        st.dictionaries(expo, COEFFS, max_size=6),
+        st.builds(lambda c: {(0,) * len(variables): c}, COEFFS),
+    )
+    return MPoly(variables, draw(one)), MPoly(variables, draw(one))
+
+
+def tuple_add_product(p, q):
+    """The product by adding exponent tuples, in the same first-seen order."""
+    a, b = p.terms, q.terms
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return [(e, c) for e, c in out.items() if c]
+
+
+class TestPackedProduct:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(poly_pairs(), COEFFS)
+    def test_matches_tuple_add(self, pair, k):
+        p, q = pair
+        assert list((p * q).terms.items()) == tuple_add_product(p, q)
+        assert k * p == p * MPoly.constant(p.variables, k)
+
+    def test_width_edges(self):
+        for e in (127, 128, 255, 256, 65535, 65536, 2**40):
+            p = MPoly(XYZ, {(e, 1, 0): 2, (0, e, 3): -1})
+            q = MPoly(XYZ, {(1, 0, e): 3, (e, e, e): Fraction(1, 2)})
+            assert list((p * q).terms.items()) == tuple_add_product(p, q)
+            assert (p * q).terms[(e + 1, 1, e)] == 6
+            u, v = MPoly(XYZ, {(e, 0, 0): 1}), MPoly(XYZ, {(0, e, 0): 1})
+            assert ((u + v) * (u - v)).terms == {(2 * e, 0, 0): 1, (0, 2 * e, 0): -1}
+
+    def test_zero_and_constant_operands(self):
+        f = X**3 - 2 * Y * Z**2
+        zero = MPoly.zero(XYZ)
+        assert (f * zero).is_zero() and (zero * f).is_zero()
+        assert f * MPoly.constant(XYZ, -3) == -3 * f
+        assert MPoly.constant(XYZ, 2) * MPoly.constant(XYZ, 5) == 10 + zero
 
 
 class TestPartial:
