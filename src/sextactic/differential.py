@@ -200,14 +200,15 @@ def osculating_conic(F: MPoly, p) -> MPoly:
     if len(point) != 3 or not any(point):
         raise DifferentialError(f"need a projective point, got {p!r}")
     bundle = hessian(F)
+    shown = "(" + " : ".join(map(str, point)) + ")"
     if F.eval(point) != 0:
-        raise PointNotOnCurve(f"F does not vanish at {p!r}")
+        raise PointNotOnCurve(f"F does not vanish at {shown}")
     grads = [g.eval(point) for g in F.grad()]
     if not any(grads):
-        raise SingularPoint(f"the curve is singular at {p!r}")
+        raise SingularPoint(f"the curve is singular at {shown}")
     h_at = bundle.H.eval(point)
     if h_at == 0:
-        raise InflectionPoint(f"the Hessian vanishes at {p!r}")
+        raise InflectionPoint(f"the Hessian vanishes at {shown}")
     adj6 = [q.eval(point) for q in _sym_entries(bundle.adj_f)]
     hess6 = [q.eval(point) for q in _sym_entries(bundle.hess_h)]
     hx, hy, hz = (g.eval(point) for g in bundle.H.grad())

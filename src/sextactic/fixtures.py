@@ -125,17 +125,6 @@ FIXTURES = (
 )
 
 
-def fixture_names():
-    return tuple(f.name for f in FIXTURES)
-
-
-def get(name: str) -> Fixture:
-    for f in FIXTURES:
-        if f.name == name:
-            return f
-    raise KeyError(f"no fixture named {name!r}")
-
-
 def read_data_file(filename: str) -> str:
     return (
         resources.files("sextactic")

@@ -56,12 +56,14 @@ def tokenize(text: str):
             i += 1
             continue
         start = i
-        if ch.isdigit():
-            while i < n and text[i].isdigit():
+        # ASCII only: str.isdigit also takes "²", which int() rejects, and "٣",
+        # which int() reads as 3
+        if "0" <= ch <= "9":
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(Token("INT", text[start:i], SourceSpan(start, i)))
-        elif ch.isalpha():
-            while i < n and text[i].isalpha():
+        elif ch.isascii() and ch.isalpha():
+            while i < n and text[i].isascii() and text[i].isalpha():
                 i += 1
             tokens.append(Token("VAR", text[start:i], SourceSpan(start, i)))
         elif ch in "+-*^":
@@ -356,6 +358,11 @@ _ROLE_MAP = {
 }
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_profile(text: str, per_branch: bool = False) -> CurveProfile:
     """Parse a profile file: keys d, optional g, points."""
     data = _load_json(text, "profile")
@@ -366,20 +373,36 @@ def parse_profile(text: str, per_branch: bool = False) -> CurveProfile:
         raise ParseError("profile is missing the degree key 'd'")
     d = data["d"]
     g = data.get("g")
+    for key in ("d", "g"):
+        if data.get(key) is not None and not _is_int(data[key]):
+            raise ParseError(f"{key!r} must be an integer, got {data[key]!r}")
+    points = data.get("points", [])
+    if not isinstance(points, list):
+        raise ParseError(f"'points' must be a list, got {points!r}")
     records = []
-    for i, raw in enumerate(data.get("points", [])):
+    for i, raw in enumerate(points):
         if not isinstance(raw, dict):
             raise ParseError(f"point #{i} must be an object, got {raw!r}")
         extra = set(raw) - {"role", "m", "l", "c", "multiplicity_sequence", "delta", "label"}
         if extra:
             raise ParseError(f"point #{i} has unknown keys {sorted(extra)}")
-        role = _ROLE_MAP.get(raw.get("role"))
+        for key in ("m", "l", "c", "delta"):
+            if raw.get(key) is not None and not _is_int(raw[key]):
+                raise ParseError(f"point #{i}: {key!r} must be an integer, got {raw[key]!r}")
+        ms = raw.get("multiplicity_sequence")
+        if ms is not None and not (isinstance(ms, list) and all(map(_is_int, ms))):
+            raise ParseError(
+                f"point #{i}: 'multiplicity_sequence' must be a list of integers, got {ms!r}"
+            )
+        if raw.get("label") is not None and not isinstance(raw["label"], str):
+            raise ParseError(f"point #{i}: 'label' must be a string, got {raw['label']!r}")
+        role = raw.get("role")
+        role = _ROLE_MAP.get(role) if isinstance(role, str) else None
         if role is None:
             raise ParseError(
                 f"point #{i}: unknown role {raw.get('role')!r}; expected "
                 "cusp, inflection, or smooth_sextactic_candidate"
             )
-        ms = raw.get("multiplicity_sequence")
         records.append(
             PointRecord(
                 role,

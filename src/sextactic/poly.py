@@ -2,8 +2,10 @@
 
 Everything downstream (Hessian covariants, Wronskians, local branch analysis)
 is built on the types here: ``MPoly`` over a fixed ordered variable tuple,
-polynomial matrices with fraction-free determinants, and binary-form
-utilities (gcd, squarefree splitting, root orders) for forms in (s, t).
+polynomial matrices with cofactor determinants, the one primitive-content
+normaliser ``primitive_ints``, and binary-form algorithms (gcd, squarefree
+splitting, rational roots, root orders) on dense integer lists for forms in
+(s, t).
 
 Coefficients are arbitrary-precision rationals, stored as plain ``int``
 whenever the denominator is 1.  The canonical term order is graded
@@ -59,6 +61,26 @@ def _norm(c):
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"bad coefficient type {type(c).__name__}")
+
+
+def primitive_ints(values, sign=1):
+    """Split rationals, not all zero, as scale * ints with the ints coprime.
+
+    ``values`` is a sequence of ints and Fractions; it is read more than
+    once.  The scale is positive when ``sign`` > 0 and negative otherwise, so
+    a caller that needs one entry to come out positive passes that entry.
+    Returns (ints, scale); the scale is an int when integral, else a Fraction.
+    """
+    num = gcd(*[c.numerator for c in values])
+    den = lcm(*[c.denominator for c in values])
+    if sign < 0:
+        num = -num
+    if den == 1:
+        return [c.numerator // num for c in values], num
+    return (
+        [c.numerator * (den // c.denominator) // num for c in values],
+        Fraction(num, den),
+    )
 
 
 def _ratio(a, b):
@@ -157,10 +179,6 @@ class MPoly:
         expo = tuple(1 if v == name else 0 for v in variables)
         return cls._make(variables, {expo: 1})
 
-    @classmethod
-    def monomial(cls, variables, expo, c=1):
-        return cls(tuple(variables), {tuple(expo): c})
-
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -203,13 +221,6 @@ class MPoly:
             raise ZeroFormError("zero polynomial has no leading term")
         expo = max(self.terms, key=_order_key)
         return expo, self.terms[expo]
-
-    def min_exponent(self, var) -> int:
-        """Smallest exponent of ``var`` over all terms (0 for the zero poly)."""
-        i = self._index(var)
-        if not self.terms:
-            return 0
-        return min(e[i] for e in self.terms)
 
     def _index(self, var) -> int:
         try:
@@ -365,22 +376,6 @@ class MPoly:
 
     # -- normal forms ------------------------------------------------------
 
-    def content(self) -> Fraction:
-        """Positive rational c with self/c primitive integral; 0 for the zero poly."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        return Fraction(num, den)
-
-    def primitive(self):
-        if not self.terms:
-            return self
-        return self * (1 / self.content())
-
     def canonical_with_scale(self):
         """(canonical, scale) with self = scale * canonical.
 
@@ -389,12 +384,8 @@ class MPoly:
         """
         if not self.terms:
             return self, Fraction(0)
-        scale = self.content()
-        prim = self * (1 / scale)
-        if prim.lead()[1] < 0:
-            prim = -prim
-            scale = -scale
-        return prim, scale
+        ints, scale = primitive_ints(self.terms.values(), self.lead()[1])
+        return MPoly._make(self.variables, dict(zip(self.terms, ints))), scale
 
     def canonical(self):
         return self.canonical_with_scale()[0]
@@ -585,60 +576,51 @@ def laplace_minors(rows):
 
 
 # -- binary forms in (s, t) -------------------------------------------------
+#
+# The algorithms below see one representation of a form s^a * t^b * h: the
+# dense int list u with u[i] the coefficient of s^i t^(n-i) in h, where
+# neither s nor t divides h.  The ``_u_*`` helpers work in the integers; the
+# public functions convert once on the way in (``_dense``) and out (``_form``).
 
 
-def _require_form(f: MPoly) -> int:
-    """Degree of a nonzero homogeneous binary form; raises otherwise."""
+def _dense(f: MPoly):
+    """(u, scale, a, b) with f = scale * s^a * t^b * sum u[i] s^i t^(n-i).
+
+    u is primitive with u[-1] > 0, so the rational scale carries the sign.
+    Raises unless f is a nonzero homogeneous binary form.
+    """
     if f.is_zero():
         raise ZeroFormError("zero form")
     d = f.homogeneous_degree()
     if len(f.variables) != 2:
         raise VariableSetMismatch(f"expected a binary form, got {f.variables}")
-    return d
-
-
-def _univ_from_form(f: MPoly):
-    """Split f = s^a * t^b * h into (dense coeffs of h by s-exponent, a, b)."""
-    d = _require_form(f)
     a = min(e[0] for e in f.terms)
     b = min(e[1] for e in f.terms)
-    n = d - a - b
-    u = [0] * (n + 1)
+    u = [0] * (d - a - b + 1)
     for (es, _et), c in f.terms.items():
         u[es - a] = c
-    return u, a, b
+    u, scale = primitive_ints(u, u[-1])
+    return u, scale, a, b
 
 
-def _form_from_univ(u, variables=ST) -> MPoly:
+def _form(u, a, b, variables) -> MPoly:
+    """The MPoly s^a * t^b * sum u[i] s^i t^(n-i)."""
     n = len(u) - 1
-    return MPoly._make(
-        tuple(variables), {(i, n - i): _norm(c) for i, c in enumerate(u) if c}
-    )
-
-
-def _u_deg(u) -> int:
-    return len(u) - 1
+    return MPoly._make(variables, {(i + a, n - i + b): c for i, c in enumerate(u)})
 
 
 def _u_trim(u):
     while len(u) > 1 and not u[-1]:
-        u = u[:-1]
+        u.pop()
     return u
 
 
-def _u_is_zero(u) -> bool:
-    return len(u) == 1 and not u[0]
-
-
 def _u_deriv(u):
-    if len(u) == 1:
-        return [0]
-    return _u_trim([_norm(c * i) for i, c in enumerate(u)][1:])
+    return [i * c for i, c in enumerate(u)][1:] or [0]
 
 
 def _u_sub(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
+    out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] = c
     for i, c in enumerate(b):
@@ -646,68 +628,81 @@ def _u_sub(a, b):
     return _u_trim(out)
 
 
-def _u_divmod(a, b):
-    if _u_is_zero(b):
-        raise ExactDivisionError("univariate division by zero")
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    lead = b[-1]
-    while not _u_is_zero(_u_trim(a)) and len(_u_trim(a)) >= len(b):
-        a = _u_trim(a)
-        shift = len(a) - len(b)
-        c = _ratio(a[-1], lead)
-        q[shift] += c
-        for i, bc in enumerate(b):
-            a[shift + i] -= c * bc
-        a[-1] = 0
-    return _u_trim(q), _u_trim(a)
+def _u_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _u_exact_div(a, b):
-    q, r = _u_divmod(a, b)
-    if not _u_is_zero(r):
+    """Quotient a / b in the integers, for a trimmed nonzero primitive b.
+
+    By Gauss's lemma every quotient coefficient is an integer when b divides
+    a, so a step that does not divide evenly, or a nonzero remainder, raises
+    ExactDivisionError.
+    """
+    n, lead = len(b) - 1, b[-1]
+    r = list(a)
+    q = [0] * max(len(a) - n, 1)
+    for k in range(len(a) - 1 - n, -1, -1):
+        c, rem = divmod(r[k + n], lead)
+        if rem:
+            raise ExactDivisionError("univariate division not exact")
+        if c:
+            q[k] = c
+            for i in range(n):
+                r[k + i] -= c * b[i]
+    if any(r[:n]):
         raise ExactDivisionError("univariate division not exact")
     return q
 
 
-def _u_primitive(u):
-    """Primitive integer coefficients, positive leading coefficient."""
-    u = _u_trim(u)
-    if _u_is_zero(u):
-        return u
-    num = 0
-    den = 1
-    for c in u:
-        num = gcd(num, c.numerator)
-        den = lcm(den, c.denominator)
-    scale = Fraction(den, num) if u[-1] > 0 else Fraction(-den, num)
-    return [_norm(c * scale) for c in u]
-
-
 def _u_gcd(a, b):
-    a, b = _u_trim(list(a)), _u_trim(list(b))
-    while not _u_is_zero(b):
-        a, b = b, _u_divmod(a, b)[1]
-    return _u_primitive(a)
+    """Primitive gcd, positive leading coefficient, of two trimmed lists.
+
+    Primitive pseudo-remainder sequence in the integers (Collins 1967): each
+    pseudo-remainder is reduced to its primitive part before the next step.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        n, lead = len(b) - 1, b[-1]
+        r = list(a)
+        for k in range(len(a) - 1 - n, -1, -1):
+            c = r.pop()
+            if c:
+                g = gcd(c, lead)
+                c, m = c // g, lead // g
+                if m != 1:
+                    r = [x * m for x in r]
+                for i in range(n):
+                    r[k + i] -= c * b[i]
+        r = _u_trim(r)
+        a, b = b, primitive_ints(r, r[-1])[0] if r[-1] else r
+    return [1] if b[0] else primitive_ints(a, a[-1])[0]
 
 
 def _u_squarefree(u):
-    """Yun decomposition of a nonconstant univariate over Q.
+    """Yun's squarefree split (Yun 1976) of a nonconstant primitive u with
+    positive leading coefficient.
 
-    Returns [(factor, multiplicity)] with primitive positive-leading factors;
-    the product reproduces u up to a rational constant.
+    Returns [(factor, multiplicity)]: primitive factors with positive leading
+    coefficients, squarefree and pairwise coprime, whose product is u.
     """
     d1 = _u_deriv(u)
     g = _u_gcd(u, d1)
-    if _u_deg(g) == 0:
-        return [(_u_primitive(u), 1)]
+    if len(g) == 1:
+        return [(u, 1)]
     c = _u_exact_div(u, g)
     d = _u_sub(_u_exact_div(d1, g), _u_deriv(c))
     out = []
     i = 1
-    while _u_deg(c) > 0:
+    while len(c) > 1:
         p = _u_gcd(c, d)
-        if _u_deg(p) > 0:
+        if len(p) > 1:
             out.append((p, i))
         c = _u_exact_div(c, p)
         d = _u_sub(_u_exact_div(d, p), _u_deriv(c))
@@ -715,17 +710,47 @@ def _u_squarefree(u):
     return out
 
 
+def _divisors(n: int):
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            if i != n // i:
+                out.append(n // i)
+        i += 1
+    return sorted(out)
+
+
+def _rational_roots(u):
+    """Roots of a squarefree primitive u with u[0] != 0, sorted.
+
+    Each root x = p/q of u(x) = sum u[i] x^i is returned as the coprime pair
+    (p, q) with p > 0: the parameter (p : q) in ``projective_ints`` form.
+    """
+    if len(u) == 2:
+        return [projective_ints((-u[0], u[1]))]
+    roots = []
+    for p in _divisors(abs(u[0])):
+        for q in _divisors(abs(u[-1])):
+            if gcd(p, q) > 1:
+                continue
+            for den in (q, -q):
+                # den^n * u(p/den) = sum u_i p^i den^(n-i), by Horner in integers
+                acc, dpow = 0, 1
+                for c in reversed(u):
+                    acc = acc * p + c * dpow
+                    dpow *= den
+                if acc == 0:
+                    roots.append((p, den))
+    return sorted(roots)
+
+
 def binaryform_gcd(f: MPoly, g: MPoly) -> MPoly:
     """Gcd of two nonzero binary forms, primitive with positive leading term."""
-    uf, af, bf_ = _univ_from_form(f)
-    ug, ag, bg = _univ_from_form(g)
-    u = _u_gcd(uf, ug)
-    a, b = min(af, ag), min(bf_, bg)
-    terms = {}
-    for i, c in enumerate(u):
-        if c:
-            terms[(i + a, _u_deg(u) - i + b)] = _norm(c)
-    return MPoly._make(f.variables, terms)
+    uf, _, af, bf = _dense(f)
+    ug, _, ag, bg = _dense(g)
+    return _form(_u_gcd(uf, ug), min(af, ag), min(bf, bg), f.variables)
 
 
 def squarefree_decomp(f: MPoly):
@@ -733,52 +758,85 @@ def squarefree_decomp(f: MPoly):
 
     Factors are primitive with positive leading coefficient, squarefree and
     pairwise coprime, listed in a deterministic order (degree, then canonical
-    string); the rational content carries the sign.
+    string); the rational content carries the sign.  Raises AssertionError
+    if the factors do not rebuild the form exactly.
     """
-    u, a, b = _univ_from_form(f)
+    u, content, a, b = _dense(f)
     variables = f.variables
     factors = []
     if a:
         factors.append((MPoly.variable(variables, variables[0]), a))
     if b:
         factors.append((MPoly.variable(variables, variables[1]), b))
-    if _u_deg(u) > 0:
-        for p, m in _u_squarefree(u):
-            factors.append((_form_from_univ(p, variables), m))
+    if len(u) > 1:
+        split = _u_squarefree(u)
+        prod = [1]
+        for p, m in split:
+            for _ in range(m):
+                prod = _u_mul(prod, p)
+        if prod != u:
+            raise AssertionError("squarefree factors do not rebuild the form")
+        factors.extend((_form(p, 0, 0, variables), m) for p, m in split)
     factors.sort(key=lambda fm: (fm[0].degree(), str(fm[0])))
-    prod = MPoly.constant(variables, 1)
-    for p, m in factors:
-        prod = prod * p**m
-    q = exact_div(f, prod)
-    (expo, c), = q.terms.items()
-    assert expo == (0, 0), "content quotient must be constant"
-    return Fraction(c), factors
+    return Fraction(content), factors
+
+
+def split_linear_factors(f: MPoly):
+    """Rational linear factors of a squarefree binary form.
+
+    Returns (roots, rest).  ``roots`` lists each rational zero of f as a
+    ``projective_ints`` pair (s0, t0), sorted, with its linear form from
+    ``linear_root_form``; ``rest`` is f over the product of those forms in
+    canonical form, or None when that quotient is constant.
+    """
+    u, _, a, b = _dense(f)
+    roots = [(0, 1)] * (a > 0) + [(1, 0)] * (b > 0)
+    if len(u) > 1:
+        found = _rational_roots(u)
+        for p, q in found:
+            u = _u_exact_div(u, [-p, q])
+        roots = sorted(roots + found)
+    rest = None
+    if len(u) > 1:
+        rest = _form(u if u[-1] > 0 else [-c for c in u], 0, 0, f.variables)
+    return [(r, linear_root_form(r, f.variables)) for r in roots], rest
+
+
+def projective_ints(values):
+    """Coprime integer coordinates of a projective point given by rationals,
+    first nonzero coordinate positive."""
+    first = next((v for v in values if v), 0)
+    if not first:
+        raise PolyError(f"({', '.join('0' * len(values))}) is not a projective point")
+    return tuple(primitive_ints(values, first)[0])
 
 
 def linear_root_form(at, variables=ST) -> MPoly:
     """Primitive linear form vanishing at the parameter (s0 : t0)."""
-    s0, t0 = Fraction(at[0]), Fraction(at[1])
-    if not s0 and not t0:
-        raise PolyError("(0, 0) is not a projective parameter")
-    f = MPoly(tuple(variables), {(1, 0): t0, (0, 1): -s0})
-    return f.canonical()
+    cs, ct = projective_ints((Fraction(at[1]), -Fraction(at[0])))
+    return MPoly._make(tuple(variables), {(1, 0): cs, (0, 1): ct})
 
 
 def linear_factor_orders(f: MPoly, at) -> int:
     """Multiplicity of the linear form through (s0 : t0) in f.
 
-    Computed by exact repeated division; raises InfiniteOrder on the zero
+    With (s0 : t0) = (p : q) in ``projective_ints`` form, this counts exact
+    integer divisions of the dense form by q*s - p*t; at (1 : 0) and (0 : 1)
+    it is the split-off power of t or s.  Raises InfiniteOrder on the zero
     form, whose order of vanishing is unbounded.
     """
     if f.is_zero():
         raise InfiniteOrder("the zero form vanishes to infinite order")
-    _require_form(f)
-    s0, t0 = Fraction(at[0]), Fraction(at[1])
-    form = linear_root_form((s0, t0), f.variables)
+    u, _, a, b = _dense(f)
+    p, q = projective_ints((Fraction(at[0]), Fraction(at[1])))
+    if not q:
+        return b
+    if not p:
+        return a
     k = 0
-    while f.eval((s0, t0)) == 0:
-        f = exact_div(f, form)
-        k += 1
-        if f.degree() == 0:
-            break
-    return k
+    try:
+        while True:
+            u = _u_exact_div(u, [-p, q])
+            k += 1
+    except ExactDivisionError:
+        return k

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
-from .branch import BranchParam
+from .branch import CONIC_BASIS, BranchParam
 from .poly import (
     ST,
     XYZ,
@@ -22,15 +21,14 @@ from .poly import (
     binaryform_gcd,
     laplace_minors,
     linear_factor_orders,
+    primitive_ints,
+    projective_ints,
+    split_linear_factors,
     squarefree_decomp,
 )
 from .series import TruncSeries
 
 XYZST = ("x", "y", "z", "s", "t")
-
-# conic monomial basis paired with the Veronese product columns, in the
-# fixed column order phi0^2, phi1^2, phi2^2, phi1*phi2, phi0*phi2, phi0*phi1
-CONIC_BASIS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
 class RationalError(ValueError):
@@ -73,14 +71,10 @@ class RationalParam:
             g = binaryform_gcd(g, p)
         if g.degree() > 0:
             raise CommonFactorError(g)
-        # strip the common positive rational content of the whole triple
-        num, den = 0, 1
-        for p in nonzero:
-            c = p.content()
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        scale = Fraction(den, num)
-        self.phi = tuple(p * scale for p in phi)
+        # strip the common positive rational content of the whole triple;
+        # zip stops at the end of each form's terms, so each takes its own ints
+        ints = iter(primitive_ints([c for p in phi for c in p.terms.values()])[0])
+        self.phi = tuple(MPoly._make(ST, dict(zip(p.terms, ints))) for p in phi)
         self.degree = degs.pop()
 
     def veronese(self):
@@ -91,16 +85,10 @@ class RationalParam:
     def eval_point(self, at):
         """Primitive integer coordinates of the curve point at (s0 : t0)."""
         s0, t0 = Fraction(at[0]), Fraction(at[1])
-        vals = [Fraction(p.eval((s0, t0))) for p in self.phi]
-        den = lcm(*(v.denominator for v in vals))
-        ints = [int(v * den) for v in vals]
-        g = gcd(*ints)
-        if g == 0:
+        vals = [p.eval((s0, t0)) for p in self.phi]
+        if not any(vals):
             raise RationalError(f"parametrization vanishes at ({s0} : {t0})")
-        ints = [v // g for v in ints]
-        if next(v for v in ints if v) < 0:
-            ints = [-v for v in ints]
-        return tuple(ints)
+        return projective_ints(vals)
 
     def __repr__(self):
         return f"RationalParam({self.phi[0]} : {self.phi[1]} : {self.phi[2]})"
@@ -189,78 +177,6 @@ class WeierstrassScan:
     total: int
 
 
-def _rational_roots(u):
-    """Rational roots of a primitive squarefree integer univariate."""
-    lead, const = u[-1], u[0]
-    roots = set()
-    for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
-            if gcd(p, q) > 1:
-                continue
-            for a in (p, -p):
-                # q^n * u(a/q) = sum u_i a^i q^(n-i), by Horner in integers
-                acc, qpow = 0, 1
-                for c in reversed(u):
-                    acc = acc * a + c * qpow
-                    qpow *= q
-                if acc == 0:
-                    roots.add(Fraction(a, q))
-    return sorted(roots)
-
-
-def _divisors(n: int):
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
-def normalize_parameter(at):
-    """Primitive integer representative of (s0 : t0), first nonzero entry positive."""
-    s0, t0 = Fraction(at[0]), Fraction(at[1])
-    if not s0 and not t0:
-        raise RationalError("(0, 0) is not a projective parameter")
-    den = lcm(s0.denominator, t0.denominator)
-    a, b = int(s0 * den), int(t0 * den)
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    if (a or b) < 0:
-        a, b = -a, -b
-    return (a, b)
-
-
-def _refine_factor(factor: MPoly, mult: int):
-    """Split one squarefree factor into linear classes plus a root-free rest."""
-    from .poly import exact_div, linear_root_form
-
-    if factor.degree() == 1:
-        # root of the linear form a*s + b*t is (-b : a)
-        a = factor.coefficient((1, 0))
-        b = factor.coefficient((0, 1))
-        root = normalize_parameter((-b, a))
-        return [ZeroClass(factor, mult, 1, root, True)]
-    classes = []
-    u = [factor.coefficient((i, factor.degree() - i)) for i in range(factor.degree() + 1)]
-    rest = factor
-    for r in _rational_roots(u):
-        root = normalize_parameter((r, 1))
-        form = linear_root_form(root)
-        rest = exact_div(rest, form)
-        classes.append(ZeroClass(form, mult, 1, root, True))
-    restdeg = rest.degree()
-    if restdeg and restdeg > 0:
-        rest = rest.canonical()
-        classes.append(
-            ZeroClass(rest, mult, restdeg, None, True if restdeg <= 3 else None)
-        )
-    return classes
-
-
 def conic_wronskian(param: RationalParam) -> WeierstrassScan:
     """Wronskian of the Veronese products and its zero structure.
 
@@ -277,7 +193,12 @@ def conic_wronskian(param: RationalParam) -> WeierstrassScan:
     content, factors = squarefree_decomp(xi)
     classes = []
     for factor, mult in factors:
-        classes.extend(_refine_factor(factor, mult))
+        # linear classes plus one root-free rest per squarefree factor
+        roots, rest = split_linear_factors(factor)
+        classes.extend(ZeroClass(form, mult, 1, root, True) for root, form in roots)
+        if rest is not None:
+            deg = rest.degree()
+            classes.append(ZeroClass(rest, mult, deg, None, True if deg <= 3 else None))
     classes.sort(key=lambda z: (-z.multiplicity, z.factor.degree(), str(z.factor)))
     total = sum(z.multiplicity * z.points for z in classes)
     assert total == xi.degree() == 6 * (2 * param.degree - 5)

@@ -45,13 +45,6 @@ class TruncSeries:
         obj.trunc = trunc
         return obj
 
-    @classmethod
-    def from_pairs(cls, pairs, trunc):
-        coeffs = {}
-        for c, e in pairs:
-            coeffs[e] = coeffs.get(e, 0) + c
-        return cls(coeffs, trunc)
-
     def valuation(self):
         """Smallest known exponent, or None when only O(t^trunc) is known."""
         return min(self.coeffs) if self.coeffs else None
@@ -60,12 +53,6 @@ class TruncSeries:
         if e >= self.trunc:
             raise SeriesError(f"coefficient of t^{e} is beyond the truncation {self.trunc}")
         return self.coeffs.get(e, 0)
-
-    def truncate(self, trunc: int):
-        trunc = min(trunc, self.trunc)
-        return TruncSeries._make(
-            {e: c for e, c in self.coeffs.items() if e < trunc}, trunc
-        )
 
     def _val_bound(self) -> int:
         # lower bound on the valuation, usable even when nothing is stored

@@ -1,5 +1,7 @@
 """End-to-end command-line runs: exit codes, determinism, goldens."""
 
+import json
+
 import pytest
 
 from cli_child import run_cli
@@ -46,6 +48,41 @@ class TestExitCodes:
         r = run_cli("osculate", "--implicit", NODAL_CUBIC, "--point", "(0:1:0)")
         assert r.returncode == 1
         assert "InflectionPoint" in r.stderr
+
+    def test_osculate_error_shows_the_point(self):
+        r = run_cli("osculate", "--implicit", "x^3 + y^3 + z^3", "--point", "(1:-1:0)")
+        assert r.returncode == 1
+        assert r.stderr == "error: InflectionPoint: the Hessian vanishes at (1 : -1 : 0)\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("hessian", "--implicit", "x^²*y + z^3"),
+            ("wronski", "--param", "(s^3 : s*t^2 : t^3)", "--omega", "--at", "(1²:1)"),
+        ],
+    )
+    def test_non_ascii_digit_is_parse_error(self, args):
+        r = run_cli(*args)
+        assert r.returncode == 1
+        assert r.stderr == "error: ParseError: unexpected character '²' at [2:3]\n"
+
+    @pytest.mark.parametrize(
+        "command,field",
+        [
+            ("count", {"c": "6"}),
+            ("count", {"delta": "1"}),
+            ("count", {"multiplicity_sequence": 2}),
+            ("count", {"label": ["a"]}),
+            ("predict39", {"c": "6"}),
+        ],
+    )
+    def test_profile_field_of_wrong_type(self, tmp_path, command, field):
+        point = dict({"role": "cusp", "m": 2, "l": 4, "c": 5, "delta": 1}, **field)
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"d": 5, "points": [point]}))
+        r = run_cli(command, "--profile", str(path))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: ParseError: point #0: ")
 
 
 class TestDeterminism:

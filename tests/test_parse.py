@@ -11,6 +11,7 @@ from sextactic.parse import (
     ParseError,
     parse_branch,
     parse_param,
+    parse_parameter,
     parse_parameter_list,
     parse_point,
     parse_poly,
@@ -61,6 +62,13 @@ class TestParsePoly:
         with pytest.raises(ParseError) as info:
             parse_poly("x^4 - x^3*w + y^3*z")
         assert (info.value.span.begin, info.value.span.end) == (10, 11)
+
+    @pytest.mark.parametrize("text", ["x^²*y + z^3", "x^٣ + y^3 + z^3"])
+    def test_non_ascii_digit_is_rejected_at_its_span(self, text):
+        # str.isdigit accepts both; int() rejects "²" and reads "٣" as 3
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse_poly(text)
+        assert (info.value.span.begin, info.value.span.end) == (2, 3)
 
     def test_roundtrip_random(self):
         # printing then reparsing is the identity on integer polynomials
@@ -143,6 +151,11 @@ class TestTupleParsers:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ParseError):
             parse_point("(1/0 : 1 : 1)")
+
+    def test_non_ascii_digit_rejected(self):
+        with pytest.raises(ParseError) as info:
+            parse_parameter("(1²:1)")
+        assert (info.value.span.begin, info.value.span.end) == (2, 3)
 
 
 BRANCH_OK = {
@@ -251,6 +264,35 @@ class TestProfileFiles:
 
     def test_unknown_role(self):
         data = {"d": 4, "points": [{"role": "node", "m": 2, "l": 4}]}
+        with pytest.raises(ParseError):
+            parse_profile(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"c": "6"},
+            {"c": 6.0},
+            {"delta": "1"},
+            {"m": True},
+            {"l": None, "m": "2"},
+            {"multiplicity_sequence": 2},
+            {"multiplicity_sequence": [2, True]},
+            {"label": ["a"]},
+            {"role": ["cusp"]},
+        ],
+    )
+    def test_wrong_json_type_in_point(self, field):
+        points = [
+            {"role": "inflection", "m": 1, "l": 3},
+            {"role": "cusp", "m": 2, "l": 4, "c": 5, "delta": 1},
+        ]
+        assert parse_profile(json.dumps({"d": 5, "points": points})).g == 5
+        points[1].update(field)
+        with pytest.raises(ParseError, match="^point #1"):
+            parse_profile(json.dumps({"d": 5, "points": points}))
+
+    @pytest.mark.parametrize("data", [{"d": 5.0}, {"d": 5, "g": True}, {"d": 5, "points": 5}])
+    def test_wrong_json_type_at_top_level(self, data):
         with pytest.raises(ParseError):
             parse_profile(json.dumps(data))
 

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sextactic import poly
 from sextactic.poly import (
     ST,
     XYZ,
@@ -15,6 +16,7 @@ from sextactic.poly import (
     InfiniteOrder,
     MPoly,
     NonSquareMatrix,
+    PolyError,
     PolyMatrix,
     UnknownVariable,
     VariableSetMismatch,
@@ -24,6 +26,9 @@ from sextactic.poly import (
     laplace_minors,
     linear_factor_orders,
     linear_root_form,
+    primitive_ints,
+    projective_ints,
+    split_linear_factors,
     squarefree_decomp,
 )
 
@@ -301,6 +306,39 @@ class TestExactDiv:
             assert exact_div(a * b, b) == a
 
 
+# -- binary forms on dense integer lists --------------------------------------
+
+FORM_COEFFS = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=5)
+)
+
+
+@st.composite
+def binary_forms(draw):
+    """c * s^a * t^b * prod(atom_i ** k_i) with rational atoms of degree 1-2."""
+    f = MPoly.constant(ST, draw(FORM_COEFFS.filter(bool)))
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(FORM_COEFFS, min_size=2, max_size=3))
+        atom = MPoly(ST, {(i, len(coeffs) - 1 - i): c for i, c in enumerate(coeffs)})
+        if atom.degree():
+            f = f * atom ** draw(st.integers(1, 3))
+    return f * S ** draw(st.integers(0, 4)) * T ** draw(st.integers(0, 4))
+
+
+def orders_by_division(f, at):
+    """Reference: the MPoly repeated-division loop that linear_factor_orders
+    ran before binary forms became dense integer lists."""
+    s0, t0 = Fraction(at[0]), Fraction(at[1])
+    form = linear_root_form((s0, t0))
+    k = 0
+    while f.eval((s0, t0)) == 0:
+        f = exact_div(f, form)
+        k += 1
+        if f.degree() == 0:
+            break
+    return k
+
+
 class TestSquarefree:
     def test_monomial(self):
         content, factors = squarefree_decomp(S**17 * T**13)
@@ -348,6 +386,32 @@ class TestSquarefree:
         with pytest.raises(ZeroFormError):
             squarefree_decomp(MPoly.zero(ST))
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(binary_forms())
+    def test_matches_sympy_sqf_list(self, f):
+        content, factors = squarefree_decomp(f)
+        rebuilt = MPoly.constant(ST, content)
+        for p, m in factors:
+            rebuilt = rebuilt * p**m
+            assert all(isinstance(c, int) for c in p.terms.values())
+            assert p.canonical() == p
+        assert rebuilt == f
+        # sympy groups the factors of equal multiplicity into one product
+        ours = {}
+        for p, m in factors:
+            ours[m] = ours.get(m, 1) * to_sympy(p)
+        _, theirs = sympy.sqf_list(to_sympy(f), *sympy.symbols("s t"))
+        theirs = {m: g for g, m in theirs if sympy.Poly(g, *sympy.symbols("s t")).total_degree()}
+        assert sorted(ours) == sorted(theirs)
+        for m, g in theirs.items():
+            assert sympy.cancel(ours[m] / g).is_number
+
+    def test_reconstruction_check_raises(self, monkeypatch):
+        # a split whose product is not the form must not pass silently
+        monkeypatch.setattr(poly, "_u_squarefree", lambda u: [(u, 2)])
+        with pytest.raises(AssertionError):
+            squarefree_decomp((S + T) * (S + 2 * T))
+
 
 class TestLinearFactorOrders:
     @pytest.mark.parametrize(
@@ -356,6 +420,11 @@ class TestLinearFactorOrders:
             (S**17 * T**13, (0, 1), 17),
             (S**17 * T**13, (1, 1), 0),
             ((S - 2 * T) ** 3 * T, (2, 1), 3),
+            (S**17 * T**13, (1, 0), 13),
+            ((2 * S - 3 * T) ** 2 * (S + T), (Fraction(3, 2), 1), 2),
+            ((2 * S - 3 * T) ** 2 * (S + T), (1, Fraction(2, 3)), 2),
+            ((2 * S - 3 * T) ** 2 * (S + T), (Fraction(-1, 2), Fraction(1, 2)), 1),
+            ((2 * S - 3 * T) ** 2 * (S + T), (Fraction(2, 3), 1), 0),
         ],
     )
     def test_examples(self, f, at, want):
@@ -385,6 +454,55 @@ class TestLinearFactorOrders:
     def test_zero_form_is_infinite(self):
         with pytest.raises(InfiniteOrder):
             linear_factor_orders(MPoly.zero(ST), (1, 0))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        binary_forms(),
+        st.one_of(
+            st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (3, 2)]),
+            st.tuples(FORM_COEFFS, FORM_COEFFS).filter(any),
+        ),
+    )
+    def test_matches_mpoly_division_loop(self, f, at):
+        assert linear_factor_orders(f, at) == orders_by_division(f, at)
+
+
+class TestDenseHelpers:
+    def test_primitive_ints(self):
+        assert primitive_ints([4, -6, 0]) == ([2, -3, 0], 2)
+        assert primitive_ints([4, -6], -6) == ([-2, 3], -2)
+        ints, scale = primitive_ints([Fraction(-3, 2), -3], -1)
+        assert (ints, scale) == ([1, 2], Fraction(-3, 2))
+
+    def test_projective_ints(self):
+        assert projective_ints((0, Fraction(-2, 3), 4)) == (0, 1, -6)
+        with pytest.raises(PolyError):
+            projective_ints((0, Fraction(0)))
+
+    def test_split_linear_factors(self):
+        f = -2 * (2 * S - 3 * T) * (S + T) * (S**2 + T**2) * S * T
+        roots, rest = split_linear_factors(f)
+        assert [(r, str(form)) for r, form in roots] == [
+            ((0, 1), "s"),
+            ((1, -1), "s + t"),
+            ((1, 0), "t"),
+            ((3, 2), "2*s - 3*t"),
+        ]
+        assert str(rest) == "s^2 + t^2"
+
+    def test_split_rest_is_canonical_after_a_negative_divisor(self):
+        # dividing by the root (1 : -1) flips the sign of the dense rest
+        roots, rest = split_linear_factors((S + T) * (T**2 - 2 * S**2))
+        assert [r for r, _ in roots] == [(1, -1)]
+        assert str(rest) == "2*s^2 - t^2"
+        assert split_linear_factors(S - 4 * T) == ([((4, 1), S - 4 * T)], None)
+
+    def test_exact_division_in_integers(self):
+        assert poly._u_exact_div([-2, 1, 1], [-1, 1]) == [2, 1]
+        with pytest.raises(ExactDivisionError):
+            poly._u_exact_div([1, 0, 1], [-1, 1])
+        with pytest.raises(ExactDivisionError):
+            poly._u_exact_div([1, 3], [1, 2])
 
 
 class TestCanonical:

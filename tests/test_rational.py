@@ -11,7 +11,15 @@ from sextactic import cli, rational
 from sextactic.branch import weight2
 from sextactic.differential import hessian, second_hessian
 from sextactic.parse import parse_param, parse_poly
-from sextactic.poly import ST, XYZ, MPoly, PolyMatrix, laplace_minors, squarefree_decomp
+from sextactic.poly import (
+    ST,
+    XYZ,
+    MPoly,
+    PolyMatrix,
+    laplace_minors,
+    projective_ints,
+    squarefree_decomp,
+)
 from sextactic.rational import (
     CommonFactorError,
     DegenerateParam,
@@ -22,7 +30,6 @@ from sextactic.rational import (
     conic_wronskian,
     intersection_orders,
     local_branch_at,
-    normalize_parameter,
     osculating_conic_family,
     pullback,
     weights_from_xi,
@@ -66,8 +73,8 @@ class TestRationalParam:
         assert p.eval_point((1, 4)) == (64, 256, 3)  # = (64/3 : 256/3 : 1)
 
     def test_normalize_parameter(self):
-        assert normalize_parameter((Fraction(-15, 8), 1)) == (15, -8)
-        assert normalize_parameter((0, 5)) == (0, 1)
+        assert projective_ints((Fraction(-15, 8), 1)) == (15, -8)
+        assert projective_ints((0, 5)) == (0, 1)
 
 
 class TestConicFamily:
@@ -174,6 +181,16 @@ class TestWronskian:
         assert len(quad) == 1
         assert quad[0].irreducible is True
         assert quad[0].factor == 24 * S**2 + 165 * S * T + 350 * T**2
+
+    def test_degree_seven_param(self):
+        # degree 6(2*7 - 5) = 54: classes s, t and one root-free factor of
+        # degree 52, each a simple zero
+        param = parse_param("(s^7 - 3*s^2*t^5 : s^4*t^3 + 2*t^7 : s*t^6 - s^6*t)")
+        scan = conic_wronskian(param)
+        got = [(z.factor.degree(), z.multiplicity, z.points, z.parameter) for z in scan.classes]
+        assert got == [(1, 1, 1, (0, 1)), (1, 1, 1, (1, 0)), (52, 1, 52, None)]
+        assert [str(z.factor) for z in scan.classes[:2]] == ["s", "t"]
+        assert scan.total == 54
 
     def test_degenerate_rejected(self):
         # the triple parametrizes a conic twice; the Wronskian collapses
