@@ -224,10 +224,15 @@ def hyperosculating_conic_at_branch(b: BranchParam) -> MPoly:
     order c, which is irreducible; otherwise it is the conic of maximal
     contact 2l (the doubled tangent line).
     """
+    return _hyperosculating(b)[1]
+
+
+def _hyperosculating(b: BranchParam):
+    """(contact order, conic) of `hyperosculating_conic_at_branch`."""
     ladder = valuation_ladder(b)
     m, l = line_orders(b)
     target = _special_order(ladder.orders, m) if l == 2 * m else ladder.orders[-1]
-    return ladder.witness_for(target)
+    return target, ladder.witness_for(target)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ files), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,8 +18,8 @@ from pathlib import Path
 from . import fixtures
 from .branch import (
     BranchError,
+    _hyperosculating,
     cusp_contact_constraints,
-    hyperosculating_conic_at_branch,
     valuation_ladder,
     weight2,
 )
@@ -131,6 +132,18 @@ def _factored_str(value) -> str:
 
 def _point_str(coords) -> str:
     return "(" + " : ".join(_frac_str(c) for c in coords) + ")"
+
+
+# The tokenizer's rule for integers: ASCII digits only, since int() alone
+# also reads "٣" as 3 and "1_0" as 10.
+_ASCII_INT = re.compile(r"\s*-?[0-9]+\s*")
+
+
+def _ascii_int(text: str) -> int:
+    """An optionally negative ASCII integer, blanks around it allowed."""
+    if not _ASCII_INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _read_file(path: str) -> str:
@@ -277,20 +290,15 @@ def cmd_ladder(args, rep: Reporter):
 
 
 def cmd_osc_branch(args, rep: Reporter):
-    b = _branch_from_file(args.branch)
-    conic = hyperosculating_conic_at_branch(b)
-    ladder = valuation_ladder(b)
-    order = next(
-        o for o, w in zip(ladder.orders, ladder.witnesses) if w == conic
-    )
+    order, conic = _hyperosculating(_branch_from_file(args.branch))
     rep.kv("conic", conic)
     rep.kv("contact_order", order)
 
 
 def cmd_check_lemma37(args, rep: Reporter):
     try:
-        ms = [int(v) for v in args.ms.split(",") if v.strip()]
-    except ValueError:
+        ms = [_ascii_int(v) for v in args.ms.split(",") if v.strip()]
+    except argparse.ArgumentTypeError:
         raise BranchError(f"--ms expects a comma-separated integer list, got {args.ms!r}")
     report = cusp_contact_constraints(ms, args.d, l=args.l, c=args.c)
     rep.kv("ok", "yes" if report.ok else "no")
@@ -452,9 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="contact orders compatible with a cusp multiplicity sequence",
     )
     p.add_argument("--ms", required=True, metavar="m,m1,...")
-    p.add_argument("--d", required=True, type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--c", type=int)
+    p.add_argument("--d", required=True, type=_ascii_int)
+    p.add_argument("--l", type=_ascii_int)
+    p.add_argument("--c", type=_ascii_int)
     p.set_defaults(func=cmd_check_lemma37)
 
     p = sub.add_parser("count", parents=[common], help="counting formulas over a curve profile")

@@ -96,8 +96,12 @@ def hessian(F: MPoly) -> HessianBundle:
     if d is None or d < 3:
         raise DegreeTooSmall(f"need a form of degree >= 3, got degree {d}")
     hess_f = _second_partials(F)
-    H = hess_f.det()
-    return HessianBundle(F, d, H, hess_f, _second_partials(H), _adjugate3(hess_f))
+    adj_f = _adjugate3(hess_f)
+    # expand det(hess_f) along its first row; the cofactors are the first
+    # column of the adjugate
+    (a, h, g), (A, Hq, Gq) = hess_f.entries[0], adj_f.entries[0]
+    H = a * A + h * Hq + g * Gq
+    return HessianBundle(F, d, H, hess_f, _second_partials(H), adj_f)
 
 
 def _sym_entries(m: PolyMatrix):

@@ -9,7 +9,6 @@ commands can be run as printed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 CURVES = {
@@ -126,11 +125,7 @@ FIXTURES = (
 
 
 def read_data_file(filename: str) -> str:
-    return (
-        resources.files("sextactic")
-        .joinpath("fixtures_data", filename)
-        .read_text(encoding="utf-8")
-    )
+    return (Path(__file__).parent / "fixtures_data" / filename).read_text(encoding="utf-8")
 
 
 def data_file_names():

@@ -12,8 +12,10 @@ offending token.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .branch import BranchParam
 from .census import CurveProfile, PointRecord
@@ -39,195 +41,160 @@ class ParseError(ValueError):
         super().__init__(message if span is None else f"{message} at {span}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # INT VAR OP LPAREN RPAREN COLON SLASH COMMA EOF
-    text: str
-    span: SourceSpan
+# Every punctuation character the grammars use, with its token kind.
+_PUNCTUATION = {
+    "+": "OP", "-": "OP", "*": "OP", "^": "OP",
+    "(": "LPAREN", ")": "RPAREN", ":": "COLON", "/": "SLASH", ",": "COMMA",
+}
+# ASCII digits and letters only: str.isdigit also takes "²", which int()
+# rejects, and "٣", which int() reads as 3.  \s matches exactly str.isspace.
+_LEXEME = re.compile(r"(?P<SPACE>\s+)|(?P<INT>[0-9]+)|(?P<VAR>[A-Za-z]+)|.", re.S)
 
 
 def tokenize(text: str):
+    """(kind, text, begin, end) tuples, the last of kind EOF."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        start = i
-        # ASCII only: str.isdigit also takes "²", which int() rejects, and "٣",
-        # which int() reads as 3
-        if "0" <= ch <= "9":
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-            tokens.append(Token("INT", text[start:i], SourceSpan(start, i)))
-        elif ch.isascii() and ch.isalpha():
-            while i < n and text[i].isascii() and text[i].isalpha():
-                i += 1
-            tokens.append(Token("VAR", text[start:i], SourceSpan(start, i)))
-        elif ch in "+-*^":
-            i += 1
-            tokens.append(Token("OP", ch, SourceSpan(start, i)))
-        elif ch == "(":
-            i += 1
-            tokens.append(Token("LPAREN", ch, SourceSpan(start, i)))
-        elif ch == ")":
-            i += 1
-            tokens.append(Token("RPAREN", ch, SourceSpan(start, i)))
-        elif ch == ":":
-            i += 1
-            tokens.append(Token("COLON", ch, SourceSpan(start, i)))
-        elif ch == "/":
-            i += 1
-            tokens.append(Token("SLASH", ch, SourceSpan(start, i)))
-        elif ch == ",":
-            i += 1
-            tokens.append(Token("COMMA", ch, SourceSpan(start, i)))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", SourceSpan(start, start + 1))
-    tokens.append(Token("EOF", "", SourceSpan(n, n)))
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup or _PUNCTUATION.get(m.group())
+        if kind is None:
+            raise ParseError(f"unexpected character {m.group()!r}", SourceSpan(*m.span()))
+        if kind != "SPACE":
+            tokens.append((kind, m.group(), *m.span()))
+    tokens.append(("EOF", "", len(text), len(text)))
     return tokens
 
 
-@dataclass(frozen=True)
-class ExprNode:
-    """Expression tree node; ``kind`` is one of int, var, neg, add, sub, mul, pow."""
-
-    kind: str
-    value: "int | str | None"
-    children: tuple
-    span: SourceSpan
-
-
 class _Parser:
-    def __init__(self, text: str, alphabet):
+    """Recursive descent over the token list; expressions come back as
+    expanded ``MPoly`` values, with monomials built directly."""
+
+    def __init__(self, text: str, variables):
         self.tokens = tokenize(text)
         self.pos = 0
-        self.alphabet = alphabet
+        self.variables = variables
+        self.one = (0,) * len(variables)  # exponent vector of a constant
+        self.units = {v: tuple(int(v == w) for w in variables) for v in variables}
 
-    def peek(self) -> Token:
+    def peek(self):
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self):
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> Token:
+    def expect(self, kind: str, what: str):
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
+        if tok[0] != kind:
+            raise ParseError(
+                f"expected {what}, found {tok[1] or 'end of input'!r}", SourceSpan(*tok[2:])
+            )
         return self.advance()
 
     def expect_eof(self):
         tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"trailing input {tok.text!r}", tok.span)
+        if tok[0] != "EOF":
+            raise ParseError(f"trailing input {tok[1]!r}", SourceSpan(*tok[2:]))
+
+    def _monomial(self, poly: MPoly):
+        """(exponents, coefficient) of a polynomial with at most one term."""
+        return next(iter(poly.terms.items()), (self.one, 0))
 
     # expr := term (('+' | '-') term)*
-    def expr(self) -> ExprNode:
-        node = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance()
-            rhs = self.term()
-            kind = "add" if op.text == "+" else "sub"
-            node = ExprNode(kind, None, (node, rhs), SourceSpan(node.span.begin, rhs.span.end))
-        return node
+    def expr(self) -> MPoly:
+        out = dict(self.term().terms)
+        while (op := self.peek()[1]) in ("+", "-"):
+            self.advance()
+            sign = 1 if op == "+" else -1
+            for e, c in self.term().terms.items():
+                out[e] = out.get(e, 0) + sign * c
+        return MPoly._make(self.variables, out)
 
     # term := unary ('*' unary)*
-    def term(self) -> ExprNode:
-        node = self.unary()
-        while self.peek().kind == "OP" and self.peek().text == "*":
+    def term(self) -> MPoly:
+        coef, expo, sums = 1, self.one, []
+        while True:
+            factor = self.unary()
+            if len(factor.terms) > 1:
+                sums.append(factor)
+            else:
+                e, c = self._monomial(factor)
+                coef *= c
+                expo = tuple(map(add, expo, e))
+            if self.peek()[1] != "*":
+                break
             self.advance()
-            rhs = self.unary()
-            node = ExprNode("mul", None, (node, rhs), SourceSpan(node.span.begin, rhs.span.end))
-        return node
+        if not sums:
+            return MPoly._make(self.variables, {expo: coef})
+        prod = sums[0]
+        for factor in sums[1:]:
+            prod = prod * factor
+        return MPoly._make(
+            self.variables, {tuple(map(add, e, expo)): coef * c for e, c in prod.terms.items()}
+        )
 
     # unary := '-' unary | power
-    def unary(self) -> ExprNode:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
+    def unary(self) -> MPoly:
+        if self.peek()[1] == "-":
             self.advance()
-            inner = self.unary()
-            return ExprNode("neg", None, (inner,), SourceSpan(tok.span.begin, inner.span.end))
+            return -self.unary()
         return self.power()
 
     # power := atom ('^' INT)?
-    def power(self) -> ExprNode:
-        node = self.atom()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "^":
-            self.advance()
-            etok = self.peek()
-            if etok.kind == "OP" and etok.text == "-":
-                raise ParseError("negative exponent", etok.span)
-            if etok.kind != "INT":
-                raise ParseError("exponent must be an integer literal", etok.span)
-            self.advance()
-            node = ExprNode(
-                "pow", int(etok.text), (node,), SourceSpan(node.span.begin, etok.span.end)
-            )
-        return node
+    def power(self) -> MPoly:
+        base = self.atom()
+        if self.peek()[1] != "^":
+            return base
+        self.advance()
+        kind, text, begin, end = self.peek()
+        if text == "-":
+            raise ParseError("negative exponent", SourceSpan(begin, end))
+        if kind != "INT":
+            raise ParseError("exponent must be an integer literal", SourceSpan(begin, end))
+        self.advance()
+        k = int(text)
+        if len(base.terms) > 1:
+            return base**k
+        e, c = self._monomial(base)
+        return MPoly._make(self.variables, {tuple(v * k for v in e): c**k})
 
-    def atom(self) -> ExprNode:
-        tok = self.peek()
-        if tok.kind == "INT":
+    def atom(self) -> MPoly:
+        kind, text, begin, end = self.peek()
+        if kind == "INT":
             self.advance()
-            return ExprNode("int", int(tok.text), (), tok.span)
-        if tok.kind == "VAR":
-            if tok.text not in self.alphabet:
+            return MPoly._make(self.variables, {self.one: int(text)})
+        if kind == "VAR":
+            if text not in self.units:
                 raise ParseError(
-                    f"unknown variable {tok.text!r} (alphabet: {', '.join(self.alphabet)})",
-                    tok.span,
+                    f"unknown variable {text!r} (alphabet: {', '.join(self.variables)})",
+                    SourceSpan(begin, end),
                 )
             self.advance()
-            return ExprNode("var", tok.text, (), tok.span)
-        if tok.kind == "LPAREN":
+            return MPoly._make(self.variables, {self.units[text]: 1})
+        if kind == "LPAREN":
             self.advance()
-            node = self.expr()
+            inner = self.expr()
             self.expect("RPAREN", "')'")
-            return node
+            return inner
         raise ParseError(
-            f"expected a term, found {tok.text or 'end of input'!r}", tok.span
+            f"expected a term, found {text or 'end of input'!r}", SourceSpan(begin, end)
         )
 
     # rational := '-'? INT ('/' INT)?
     def rational(self) -> Fraction:
         sign = 1
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
+        if self.peek()[1] == "-":
             self.advance()
             sign = -1
-        num = self.expect("INT", "an integer")
-        if self.peek().kind == "SLASH":
-            self.advance()
-            den = self.expect("INT", "a denominator")
-            if int(den.text) == 0:
-                raise ParseError("zero denominator", den.span)
-            return Fraction(sign * int(num.text), int(den.text))
-        return Fraction(sign * int(num.text))
-
-
-def _eval_ast(node: ExprNode, variables) -> MPoly:
-    if node.kind == "int":
-        return MPoly.constant(variables, node.value)
-    if node.kind == "var":
-        return MPoly.variable(variables, node.value)
-    if node.kind == "neg":
-        return -_eval_ast(node.children[0], variables)
-    if node.kind == "pow":
-        return _eval_ast(node.children[0], variables) ** node.value
-    lhs = _eval_ast(node.children[0], variables)
-    rhs = _eval_ast(node.children[1], variables)
-    if node.kind == "add":
-        return lhs + rhs
-    if node.kind == "sub":
-        return lhs - rhs
-    if node.kind == "mul":
-        return lhs * rhs
-    raise AssertionError(f"unhandled node kind {node.kind}")
+        num = int(self.expect("INT", "an integer")[1])
+        if self.peek()[0] != "SLASH":
+            return Fraction(sign * num)
+        self.advance()
+        _, text, begin, end = self.expect("INT", "a denominator")
+        if int(text) == 0:
+            raise ParseError("zero denominator", SourceSpan(begin, end))
+        return Fraction(sign * num, int(text))
 
 
 def parse_poly(text: str, alphabet: str = "xyz") -> MPoly:
@@ -236,22 +203,22 @@ def parse_poly(text: str, alphabet: str = "xyz") -> MPoly:
     if variables is None:
         raise ParseError(f"unknown alphabet {alphabet!r}; use 'xyz' or 'st'")
     parser = _Parser(text, variables)
-    node = parser.expr()
+    poly = parser.expr()
     parser.expect_eof()
-    return _eval_ast(node, variables)
+    return poly
 
 
 def parse_param(text: str) -> RationalParam:
     """Parse a parametrization triple "(e0 : e1 : e2)" of forms in (s, t)."""
     parser = _Parser(text, ST)
     parser.expect("LPAREN", "'('")
-    parts = [parser.expr()]
+    forms = [parser.expr()]
     for _ in range(2):
         parser.expect("COLON", "':'")
-        parts.append(parser.expr())
+        forms.append(parser.expr())
     parser.expect("RPAREN", "')'")
     parser.expect_eof()
-    return RationalParam(*(_eval_ast(p, ST) for p in parts))
+    return RationalParam(*forms)
 
 
 def _parse_ratio_tuple(parser: _Parser, n: int):
@@ -286,7 +253,7 @@ def parse_parameter_list(text: str):
     """Parse a comma-separated list of parameter values."""
     parser = _Parser(text, ST)
     pairs = [_parse_ratio_tuple(parser, 2)]
-    while parser.peek().kind == "COMMA":
+    while parser.peek()[0] == "COMMA":
         parser.advance()
         pairs.append(_parse_ratio_tuple(parser, 2))
     parser.expect_eof()

@@ -66,6 +66,26 @@ class TestExitCodes:
         assert r.returncode == 1
         assert r.stderr == "error: ParseError: unexpected character '²' at [2:3]\n"
 
+    @pytest.mark.parametrize("value", ["٥", "²", "1_0"])
+    def test_check_lemma37_degree_is_ascii_integer(self, value):
+        # int() reads "٥" as 5 and "1_0" as 10; both are usage errors here
+        r = run_cli("check-lemma37", "--ms", "3,2", "--d", value)
+        assert r.returncode == 2
+        assert f"argument --d: invalid int value: {value!r}" in r.stderr
+
+    @pytest.mark.parametrize("ms", ["٣,٢", "3,²", "1_0,2"])
+    def test_check_lemma37_sequence_is_ascii_integers(self, ms):
+        r = run_cli("check-lemma37", "--ms", ms, "--d", "5")
+        assert r.returncode == 1
+        assert r.stderr == (
+            f"error: BranchError: --ms expects a comma-separated integer list, got {ms!r}\n"
+        )
+
+    def test_check_lemma37_blanks_around_integers(self):
+        r = run_cli("check-lemma37", "--ms", " 3 , 2 ", "--d", " 5", "--format", "machine")
+        assert r.returncode == 0
+        assert machine_dict(r.stdout)["feasible_l"] == "5"
+
     @pytest.mark.parametrize(
         "command,field",
         [

@@ -1,9 +1,13 @@
 """Expression grammar, tuple parsers, and the structured file readers."""
 
+import functools
 import json
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sextactic.branch import NonPrimitiveBranch
 from sextactic.census import CensusError
@@ -83,6 +87,202 @@ class TestParsePoly:
                 terms[tuple(expo)] = rng.choice([v for v in range(-99, 100) if v])
             p = MPoly(XYZ, terms)
             assert parse_poly(str(p)) == p
+
+
+# Generated expressions carry their precedence level: 0 sum, 1 product,
+# 2 unary minus, 3 power, 4 atom.  An operand below the level its position
+# needs is put in parentheses, so the text and the sympy tree agree.
+def _operand(node, level):
+    text, expr, own = node
+    return (text if own >= level else f"({text})"), expr
+
+
+def _binary(args):
+    lhs, op, rhs = args
+    if op == "*":
+        (a, ea), (b, eb) = _operand(lhs, 1), _operand(rhs, 2)
+        return f"{a}*{b}", ea * eb, 1
+    (a, ea), (b, eb) = _operand(lhs, 0), _operand(rhs, 1)
+    return f"{a} {op} {b}", (ea + eb if op == "+" else ea - eb), 0
+
+
+def _negate(node):
+    a, ea = _operand(node, 2)
+    return f"-{a}", -ea, 2
+
+
+def _power(args):
+    node, k = args
+    a, ea = _operand(node, 4)
+    return f"{a}^{k}", ea**k, 3
+
+
+_LEAVES = st.one_of(
+    st.integers(0, 12).map(lambda n: (str(n), sympy.Integer(n), 4)),
+    st.sampled_from("xyz").map(lambda v: (v, sympy.Symbol(v), 4)),
+)
+
+
+def _expressions(depth):
+    """Sums of products of factors; a factor is a leaf, or while depth lasts
+    a nested expression, possibly raised to a power, negated or wrapped in
+    redundant parentheses."""
+    atom = _LEAVES if depth == 0 else st.one_of(_LEAVES, _expressions(depth - 1))
+    factor = st.one_of(
+        atom,
+        st.tuples(atom, st.integers(0, 3)).map(_power),
+        atom.map(_negate),
+        atom.map(lambda n: (f"({n[0]})", n[1], 4)),
+    )
+    term = st.lists(factor, min_size=1, max_size=3).map(
+        lambda fs: functools.reduce(lambda a, b: _binary((a, "*", b)), fs)
+    )
+    rest = st.lists(st.tuples(st.sampled_from("+-"), term), max_size=3)
+    return st.tuples(term, rest).map(
+        lambda tr: functools.reduce(lambda a, ot: _binary((a, *ot)), tr[1], tr[0])
+    )
+
+
+EXPRESSIONS = _expressions(2)
+
+
+class TestAgainstSympy:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(EXPRESSIONS)
+    def test_parse_poly_expands_like_sympy(self, node):
+        text, expr, _ = node
+        oracle = sympy.Poly(sympy.expand(expr), *sympy.symbols("x y z")).as_dict()
+        assert parse_poly(text).terms == {e: int(c) for e, c in oracle.items()}, text
+
+
+def _branch(**fields):
+    data = {"truncation": 11, "x": [[1, 1, 3]], "y": [[1, 1, 5]], "z": [[1, 1, 0]]}
+    data.update(fields)
+    return json.dumps({k: v for k, v in data.items() if v is not None})
+
+
+def _profile(**fields):
+    point = dict({"role": "cusp", "m": 2, "l": 4, "c": 5, "delta": 1}, **fields)
+    return json.dumps({"d": 5, "points": [point]})
+
+
+# (parser, text, message, span) for every place parse.py raises ParseError
+ERROR_TABLE = [
+    (parse_poly, "x + $", "unexpected character '$' at [4:5]", (4, 5)),
+    (parse_poly, "x^²*y + z^3", "unexpected character '²' at [2:3]", (2, 3)),
+    # the whole text is scanned before it is parsed, so a bad character
+    # wins over an earlier grammar error
+    (parse_poly, "w + $", "unexpected character '$' at [4:5]", (4, 5)),
+    (parse_poly, "(x+y", "expected ')', found 'end of input' at [4:4]", (4, 4)),
+    (parse_poly, "x^4 - w", "unknown variable 'w' (alphabet: x, y, z) at [6:7]", (6, 7)),
+    (parse_poly, "x + w + y^-1", "unknown variable 'w' (alphabet: x, y, z) at [4:5]", (4, 5)),
+    (parse_poly, "x^-2", "negative exponent at [2:3]", (2, 3)),
+    (parse_poly, "x^y", "exponent must be an integer literal at [2:3]", (2, 3)),
+    (parse_poly, "3 +", "expected a term, found 'end of input' at [3:3]", (3, 3)),
+    (parse_poly, "", "expected a term, found 'end of input' at [0:0]", (0, 0)),
+    (parse_poly, "x**2", "expected a term, found '*' at [2:3]", (2, 3)),
+    (parse_poly, "x y", "trailing input 'y' at [2:3]", (2, 3)),
+    (parse_poly, "2^2^2", "trailing input '^' at [3:4]", (3, 4)),
+    (lambda t: parse_poly(t, "uvw"), "x", "unknown alphabet 'uvw'; use 'xyz' or 'st'", None),
+    (parse_param, "s^3 : t^3 : s*t^2)", "expected '(', found 's' at [0:1]", (0, 1)),
+    (parse_param, "(s^3 , t^3 : s*t^2)", "expected ':', found ',' at [5:6]", (5, 6)),
+    (parse_param, "(s^3 : t^3 : s*t^2", "expected ')', found 'end of input' at [18:18]", (18, 18)),
+    (parse_param, "(s : t : x)", "unknown variable 'x' (alphabet: s, t) at [9:10]", (9, 10)),
+    (parse_param, "(s : t : t) s", "trailing input 's' at [12:13]", (12, 13)),
+    (parse_point, "(1/0 : 1 : 1)", "zero denominator at [3:4]", (3, 4)),
+    (parse_point, "(0:0:0)", "projective coordinates cannot all be zero", None),
+    (parse_point, "(a : 1 : 1)", "expected an integer, found 'a' at [1:2]", (1, 2)),
+    (parse_point, "(1/ : 1 : 1)", "expected a denominator, found ':' at [4:5]", (4, 5)),
+    (parse_parameter, "(1:0) x", "trailing input 'x' at [6:7]", (6, 7)),
+    (
+        parse_parameter_list, "(1:0),(1:",
+        "expected an integer, found 'end of input' at [9:9]", (9, 9),
+    ),
+    (
+        parse_branch, "{not json",
+        "malformed branch file: Expecting property name enclosed in double quotes at [1:2]",
+        (1, 2),
+    ),
+    (parse_branch, "[1]", "branch file must contain a JSON object", None),
+    (parse_branch, _branch(w=1), "unknown branch file keys ['w']", None),
+    (
+        parse_branch, _branch(truncation=0),
+        "'truncation' must be a positive integer, got 0", None,
+    ),
+    (parse_branch, _branch(y=None), "missing coordinate 'y'", None),
+    (
+        parse_branch, _branch(x=5),
+        "coordinate 'x' must be a list of [num, den, exp] triples", None,
+    ),
+    (parse_branch, _branch(x=[[1, 1]]), "bad entry [1, 1] in coordinate 'x'", None),
+    (
+        parse_branch, _branch(x=[[1, 0, 1]]),
+        "denominator must be positive in [1, 0, 1] ('x')", None,
+    ),
+    (parse_branch, _branch(x=[[1, 1, -1]]), "negative exponent in [1, 1, -1] ('x')", None),
+    (
+        parse_branch, _branch(x=[[1, 1, 11]]),
+        "exponent 11 in coordinate 'x' is not below the truncation 11", None,
+    ),
+    (
+        parse_branch, _branch(x=[[1, 1, 3], [2, 1, 3]]),
+        "duplicate exponent 3 in coordinate 'x'", None,
+    ),
+    (parse_profile, "[]", "profile file must contain a JSON object", None),
+    (parse_profile, '{"d": 5, "q": 1}', "unknown profile file keys ['q']", None),
+    (parse_profile, '{"points": []}', "profile is missing the degree key 'd'", None),
+    (parse_profile, '{"d": 5.0}', "'d' must be an integer, got 5.0", None),
+    (parse_profile, '{"d": 5, "points": 5}', "'points' must be a list, got 5", None),
+    (parse_profile, '{"d": 5, "points": [3]}', "point #0 must be an object, got 3", None),
+    (parse_profile, _profile(zz=1), "point #0 has unknown keys ['zz']", None),
+    (parse_profile, _profile(m=True), "point #0: 'm' must be an integer, got True", None),
+    (
+        parse_profile, _profile(multiplicity_sequence=2),
+        "point #0: 'multiplicity_sequence' must be a list of integers, got 2", None,
+    ),
+    (parse_profile, _profile(label=["a"]), "point #0: 'label' must be a string, got ['a']", None),
+    (
+        parse_profile, _profile(role="node"),
+        "point #0: unknown role 'node'; expected cusp, inflection, or "
+        "smooth_sextactic_candidate",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("parser,text,message,span", ERROR_TABLE)
+def test_error_message_and_span(parser, text, message, span):
+    with pytest.raises(ParseError) as info:
+        parser(text)
+    assert str(info.value) == message
+    got = info.value.span
+    assert (got if got is None else (got.begin, got.end)) == span
+
+
+class TestMonomialsBuiltInPlace:
+    @pytest.fixture
+    def no_products(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("MPoly product or power while parsing")
+
+        for name in ("__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(MPoly, name, refuse)
+
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            ("3*x^2*y - y^3*z", {(2, 1, 0): 3, (0, 3, 1): -1}),
+            ("2*(3*x)^2*-y^0", {(2, 0, 0): -18}),
+            ("(x*y)^3 + 0*z^5 - x^3*y^3", {}),
+            ("0^0 + x^0", {(0, 0, 0): 2}),
+        ],
+    )
+    def test_monomial_text_needs_no_products(self, no_products, text, terms):
+        assert parse_poly(text).terms == terms
+
+    def test_guard_catches_a_product_of_sums(self, no_products):
+        with pytest.raises(AssertionError, match="while parsing"):
+            parse_poly("(x + y)*(x - y)")
 
 
 class TestParseParam:
