@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -62,6 +63,19 @@ def tokenize(text: str):
             tokens.append((kind, m.group(), *m.span()))
     tokens.append(("EOF", "", len(text), len(text)))
     return tokens
+
+
+def _over_limit_message() -> str:
+    # int() refuses decimal strings longer than the interpreter's limit
+    return f"integer literal over the limit of {sys.get_int_max_str_digits()} digits"
+
+
+def _int_literal(tok) -> int:
+    """The value of an INT token; an over-long literal is a ParseError."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseError(_over_limit_message(), SourceSpan(*tok[2:])) from None
 
 
 class _Parser:
@@ -152,8 +166,7 @@ class _Parser:
             raise ParseError("negative exponent", SourceSpan(begin, end))
         if kind != "INT":
             raise ParseError("exponent must be an integer literal", SourceSpan(begin, end))
-        self.advance()
-        k = int(text)
+        k = _int_literal(self.advance())
         if len(base.terms) > 1:
             return base**k
         e, c = self._monomial(base)
@@ -162,8 +175,7 @@ class _Parser:
     def atom(self) -> MPoly:
         kind, text, begin, end = self.peek()
         if kind == "INT":
-            self.advance()
-            return MPoly._make(self.variables, {self.one: int(text)})
+            return MPoly._make(self.variables, {self.one: _int_literal(self.advance())})
         if kind == "VAR":
             if text not in self.units:
                 raise ParseError(
@@ -187,14 +199,15 @@ class _Parser:
         if self.peek()[1] == "-":
             self.advance()
             sign = -1
-        num = int(self.expect("INT", "an integer")[1])
+        num = _int_literal(self.expect("INT", "an integer"))
         if self.peek()[0] != "SLASH":
             return Fraction(sign * num)
         self.advance()
-        _, text, begin, end = self.expect("INT", "a denominator")
-        if int(text) == 0:
-            raise ParseError("zero denominator", SourceSpan(begin, end))
-        return Fraction(sign * num, int(text))
+        tok = self.expect("INT", "a denominator")
+        den = _int_literal(tok)
+        if den == 0:
+            raise ParseError("zero denominator", SourceSpan(*tok[2:]))
+        return Fraction(sign * num, den)
 
 
 def parse_poly(text: str, alphabet: str = "xyz") -> MPoly:
@@ -268,6 +281,9 @@ def _load_json(text: str, what: str):
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed {what} file: {e.msg}", SourceSpan(e.pos, e.pos + 1)) from None
+    except ValueError:
+        # the one other ValueError json.loads raises comes from int()
+        raise ParseError(f"malformed {what} file: {_over_limit_message()}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{what} file must contain a JSON object")
     return data
@@ -281,7 +297,7 @@ def _series_from_entries(entries, trunc: int, key: str) -> TruncSeries:
         if (
             not isinstance(item, list)
             or len(item) != 3
-            or not all(isinstance(v, int) for v in item)
+            or not all(map(_is_int, item))
         ):
             raise ParseError(f"bad entry {item!r} in coordinate {key!r}")
         num, den, exp = item
@@ -307,7 +323,7 @@ def parse_branch(text: str) -> BranchParam:
     if extra:
         raise ParseError(f"unknown branch file keys {sorted(extra)}")
     trunc = data.get("truncation")
-    if not isinstance(trunc, int) or trunc < 1:
+    if not _is_int(trunc) or trunc < 1:
         raise ParseError(f"'truncation' must be a positive integer, got {trunc!r}")
     coords = []
     for key in ("x", "y", "z"):

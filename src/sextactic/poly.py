@@ -330,20 +330,35 @@ class MPoly:
         return tuple(self.partial(v) for v in self.variables)
 
     def eval(self, values):
-        """Evaluate at a point given as one rational per variable."""
-        values = [Fraction(v) for v in values]
+        """Evaluate at a point given as one rational per variable.
+
+        The sum is taken in the integers: with the point as nums / den and
+        the coefficients over their common denominator, each term of total
+        degree k is scaled by den^(top - k), and one division at the end
+        gives the value, an int when integral.
+        """
+        values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
         if len(values) != len(self.variables):
             raise VariableSetMismatch(
                 f"expected {len(self.variables)} values, got {len(values)}"
             )
-        total = Fraction(0)
+        den = lcm(*[v.denominator for v in values])
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        cden = lcm(*[c.denominator for c in self.terms.values()])
+        top = max(map(sum, self.terms), default=0)
+        total = 0
         for expo, c in self.terms.items():
-            term = Fraction(c)
-            for v, e in zip(values, expo):
+            term = c.numerator * (cden // c.denominator)
+            k = top
+            for n, e in zip(nums, expo):
                 if e:
-                    term *= v**e
-            total += term
-        return _norm(total)
+                    term *= n**e
+                    k -= e
+            total += term * den**k if k else term
+        scale = cden * den**top
+        if total % scale:
+            return Fraction(total, scale)
+        return total // scale
 
     def compose(self, images):
         """Substitute one polynomial per variable; images share a variable set."""
@@ -471,63 +486,11 @@ class PolyMatrix:
     def variables(self):
         return self.entries[0][0].variables
 
-    def mul(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise PolyError("dimension mismatch in matrix product")
-        zero = MPoly.zero(self.variables)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
-    def det(self, method: str = "auto") -> MPoly:
-        """Determinant of a square matrix.
-
-        ``"auto"`` is ``"cofactor"``: Laplace expansion along the top row
-        with shared sub-minors, which beats fraction-free elimination at
-        every size the pipeline uses.  ``"bareiss"`` is kept only as an
-        independent reference for cross-checks.
-        """
+    def det(self) -> MPoly:
+        """Determinant of a square matrix: Laplace expansion along the top
+        row, the minors sharing their lower sub-minors (``laplace_minors``)."""
         if self.rows != self.cols:
             raise NonSquareMatrix(f"{self.rows}x{self.cols} matrix")
-        if method in ("auto", "cofactor"):
-            return self._det_cofactor()
-        if method == "bareiss":
-            return self._det_bareiss()
-        raise PolyError(f"unknown determinant method {method!r}")
-
-    def _det_bareiss(self) -> MPoly:
-        # fraction-free Gaussian elimination; every interior division is exact
-        n = self.rows
-        m = [row[:] for row in self.entries]
-        zero = MPoly.zero(self.variables)
-        sign = 1
-        prev = None
-        for k in range(n - 1):
-            if m[k][k].is_zero():
-                for i in range(k + 1, n):
-                    if not m[i][k].is_zero():
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return zero
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                    m[i][j] = exact_div(num, prev) if prev is not None else num
-                m[i][k] = zero
-            prev = m[k][k]
-        d = m[n - 1][n - 1]
-        return d if sign > 0 else -d
-
-    def _det_cofactor(self) -> MPoly:
         top, *rest = self.entries
         acc = MPoly.zero(self.variables)
         for e, minor in zip(top, laplace_minors(rest)):

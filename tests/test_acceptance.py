@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 from cli_child import run_cli
+from poly_reference import matmul
 from sextactic.branch import (
     CONIC_BASIS,
     TruncationInsufficient,
@@ -480,7 +481,7 @@ def test_criterion_12_property_suite():
     for i in range(cases):
         d = (3, 4, 5)[i % 3]
         bundle = hessian(_random_form(rng, d))
-        prod = bundle.adj_f.mul(bundle.hess_f)
+        prod = matmul(bundle.adj_f, bundle.hess_f)
         for a in range(3):
             for bcol in range(3):
                 want = bundle.H if a == bcol else MPoly.zero(XYZ)

@@ -1,14 +1,17 @@
 """End-to-end command-line runs: exit codes, determinism, goldens."""
 
 import json
+import sys
+import time
 
 import pytest
 
 from cli_child import run_cli
-from sextactic import fixtures
+from sextactic import cli, fixtures
 
 QUARTIC = "x^4 - x^3*y + y^3*z"
 NODAL_CUBIC = "y^2*z - x^3 - x^2*z"
+LONG = "1" * 5000
 
 
 def machine_dict(stdout):
@@ -65,6 +68,27 @@ class TestExitCodes:
         r = run_cli(*args)
         assert r.returncode == 1
         assert r.stderr == "error: ParseError: unexpected character '²' at [2:3]\n"
+
+    @pytest.mark.parametrize(
+        "args,where",
+        [
+            (("hessian", "--implicit", f"{LONG}*x^3 + y^3 + z^3"), " at [0:5000]"),
+            (("wronski", "--param", f"(s^3 : {LONG}*s*t^2 : t^3)"), " at [7:5007]"),
+            (("weight", "--branch", "long.json"), ""),
+        ],
+        ids=["hessian", "wronski", "weight"],
+    )
+    def test_over_long_literal_is_parse_error(self, tmp_path, args, where):
+        # int() refuses decimal strings over the interpreter's digit limit
+        branch = '{"truncation": 5, "x": [[%s, 1, 1]], "y": [[1, 1, 2]], "z": [[1, 1, 0]]}'
+        (tmp_path / "long.json").write_text(branch % LONG)
+        r = run_cli(*args, cwd=tmp_path)
+        assert r.returncode == 1
+        limit = sys.get_int_max_str_digits()
+        message = f"integer literal over the limit of {limit} digits{where}"
+        if args[0] == "weight":
+            message = "malformed branch file: " + message
+        assert r.stderr == f"error: ParseError: {message}\n"
 
     @pytest.mark.parametrize("value", ["٥", "²", "1_0"])
     def test_check_lemma37_degree_is_ascii_integer(self, value):
@@ -336,3 +360,32 @@ class TestOmegaAtErrors:
         r = run_cli("wronski", "--param", self.ZERO_FAMILY, "--omega", "--at", "(1:")
         assert r.returncode == 1
         assert "error: ParseError" in r.stderr
+
+
+class TestSparseBranch:
+    """Exponents near 10^8 under a truncation of 10^9: series products must
+    follow the stored terms, never the truncation order."""
+
+    BRANCH = {
+        "truncation": 10**9,
+        "x": [[1, 1, 2], [3, 2, 10**8]],
+        "y": [[1, 1, 4], [1, 1, 5], [2, 3, 3 * 10**8]],
+        "z": [[1, 1, 0]],
+    }
+
+    @pytest.mark.parametrize(
+        "command,want",
+        [
+            ("weight", {"orders": "0,2,4,5,6,8", "w2": "10"}),
+            ("ladder", {"orders": "0,2,4,5,6,8", "witness_4": "x^2 - y*z"}),
+            ("osc-branch", {"conic": "x^2 - y*z", "contact_order": "5"}),
+        ],
+    )
+    def test_finishes_fast_with_the_parent_answer(self, tmp_path, capsys, command, want):
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(self.BRANCH))
+        start = time.perf_counter()
+        assert cli.main([command, "--branch", str(path), "--format", "machine"]) == 0
+        assert time.perf_counter() - start < 1.0
+        out = machine_dict(capsys.readouterr().out)
+        assert {k: out[k] for k in want} == want

@@ -3,6 +3,7 @@
 import functools
 import json
 import random
+import sys
 
 import pytest
 import sympy
@@ -228,6 +229,14 @@ ERROR_TABLE = [
         parse_branch, _branch(x=[[1, 1, 3], [2, 1, 3]]),
         "duplicate exponent 3 in coordinate 'x'", None,
     ),
+    # JSON true/false load as bool, a subclass of int, and are no integers here
+    (
+        parse_branch, _branch(truncation=True),
+        "'truncation' must be a positive integer, got True", None,
+    ),
+    (parse_branch, _branch(x=[[True, 1, 2]]), "bad entry [True, 1, 2] in coordinate 'x'", None),
+    (parse_branch, _branch(y=[[1, True, 5]]), "bad entry [1, True, 5] in coordinate 'y'", None),
+    (parse_branch, _branch(z=[[1, 1, False]]), "bad entry [1, 1, False] in coordinate 'z'", None),
     (parse_profile, "[]", "profile file must contain a JSON object", None),
     (parse_profile, '{"d": 5, "q": 1}', "unknown profile file keys ['q']", None),
     (parse_profile, '{"points": []}', "profile is missing the degree key 'd'", None),
@@ -257,6 +266,34 @@ def test_error_message_and_span(parser, text, message, span):
     assert str(info.value) == message
     got = info.value.span
     assert (got if got is None else (got.begin, got.end)) == span
+
+
+LONG = "1" * 5000  # over the interpreter's limit for int() of a decimal string
+OVER_LIMIT = f"integer literal over the limit of {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize(
+    "parser,text,span",
+    [
+        (parse_poly, f"{LONG}*x^3", (0, 5000)),
+        (parse_poly, f"x^{LONG}", (2, 5002)),
+        (parse_param, f"(s : {LONG}*t : t)", (5, 5005)),
+        (parse_point, f"({LONG} : 1 : 1)", (1, 5001)),
+        (parse_point, f"(1/{LONG} : 1 : 1)", (3, 5003)),
+        (parse_branch, _branch(x="@").replace('"@"', f"[[{LONG}, 1, 3]]"), None),
+        (parse_profile, _profile(delta="@").replace('"@"', LONG), None),
+    ],
+    ids=["coefficient", "exponent", "param", "numerator", "denominator", "branch", "profile"],
+)
+def test_over_long_integer_literal(parser, text, span):
+    with pytest.raises(ParseError) as info:
+        parser(text)
+    if span is None:
+        assert str(info.value).endswith(f"file: {OVER_LIMIT}")
+        assert info.value.span is None
+    else:
+        assert str(info.value) == f"{OVER_LIMIT} at [{span[0]}:{span[1]}]"
+        assert (info.value.span.begin, info.value.span.end) == span
 
 
 class TestMonomialsBuiltInPlace:
