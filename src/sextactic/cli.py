@@ -10,6 +10,7 @@ files), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -34,6 +35,7 @@ from .census import (
 from .differential import DifferentialError, hessian, osculating_conic, second_hessian
 from .parse import (
     ParseError,
+    _over_limit_message,
     parse_branch,
     parse_parameter,
     parse_parameter_list,
@@ -42,7 +44,7 @@ from .parse import (
     parse_poly,
     parse_profile,
 )
-from .poly import PolyError
+from .poly import PolyError, _coeff_str, _int_str
 from .rational import (
     RationalError,
     conic_coefficients,
@@ -71,7 +73,7 @@ class Reporter:
         self.out = out if out is not None else sys.stdout
 
     def kv(self, key, value):
-        print(f"{key} = {value}", file=self.out)
+        print(f"{key} = {_text(value)}", file=self.out)
 
     def header(self, title):
         if not self.machine:
@@ -85,7 +87,7 @@ class Reporter:
                     key = f"{prefix}_{i}" if col == prefix else f"{prefix}_{i}_{col}"
                     self.kv(key, val)
             return
-        rows = [[str(v) for v in row] for row in rows]
+        rows = [[_text(v) for v in row] for row in rows]
         widths = [
             max(len(col), *(len(r[j]) for r in rows)) if rows else len(col)
             for j, col in enumerate(columns)
@@ -99,11 +101,12 @@ class Reporter:
             )
 
 
+def _text(value) -> str:
+    return _int_str(value) if isinstance(value, int) else str(value)
+
+
 def _frac_str(value) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return _coeff_str(Fraction(value))
 
 
 def _factored_str(value) -> str:
@@ -126,7 +129,7 @@ def _factored_str(value) -> str:
                 parts.append(f"{p}{mark}" if e == 1 else f"{p}^{e}{mark}")
             p += 1 if p == 2 else 2
         if rest > 1:
-            parts.append(f"{rest}{mark}")
+            parts.append(f"{_int_str(rest)}{mark}")
     return sign + (" * ".join(parts) if parts else "1")
 
 
@@ -143,7 +146,10 @@ def _ascii_int(text: str) -> int:
     """An optionally negative ASCII integer, blanks around it allowed."""
     if not _ASCII_INT.fullmatch(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter converts
+        raise ParseError(_over_limit_message()) from None
 
 
 def _read_file(path: str) -> str:
@@ -485,8 +491,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves no state in the parser, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     args.parser = parser
     rep = Reporter(args.format)

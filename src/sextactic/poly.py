@@ -15,8 +15,11 @@ that order and is byte-deterministic.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 XYZ = ("x", "y", "z")
 ST = ("s", "t")
@@ -52,6 +55,10 @@ class InfiniteOrder(PolyError):
 
 class NotHomogeneous(PolyError):
     pass
+
+
+class IntegerTooLong(PolyError):
+    """A computed integer has more decimal digits than Python will print."""
 
 
 def _norm(c):
@@ -93,34 +100,200 @@ def _order_key(expo):
     return (sum(expo), expo)
 
 
+def _int_str(n: int) -> str:
+    """Decimal text of an integer; every computed integer printed goes here."""
+    try:
+        return str(n)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        raise IntegerTooLong(
+            f"a computed integer of {n.bit_length()} bits is over the limit of "
+            f"{sys.get_int_max_str_digits()} digits for printing"
+        ) from None
+
+
 def _coeff_str(c) -> str:
+    """Text of a rational: an integer, or numerator/denominator."""
     if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c))
+        return f"{_int_str(c.numerator)}/{_int_str(c.denominator)}"
+    return _int_str(int(c))
 
 
-def _pack_terms(terms, width):
-    """(packed exponent, coefficient) pairs, one `width`-byte field a variable."""
-    if width == 1:
-        return [(int.from_bytes(bytes(e), "big"), c) for e, c in terms.items()]
-    return [
-        (int.from_bytes(b"".join(x.to_bytes(width, "big") for x in e), "big"), c)
-        for e, c in terms.items()
-    ]
+# (unsigned, signed) memoryview and array formats of the machine's 1-, 2-,
+# 4- and 8-byte words, keyed by size; the packed fields are little-endian, so
+# they are read through these only on a little-endian machine
+_WORDS = (
+    {memoryview(b"").cast(f).itemsize: (f, f.lower()) for f in "BHIQ"}
+    if sys.byteorder == "little"
+    else {}
+)
+
+# The kernel packs two operands only when their dense slots number at most
+# _SLOTS_PER_TERM times their stored terms, so its memory stays linear in the
+# input however sparse the operands are.  Dense ternary forms fill more than
+# a quarter of the slots of their layout (``_packed_mul``).
+_SLOTS_PER_TERM = 4
+
+# _pack runs Horner up to _HORNER_MAX_DIGITS + 64 // w digits of w bytes.
+# Measured on CPython 3.11, Horner time over bytes time is near 1 at about
+# 96, 64, 48, 40 and 32 digits of 1, 2, 4, 8 and 32 bytes; at 120 digits of
+# 8 to 32 bytes it is 2.8 to 4, and at 1000 digits 40.
+_HORNER_MAX_DIGITS = 32
+
+# MPoly products of at least _PACK_MIN_PAIRS term pairs, with at least
+# _PACK_MIN_TERMS terms in each operand, go through the kernel.  Measured on
+# CPython 3.11 (BENCH_8.json), loop time over kernel time for dense ternary
+# forms of n x n terms, n = 1, 3, 6, 10, 15, 21, 28, 36, 45: with int
+# coefficients 0.14, 0.37, 0.81, 1.62, 2.37, 3.29, 3.81, 5.39, 6.69; with
+# Fraction coefficients 0.39, 1.76, 3.03, 6.44, 9.19, 12.0, 15.2, 19.5, 19.5.
+# Dense binary forms give 1.28 at 4x16, 1.5 at 8x8 and 4.16 at 19x19.
+# Sixty-four pairs sits past the int crossover, between 6x6 and 10x10.
+# Against a long form, a one-term operand gives 0.51 to 0.55 and a two-term
+# one 0.86 to 0.99; three terms give 1.07 at 3x28 and 1.34 at 3x91.
+_PACK_MIN_PAIRS = 64
+_PACK_MIN_TERMS = 3
 
 
-def _unpack_terms(packed, n, width):
-    """Inverse of `_pack_terms` for n variables, dropping zero coefficients."""
-    if width == 1:
-        return {tuple(k.to_bytes(n, "big")): c for k, c in packed.items() if c}
-    size = n * width
-    fields = range(0, size, width)
+def _dense_ints(coeffs, lo, n):
+    """(u, den) with u[i] = den * coeffs[lo + i] for i < n, den the least
+    common denominator of all of ``coeffs``."""
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    u = [0] * n
+    end = lo + n
+    for e, c in coeffs.items():
+        if e < end:
+            u[e - lo] = c.numerator * (den // c.denominator)
+    return u, den
+
+
+def _pack(u, w):
+    """The integer sum u[i] * 2^(8*w*i) of signed digits with |u[i]| < 2^(8*w-1).
+
+    Few digits go by integer Horner.  Past that, whose shifts copy ever
+    longer integers, each digit is written as a w-byte two's complement
+    field; read back as one unsigned integer, every negative digit has
+    borrowed 2^(8*w) from the field above it, which the 0/1 borrow string
+    gives back.
+    """
+    if len(u) <= _HORNER_MAX_DIGITS + 64 // w:
+        bits = 8 * w
+        p = 0
+        for c in reversed(u):
+            p = (p << bits) + c
+        return p
+    if w in _WORDS:
+        raw = int.from_bytes(array(_WORDS[w][1], u).tobytes(), "little")
+    else:
+        fields = [c.to_bytes(w, "little", signed=True) for c in u]
+        raw = int.from_bytes(b"".join(fields), "little")
+    borrow = bytearray(w * len(u))
+    borrow[::w] = bytes([c < 0 for c in u])
+    return raw - (int.from_bytes(borrow, "little") << (8 * w))
+
+
+def kronecker_product(a, b, end=None):
+    """Nonzero coefficients of the product of two nonempty slot -> coefficient
+    dicts, keyed by slot in ascending order and only below ``end`` (above
+    min(a) + min(b)) when given; None when the operands are too sparse to
+    pack, with over _SLOTS_PER_TERM dense slots per stored term.
+
+    Kronecker substitution (Fateman 2005): each operand, over its common
+    denominator, becomes the integer sum u[i] * 2^(bits*i) over its dense
+    slots from the lowest to the highest stored one, and one big-integer
+    product holds every coefficient of the product in its own slot.
+    """
+    lo_a, lo_b = min(a), min(b)
+    na, nb = max(a) - lo_a + 1, max(b) - lo_b + 1
+    k = na + nb - 1
+    if end is not None:
+        # operand slots at or past k cannot reach the kept part of the product
+        k = min(k, end - lo_a - lo_b)
+        na, nb = min(na, k), min(nb, k)
+    if na + nb > _SLOTS_PER_TERM * (len(a) + len(b)):
+        return None
+    u, da = _dense_ints(a, lo_a, na)
+    v, db = _dense_ints(b, lo_b, nb)
+    # A slot sums at most min(na, nb) products, so its magnitude is below
+    # 2^(bits - 1): w bytes hold it with a sign bit.  Up to 8 bytes, w is a
+    # machine word size so that the slots pack and read back in one cast.
+    bound = max(map(abs, u)) * max(map(abs, v)) * min(na, nb)
+    w = bound.bit_length() // 8 + 1
+    if w <= 8:
+        w = 1 << (w - 1).bit_length()
+    bits = 8 * w
+    k = min(k, na + nb - 1)
+    # Adding 2^(bits - 1) to each of the low k slots makes them all
+    # non-negative without a carry between them, so they read back as plain
+    # unsigned fields; the slots from k on only add a multiple of
+    # 2^(bits*k), which the mask drops.
+    half = 1 << (bits - 1)
+    bias = int.from_bytes(half.to_bytes(w, "little") * k, "little")
+    prod = _pack(u, w) * _pack(v, w) + bias
+    raw = (prod & ((1 << (bits * k)) - 1)).to_bytes(w * k, "little")
+    if w in _WORDS:
+        slots = memoryview(raw).cast(_WORDS[w][0]).tolist()
+    else:
+        slots = [int.from_bytes(raw[i : i + w], "little") for i in range(0, w * k, w)]
+    den = da * db
+    if den == 1:
+        return {e: c - half for e, c in enumerate(slots, lo_a + lo_b) if c != half}
     out = {}
-    for k, c in packed.items():
+    for e, c in enumerate(slots, lo_a + lo_b):
+        c -= half
         if c:
-            raw = k.to_bytes(size, "big")
-            out[tuple(int.from_bytes(raw[i : i + width], "big") for i in fields)] = c
+            out[e] = c // den if c % den == 0 else Fraction(c, den)
     return out
+
+
+def _packed_mul(a, b, n):
+    """Terms of the product of two term dicts in n variables by one
+    ``kronecker_product``, in ascending slot order; None when it refuses.
+
+    Exponent vectors map one-to-one onto slots as mixed-radix numbers whose
+    digit for a variable has radix one more than the largest exponent it
+    reaches in the product.  When both operands are binary or ternary forms,
+    the product has one total degree ``top`` and its last exponent is top
+    minus the others, so the last variable gets no digit.
+    """
+    radices = [x + y + 1 for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
+    if n in (2, 3):
+        da, db = set(map(sum, a)), set(map(sum, b))
+        if len(da) == len(db) == 1:
+            top = da.pop() + db.pop()
+            if n == 2:
+                out = kronecker_product(
+                    {e[0]: c for e, c in a.items()}, {e[0]: c for e, c in b.items()}
+                )
+                return None if out is None else {(s, top - s): c for s, c in out.items()}
+            r = radices[1]
+            out = kronecker_product(
+                {e[0] * r + e[1]: c for e, c in a.items()},
+                {e[0] * r + e[1]: c for e, c in b.items()},
+            )
+            if out is None:
+                return None
+            return {
+                (i, j, top - i - j): c for s, c in out.items() for i, j in (divmod(s, r),)
+            }
+
+    def slot(e):
+        s = 0
+        for x, r in zip(e, radices):
+            s = s * r + x
+        return s
+
+    out = kronecker_product(
+        {slot(e): c for e, c in a.items()}, {slot(e): c for e, c in b.items()}
+    )
+    if out is None:
+        return None
+    terms = {}
+    for s, c in out.items():
+        e = []
+        for r in reversed(radices):
+            s, x = divmod(s, r)
+            e.append(x)
+        terms[tuple(reversed(e))] = c
+    return terms
 
 
 class MPoly:
@@ -272,24 +445,22 @@ class MPoly:
         a, b = self.terms, other.terms
         if not a or not b:
             return MPoly.zero(self.variables)
-        if len(a) > len(b):
-            a, b = b, a
-        # Each exponent vector is packed into one int: one big-endian field of
-        # `width` bytes per variable.  A field holds the largest exponent the
-        # product can reach, so adding two packed keys never carries from one
-        # field into the next, and the sum packs the product's exponent.
-        top = max(map(max, a)) + max(map(max, b))
-        width = (top.bit_length() + 7) // 8 or 1
-        pb = _pack_terms(b, width)
-        out = {}
-        get = out.get
-        for k1, c1 in _pack_terms(a, width):
-            for k2, c2 in pb:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
+        terms = None
+        if len(a) * len(b) >= _PACK_MIN_PAIRS and min(len(a), len(b)) >= _PACK_MIN_TERMS:
+            terms = _packed_mul(a, b, len(self.variables))
+        if terms is None:
+            if len(a) > len(b):
+                a, b = b, a
+            out = {}
+            get = out.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + c1 * c2
+            terms = {e: c for e, c in out.items() if c}
         prod = object.__new__(MPoly)
         prod.variables = self.variables
-        prod.terms = _unpack_terms(out, len(self.variables), width)
+        prod.terms = terms
         return prod
 
     __rmul__ = __mul__

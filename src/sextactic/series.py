@@ -8,15 +8,14 @@ never claims knowledge it does not have.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
-from math import lcm
 
-from .poly import _coeff_str, _norm
+from .poly import _coeff_str, _norm, kronecker_product
 
 # A product of two series runs the plain double loop up to _LOOP_MAX_PAIRS
-# term pairs, or when an operand spans more than _SPARSE_SPAN times as many
-# exponents as it stores terms; otherwise it packs (``_packed_product``).
+# term pairs, or when the operands are too sparse for the kernel (more than
+# poly._SLOTS_PER_TERM dense slots per stored term); otherwise the exponents
+# are the slots of one ``poly.kronecker_product`` (``_packed_product``).
 # Measured on CPython 3.11 (BENCH_7.json), loop time over packed time for
 # dense operands with numerators up to 3: with Fraction coefficients 0.7 at
 # 1x1 terms, 1.4 at 2x2, 3.1 at 4x4 and 50 at 40x40; with int coefficients
@@ -24,7 +23,6 @@ from .poly import _coeff_str, _norm
 # crossovers.  Spread out, 40x40 int operands fall to 1.75 at a span of 4x
 # their term count and 0.9 at 8x, while the dense slots grow with the span.
 _LOOP_MAX_PAIRS = 4
-_SPARSE_SPAN = 4
 
 
 class SeriesError(ValueError):
@@ -149,70 +147,7 @@ class TruncSeries:
         return f"TruncSeries({self})"
 
 
-def _dense_ints(coeffs, lo, n):
-    """(u, den) with u[i] = den * coeffs[lo + i] for i < n, den the least
-    common denominator of all of ``coeffs``."""
-    den = lcm(*[c.denominator for c in coeffs.values()])
-    u = [0] * n
-    end = lo + n
-    for e, c in coeffs.items():
-        if e < end:
-            u[e - lo] = c.numerator * (den // c.denominator)
-    return u, den
-
-
-# memoryview formats of the machine's unsigned 1-, 2-, 4- and 8-byte words
-_WORD_FORMATS = {memoryview(b"").cast(f).itemsize: f for f in "BHIQ"}
-
-
 def _packed_product(a, b, trunc):
     """Nonzero coefficients below ``trunc`` of the product of two nonempty
-    coefficient dicts, or None when an operand is too sparse to pack.
-
-    Kronecker substitution (Fateman 2005): each operand, over its common
-    denominator, becomes the integer sum u[i] * 2^(bits*i) over its dense
-    slots from the lowest to the highest stored exponent, and one big-integer
-    product holds every coefficient of the product in its own slot.
-    """
-    lo_a, lo_b = min(a), min(b)
-    k = trunc - lo_a - lo_b  # slots below trunc; at least 1
-    # operand slots at or past k cannot reach the kept part of the product
-    na = min(max(a) - lo_a + 1, k)
-    nb = min(max(b) - lo_b + 1, k)
-    if na > _SPARSE_SPAN * len(a) or nb > _SPARSE_SPAN * len(b):
-        return None
-    u, da = _dense_ints(a, lo_a, na)
-    v, db = _dense_ints(b, lo_b, nb)
-    # A slot sums at most min(na, nb) products, so its magnitude is below
-    # 2^(bits - 1): w bytes hold it with a sign bit.  Up to 8 bytes, w is a
-    # machine word size so that the slots read back in one cast.
-    bound = max(map(abs, u)) * max(map(abs, v)) * min(na, nb)
-    w = bound.bit_length() // 8 + 1
-    if w <= 8:
-        w = 1 << (w - 1).bit_length()
-    bits = 8 * w
-    pa = pb = 0
-    for c in reversed(u):
-        pa = (pa << bits) + c
-    for c in reversed(v):
-        pb = (pb << bits) + c
-    k = min(k, na + nb - 1)
-    # Adding 2^(bits - 1) to each of the low k slots makes them all
-    # non-negative without a carry between them, so they read back as plain
-    # unsigned fields; the slots from k on only add a multiple of
-    # 2^(bits*k), which the mask drops.
-    half = 1 << (bits - 1)
-    order = sys.byteorder
-    bias = int.from_bytes(half.to_bytes(w, order) * k, order)
-    raw = ((pa * pb + bias) & ((1 << (bits * k)) - 1)).to_bytes(w * k, order)
-    if w in _WORD_FORMATS:
-        slots = memoryview(raw).cast(_WORD_FORMATS[w]).tolist()
-    else:
-        slots = [int.from_bytes(raw[i : i + w], order) for i in range(0, w * k, w)]
-    den = da * db
-    out = {}
-    for e, c in enumerate(slots, lo_a + lo_b):
-        c -= half
-        if c:
-            out[e] = c if den == 1 else c // den if c % den == 0 else Fraction(c, den)
-    return out
+    coefficient dicts, or None when the operands are too sparse to pack."""
+    return kronecker_product(a, b, trunc)

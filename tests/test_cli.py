@@ -389,3 +389,64 @@ class TestSparseBranch:
         assert time.perf_counter() - start < 1.0
         out = machine_dict(capsys.readouterr().out)
         assert {k: out[k] for k in want} == want
+
+
+class TestInProcessSequence:
+    """One process runs many ``main`` calls; each must print what a fresh
+    child prints, so the parser that ``main`` keeps leaves nothing behind."""
+
+    CALLS = [
+        ("hessian", "--implicit", "x^3 + y^3 + z^3", "--normalize"),
+        ("hessian2", "--implicit", QUARTIC, "--format", "machine"),
+        ("weight", "--branch", "branch_cusp_3_5.json"),
+        ("count", "--profile", "profile_quintic_two_cusps.json", "--format", "machine"),
+        ("check-lemma37", "--ms", "3,2", "--d", "5"),
+        ("wronski", "--param", "(s^3:t^3:s*t^2)", "--at", "(1:0)"),
+        ("osculate", "--implicit", "x^3 + y^3 + z^3", "--point", "(1:-1:0)"),
+        ("hessian", "--implicit", NODAL_CUBIC),
+    ]
+
+    def test_matches_fresh_children(self, tmp_path, capsys, monkeypatch):
+        fixtures.write_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            got = []
+            for args in self.CALLS:
+                try:
+                    rc = cli.main(list(args))
+                except SystemExit as e:
+                    rc = e.code
+                got.append((rc, capsys.readouterr().out))
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) <= 1
+        want = [(r.returncode, r.stdout) for r in (run_cli(*a, cwd=tmp_path) for a in self.CALLS)]
+        assert [rc for rc, _ in want] == [0, 0, 0, 0, 0, 2, 1, 0]
+        assert got == want
+
+
+class TestIntegerPrintLimit:
+    """Python refuses str() of an integer over sys.get_int_max_str_digits()."""
+
+    def test_printed_coefficient_is_domain_error(self, capsys):
+        big = "1" + "0" * 1500
+        start = time.perf_counter()
+        assert cli.main(["hessian", "--implicit", f"({big}*x)^3 + y^3 + z^3"]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        limit = sys.get_int_max_str_digits()
+        assert err.startswith("error: IntegerTooLong: a computed integer of ")
+        assert err.endswith(f" bits is over the limit of {limit} digits for printing\n")
+
+    def test_check_lemma37_sequence_over_limit_is_domain_error(self, capsys):
+        start = time.perf_counter()
+        assert cli.main(["check-lemma37", "--ms", f"{LONG},2", "--d", "5"]) == 1
+        assert time.perf_counter() - start < 1.0
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == (
+            f"error: ParseError: integer literal over the limit of {limit} digits\n"
+        )

@@ -170,8 +170,155 @@ class TestPackedProduct:
         f = X**3 - 2 * Y * Z**2
         zero = MPoly.zero(XYZ)
         assert (f * zero).is_zero() and (zero * f).is_zero()
+        big = (X + 2 * Y - Z) ** 6  # 28 terms, past the kernel's crossover
+        assert (big * zero).is_zero() and (zero * big).is_zero() and (big * 0).is_zero()
         assert f * MPoly.constant(XYZ, -3) == -3 * f
         assert MPoly.constant(XYZ, 2) * MPoly.constant(XYZ, 5) == 10 + zero
+
+
+# -- products through the Kronecker kernel ------------------------------------
+
+
+def product_and_path(p, q):
+    """(p * q, whether the product went through ``kronecker_product``)."""
+    ran = []
+    kernel = poly.kronecker_product
+
+    def spy(a, b, end=None):
+        out = kernel(a, b, end)
+        ran.append(out is not None)
+        return out
+
+    poly.kronecker_product = spy
+    try:
+        prod = p * q
+    finally:
+        poly.kronecker_product = kernel
+    return prod, ran == [True]
+
+
+def assert_product(p, q):
+    """p * q equals the tuple-adding product, keys in first-seen order on
+    the loop path and in ascending slot order, which is ascending
+    lexicographic order of the exponents, on the packed path.  Returns
+    whether the packed path ran."""
+    prod, packed = product_and_path(p, q)
+    items = list(prod.terms.items())
+    want = tuple_add_product(p, q)
+    if packed:
+        assert items == sorted(want)
+    else:
+        assert items == want
+    return packed
+
+
+PACKED_COEFFS = st.one_of(
+    st.integers(-20, 20),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@st.composite
+def packable_pairs(draw):
+    """Two operands of 8 to 28 terms in 1, 2 or 3 variables, both homogeneous
+    or not, each possibly shifted by a power of x past a byte."""
+    n = draw(st.integers(1, 3))
+    homogeneous = draw(st.booleans())
+    if homogeneous and n == 1:
+        n = 2
+    pool_size = draw(st.integers(8, 28))
+
+    def operand():
+        if homogeneous:
+            d = {2: draw(st.integers(7, 27)), 3: draw(st.integers(3, 6))}[n]
+            pool = product_exponents(n, d)
+        else:
+            box = 28 if n == 1 else 6 if n == 2 else 3
+            pool = product_exponents(n, None, box)
+        size = draw(st.integers(min(8, len(pool)), max(8, len(pool) * 2 // 3)))
+        expos = draw(st.lists(st.sampled_from(pool), min_size=min(size, len(pool)),
+                              max_size=max(size, pool_size), unique=True))
+        shift = draw(st.sampled_from([0, 0, 255, 256, 70000]))
+        terms = {(e[0] + shift,) + e[1:]: draw(PACKED_COEFFS) for e in expos}
+        return MPoly(XYZ[:n], terms)
+
+    return operand(), operand()
+
+
+def product_exponents(n, d, box=None):
+    """Exponent vectors in n variables: of total degree d, or in [0, box)^n."""
+    if d is None:
+        grid = [()]
+        for _ in range(n):
+            grid = [e + (i,) for e in grid for i in range(box)]
+        return grid
+    if n == 1:
+        return [(d,)]
+    return [(i,) + e for i in range(d + 1) for e in product_exponents(n - 1, d - i)]
+
+
+class TestKernelProduct:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(packable_pairs())
+    def test_matches_tuple_add(self, pair):
+        p, q = pair
+        assert_product(p, q)
+        assert_product(q, p)
+
+    def test_dense_operands_take_the_packed_path(self):
+        rng = random.Random(8)
+
+        def dense(vs, d=None, box=None):
+            expos = product_exponents(len(vs), d, box)
+            return MPoly(vs, {e: rng.choice([-3, -1, 2, 5]) for e in expos})
+
+        for vs, d in ((ST, 9), (XYZ, 3), (XYZ, 6)):
+            f, g = dense(vs, d), dense(vs, d + 1)
+            assert len(f.terms) * len(g.terms) >= poly._PACK_MIN_PAIRS
+            assert assert_product(f, g)
+        # not homogeneous: one radix per variable
+        assert assert_product(dense(XYZ, box=3), dense(XYZ, box=2) + X**5)
+        assert assert_product(dense(("x",), box=12), dense(("x",), box=9))
+
+    def test_short_operands_loop(self):
+        # one- and two-term operands never pay for the kernel
+        f = MPoly(XYZ, {(i, j, 9 - i - j): i - j or 1 for i in range(10) for j in range(10 - i)})
+        for g in (X**4, X - 2 * Y, MPoly.constant(XYZ, Fraction(3, 7))):
+            assert not assert_product(f, g)
+            assert not assert_product(g, f)
+
+    def test_cancelled_slot_is_absent(self):
+        # (sum s^i t^(7-i)) (sum (-1)^i s^i t^(7-i)): the s t^13 slot sums to 0
+        a = MPoly(ST, {(i, 7 - i): 1 for i in range(8)})
+        b = MPoly(ST, {(i, 7 - i): (-1) ** i for i in range(8)})
+        prod, packed = product_and_path(a, b)
+        assert packed
+        assert (1, 13) not in prod.terms and (0, 14) in prod.terms
+        assert list(prod.terms.items()) == sorted(tuple_add_product(a, b))
+
+    @pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 65, 100])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slot_width_edges(self, bits, sign):
+        # 8 x 8 constant coefficients: the middle slot is 8*ca*cb, the
+        # kernel's bound exactly, with `bits` or `bits + 1` binary digits
+        for ca, cb in ((2 ** (bits - 3) - 1, 1), (2 ** (bits - 3), 1), (3, 2 ** (bits - 5))):
+            a = MPoly(ST, {(i, 7 - i): ca for i in range(8)})
+            b = MPoly(ST, {(i, 7 - i): sign * cb for i in range(8)})
+            prod, packed = product_and_path(a, b)
+            assert packed
+            assert prod.terms[(7, 7)] == sign * 8 * ca * cb
+            assert list(prod.terms.items()) == sorted(tuple_add_product(a, b))
+
+    def test_sparse_operands_are_refused(self):
+        # ten terms spread over exponents up to 10^6: far more slots than terms
+        spread = [0, 1, 3, 10, 400, 999, 5000, 70000, 10**5, 10**6]
+        f = MPoly(("x", "y"), {(e, i): i + 1 for i, e in enumerate(spread)})
+        g = MPoly(("x", "y"), {(i, e): 1 - i for i, e in enumerate(spread)})
+        assert poly._packed_mul(f.terms, g.terms, 2) is None
+        assert not assert_product(f, g)
+        h = MPoly(XYZ, {(e, 0, 10**6 - e): i + 1 for i, e in enumerate(spread)})
+        assert not assert_product(h, h)
 
 
 # -- evaluation in the integers against the Fraction loop ----------------------

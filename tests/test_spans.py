@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from cli_child import SOURCE_DIR
+from sextactic import poly
+from sextactic.poly import ST, MPoly
 from sextactic.series import TruncSeries
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -78,3 +80,32 @@ def test_series_products_are_counted():
     agg, _ = tracer.summary([])
     assert agg["series.mul"]["calls"] == 2
     assert tracer.counts["series.mul.coeff_pairs"] == 6 * 6 + 6
+
+
+def test_packed_poly_products_are_counted(monkeypatch):
+    # 9 x 10 terms: over the crossover, so the product runs the kernel
+    f = MPoly(ST, {(i, 8 - i): i - 4 for i in range(9) if i != 4} | {(4, 4): 7})
+    g = MPoly(ST, {(i, 9 - i): Fraction(1, i + 1) for i in range(10)})
+    packed = []
+    kernel = poly.kronecker_product
+
+    def spy(a, b, end=None):
+        packed.append(kernel(a, b, end))
+        return packed[-1]
+
+    monkeypatch.setattr(poly, "kronecker_product", spy)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        prod = f * g
+        scaled = 3 * f
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    assert len(packed) == 1 and packed[0] is not None
+    assert scaled == f * MPoly.constant(ST, 3)
+    agg, _ = tracer.summary([])
+    assert agg["poly.mul"]["calls"] == 2
+    assert tracer.counts["poly.mul.term_pairs"] == 9 * 10 + 9
+    assert tracer.counts["poly.mul.out_terms"] == len(prod.terms) + 9
