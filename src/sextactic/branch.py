@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import XYZ, MPoly
+from .poly import CONIC_BASIS, XYZ, MPoly, veronese
 from .series import TruncSeries
 
 
@@ -39,11 +39,6 @@ class TruncationInsufficient(BranchError):
             f"series data exhausted at order {stalled_at}; "
             f"re-supply the branch with truncation >= {needed}"
         )
-
-
-# conic monomial basis, in the fixed order x^2, y^2, z^2, yz, xz, xy
-CONIC_BASIS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 0))
-LINE_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 class BranchParam:
@@ -111,10 +106,13 @@ class WeightReport:
 
 
 def _reduce_to_distinct(items, branch_trunc: int):
-    """Gaussian elimination by leading exponent on (series, coefficient-vector)
-    pairs; returns {valuation: (series, vector)} with distinct valuations."""
+    """Gaussian elimination by leading exponent on a list of series; returns
+    {valuation: (series, vector)} with distinct valuations, where the vector
+    holds the coefficients of that series in the input items."""
+    n = len(items)
     pivots = {}
-    for series, vec in items:
+    for i, series in enumerate(items):
+        vec = tuple(Fraction(int(i == j)) for j in range(n))
         while True:
             v = series.valuation()
             if v is None:
@@ -130,20 +128,13 @@ def _reduce_to_distinct(items, branch_trunc: int):
     return pivots
 
 
-def _vector_to_conic(vec, basis) -> MPoly:
-    conic = MPoly(XYZ, {expo: c for expo, c in zip(basis, vec)})
-    return conic.canonical()
-
-
 def valuation_ladder(b: BranchParam) -> ValuationLadder:
     """The six conic contact orders attainable at the branch, with witnesses."""
-    items = []
-    for i, expo in enumerate(CONIC_BASIS):
-        vec = tuple(Fraction(int(i == j)) for j in range(6))
-        items.append((b.monomial_pullback(expo), vec))
-    pivots = _reduce_to_distinct(items, b.trunc)
+    pivots = _reduce_to_distinct(veronese(*b.coords), b.trunc)
     orders = tuple(sorted(pivots))
-    witnesses = tuple(_vector_to_conic(pivots[v][1], CONIC_BASIS) for v in orders)
+    witnesses = tuple(
+        MPoly(XYZ, dict(zip(CONIC_BASIS, pivots[v][1]))).canonical() for v in orders
+    )
     return ValuationLadder(orders, witnesses)
 
 
@@ -152,12 +143,7 @@ def line_orders(b: BranchParam):
 
     These are the two nonzero valuations attainable by linear forms.
     """
-    items = []
-    for i, expo in enumerate(LINE_BASIS):
-        vec = tuple(Fraction(int(i == j)) for j in range(3))
-        items.append((b.monomial_pullback(expo), vec))
-    pivots = _reduce_to_distinct(items, b.trunc)
-    v0, m, l = sorted(pivots)
+    v0, m, l = sorted(_reduce_to_distinct(b.coords, b.trunc))
     if v0 != 0:
         raise NonPrimitiveBranch("no linear form is a unit along the branch")
     return m, l

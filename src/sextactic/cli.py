@@ -44,7 +44,7 @@ from .parse import (
     parse_poly,
     parse_profile,
 )
-from .poly import PolyError, _coeff_str, _int_str
+from .poly import XYZ, MPoly, PolyError, _coeff_str, _int_str
 from .rational import (
     RationalError,
     conic_coefficients,
@@ -68,16 +68,22 @@ DOMAIN_ERRORS = (
 
 
 class Reporter:
-    def __init__(self, fmt: str, out=None):
+    """Collects the report lines; ``main`` writes them only on success, so a
+    domain error part-way through leaves stdout empty."""
+
+    def __init__(self, fmt: str):
         self.machine = fmt == "machine"
-        self.out = out if out is not None else sys.stdout
+        self.lines = []
+
+    def line(self, text):
+        self.lines.append(text)
 
     def kv(self, key, value):
-        print(f"{key} = {_text(value)}", file=self.out)
+        self.line(f"{key} = {_text(value)}")
 
     def header(self, title):
         if not self.machine:
-            print(f"# {title}", file=self.out)
+            self.line(f"# {title}")
 
     def table(self, columns, rows, prefix):
         """Aligned table in text mode, keyed lines in machine mode."""
@@ -93,12 +99,10 @@ class Reporter:
             for j, col in enumerate(columns)
         ]
         line = " | ".join(col.ljust(w) for col, w in zip(columns, widths))
-        print(line, file=self.out)
-        print("-" * len(line), file=self.out)
+        self.line(line)
+        self.line("-" * len(line))
         for row in rows:
-            print(
-                " | ".join(v.ljust(w) for v, w in zip(row, widths)), file=self.out
-            )
+            self.line(" | ".join(v.ljust(w) for v, w in zip(row, widths)))
 
 
 def _text(value) -> str:
@@ -149,7 +153,7 @@ def _ascii_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:  # longer than the interpreter converts
-        raise ParseError(_over_limit_message()) from None
+        raise argparse.ArgumentTypeError(_over_limit_message()) from None
 
 
 def _read_file(path: str) -> str:
@@ -224,10 +228,7 @@ def cmd_wronski(args, rep: Reporter):
         for expo, form in sorted(
             conic_coefficients(family).items(), key=lambda kv: kv[0], reverse=True
         ):
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}" for v, e in zip(("x", "y", "z"), expo) if e
-            )
-            rep.kv(f"omega[{mono}]", form)
+            rep.kv(f"omega[{MPoly(XYZ, {expo: 1})}]", form)
         return
     scan = conic_wronskian(param)
     xi = scan.xi
@@ -302,10 +303,13 @@ def cmd_osc_branch(args, rep: Reporter):
 
 
 def cmd_check_lemma37(args, rep: Reporter):
-    try:
-        ms = [_ascii_int(v) for v in args.ms.split(",") if v.strip()]
-    except argparse.ArgumentTypeError:
+    items = [v for v in args.ms.split(",") if v.strip()]
+    if not all(map(_ASCII_INT.fullmatch, items)):
         raise BranchError(f"--ms expects a comma-separated integer list, got {args.ms!r}")
+    try:
+        ms = [_ascii_int(v) for v in items]
+    except argparse.ArgumentTypeError as e:  # an over-long literal
+        raise ParseError(str(e)) from None
     report = cusp_contact_constraints(ms, args.d, l=args.l, c=args.c)
     rep.kv("ok", "yes" if report.ok else "no")
     rep.kv("feasible_l", ",".join(str(v) for v, _ in report.feasible_l) or "-")
@@ -376,12 +380,9 @@ def cmd_examples(args, rep: Reporter):
             rep.kv(f"example_{i}_name", f.name)
             rep.kv(f"example_{i}_command", " ".join(_quote(a) for a in f.command))
         else:
-            print(f"{f.name}", file=rep.out)
-            print(f"    {f.description}", file=rep.out)
-            print(
-                "    sextactic " + " ".join(_quote(a) for a in f.command),
-                file=rep.out,
-            )
+            rep.line(f.name)
+            rep.line(f"    {f.description}")
+            rep.line("    sextactic " + " ".join(_quote(a) for a in f.command))
 
 
 def _quote(arg: str) -> str:
@@ -507,6 +508,7 @@ def main(argv=None) -> int:
     except DOMAIN_ERRORS as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    sys.stdout.write("".join(f"{line}\n" for line in rep.lines))
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import XYZ, MPoly, PolyMatrix
+from .poly import CONIC_BASIS, XYZ, MPoly, PolyMatrix, veronese
 
 
 class DifferentialError(ValueError):
@@ -49,14 +49,21 @@ VARIANTS = ("corrected", "cayley1865")
 
 @dataclass(frozen=True)
 class HessianBundle:
-    """F with its Hessian data: H = det(hess_f) and adj_f * hess_f = H * I."""
+    """F with its Hessian data: H = det(hess_f) and adj_f * hess_f = H * I.
+
+    The symmetric matrices hess_f, hess_h and adj_f are 6-vectors of their
+    entries (a, b, c, f, g, h) in ``CONIC_BASIS`` order; grad_f and grad_h
+    are the first partials in x, y, z.
+    """
 
     F: MPoly
     d: int
     H: MPoly
-    hess_f: PolyMatrix
-    hess_h: PolyMatrix
-    adj_f: PolyMatrix
+    hess_f: tuple
+    hess_h: tuple
+    adj_f: tuple
+    grad_f: tuple
+    grad_h: tuple
 
 
 @dataclass(frozen=True)
@@ -73,19 +80,22 @@ class CovariantSet:
     gradient_form: MPoly
 
 
-def _second_partials(F: MPoly) -> PolyMatrix:
-    return PolyMatrix([[F.partial(u).partial(v) for v in XYZ] for u in XYZ])
+def _derivatives(P: MPoly):
+    """(gradient, second partials as a 6-vector) of P."""
+    px, py, pz = P.grad()
+    return (px, py, pz), (
+        px.partial("x"), py.partial("y"), pz.partial("z"),
+        py.partial("z"), px.partial("z"), px.partial("y"),
+    )
 
 
-def _adjugate3(m: PolyMatrix) -> PolyMatrix:
-    [a, h, g], [h2, b, f], [g2, f2, c] = m.entries
-    A = b * c - f * f
-    B = a * c - g * g
-    C = a * b - h * h
-    Fq = h * g - a * f
-    Gq = h * f - b * g
-    Hq = f * g - h * c
-    return PolyMatrix([[A, Hq, Gq], [Hq, B, Fq], [Gq, Fq, C]])
+def _adjugate(m):
+    """Adjugate of a symmetric 3x3 matrix, both as 6-vectors."""
+    a, b, c, f, g, h = m
+    return (
+        b * c - f * f, a * c - g * g, a * b - h * h,
+        h * g - a * f, h * f - b * g, f * g - h * c,
+    )
 
 
 def hessian(F: MPoly) -> HessianBundle:
@@ -95,19 +105,15 @@ def hessian(F: MPoly) -> HessianBundle:
     d = F.homogeneous_degree()  # raises NotHomogeneous on mixed degrees
     if d is None or d < 3:
         raise DegreeTooSmall(f"need a form of degree >= 3, got degree {d}")
-    hess_f = _second_partials(F)
-    adj_f = _adjugate3(hess_f)
+    grad_f, hess_f = _derivatives(F)
+    adj_f = _adjugate(hess_f)
     # expand det(hess_f) along its first row; the cofactors are the first
     # column of the adjugate
-    (a, h, g), (A, Hq, Gq) = hess_f.entries[0], adj_f.entries[0]
+    a, _, _, _, g, h = hess_f
+    A, _, _, _, Gq, Hq = adj_f
     H = a * A + h * Hq + g * Gq
-    return HessianBundle(F, d, H, hess_f, _second_partials(H), adj_f)
-
-
-def _sym_entries(m: PolyMatrix):
-    """(a, b, c, f, g, h) reading of a symmetric 3x3 matrix."""
-    e = m.entries
-    return e[0][0], e[1][1], e[2][2], e[1][2], e[0][2], e[0][1]
+    grad_h, hess_h = _derivatives(H)
+    return HessianBundle(F, d, H, hess_f, hess_h, adj_f, grad_f, grad_h)
 
 
 def _paired_trace(adj6, hess6):
@@ -125,24 +131,21 @@ def covariants(bundle: HessianBundle) -> CovariantSet:
     ``trace_grad_adj`` is derived as ``d_v(trace) - trace_grad_hess[v]`` by
     the product rule, which saves the products of d_v(adj_f) with hess_H.
     """
-    adj6 = _sym_entries(bundle.adj_f)
-    hess6 = _sym_entries(bundle.hess_h)
-    trace = _paired_trace(adj6, hess6)
+    adj_f = bundle.adj_f
+    trace = _paired_trace(adj_f, bundle.hess_h)
     grad_hess = tuple(
-        _paired_trace(adj6, [p.partial(v) for p in hess6]) for v in XYZ
+        _paired_trace(adj_f, [p.partial(v) for p in bundle.hess_h]) for v in XYZ
     )
     grad_adj = tuple(trace.partial(v) - g for v, g in zip(XYZ, grad_hess))
-    hx, hy, hz = bundle.H.grad()
-    form6 = (hx * hx, hy * hy, hz * hz, hy * hz, hx * hz, hx * hy)
-    gradient_form = _paired_trace(adj6, form6)
+    gradient_form = _paired_trace(adj_f, veronese(*bundle.grad_h))
     return CovariantSet(trace, grad_adj, grad_hess, gradient_form)
 
 
 def gradient_form_bordered(bundle: HessianBundle) -> MPoly:
     """The gradient form as minus the bordered 4x4 determinant (cross-check)."""
-    hx, hy, hz = bundle.H.grad()
+    hx, hy, hz = bundle.grad_h
     zero = MPoly.zero(XYZ)
-    [a, h, g], [_, b, f], [_, _, c] = bundle.hess_f.entries
+    a, b, c, f, g, h = bundle.hess_f
     m = PolyMatrix(
         [
             [zero, hx, hy, hz],
@@ -175,8 +178,8 @@ def second_hessian(F: MPoly, variant: str = "corrected") -> MPoly:
     H = bundle.H
     # The three Jacobians det(grad F, grad H, r) share their first two rows,
     # so each is (grad F x grad H) . r; combine the third rows first.
-    fx, fy, fz = F.grad()
-    hx, hy, hz = H.grad()
+    fx, fy, fz = bundle.grad_f
+    hx, hy, hz = bundle.grad_h
     cross = (fy * hz - fz * hy, fz * hx - fx * hz, fx * hy - fy * hx)
     alpha = 12 * d * d - 54 * d + 57
     beta = (d - 2) * (12 * d - 27)
@@ -207,27 +210,24 @@ def osculating_conic(F: MPoly, p) -> MPoly:
     shown = "(" + " : ".join(map(str, point)) + ")"
     if F.eval(point) != 0:
         raise PointNotOnCurve(f"F does not vanish at {shown}")
-    grads = [g.eval(point) for g in F.grad()]
+    grads = [g.eval(point) for g in bundle.grad_f]
     if not any(grads):
         raise SingularPoint(f"the curve is singular at {shown}")
     h_at = bundle.H.eval(point)
     if h_at == 0:
         raise InflectionPoint(f"the Hessian vanishes at {shown}")
-    adj6 = [q.eval(point) for q in _sym_entries(bundle.adj_f)]
-    hess6 = [q.eval(point) for q in _sym_entries(bundle.hess_h)]
-    hx, hy, hz = (g.eval(point) for g in bundle.H.grad())
-    form6 = (hx * hx, hy * hy, hz * hz, hy * hz, hx * hz, hx * hy)
+    adj6 = [q.eval(point) for q in bundle.adj_f]
+    hess6 = [q.eval(point) for q in bundle.hess_h]
+    hx, hy, hz = (g.eval(point) for g in bundle.grad_h)
     lam = Fraction(
-        -3 * _paired_trace(adj6, hess6) * h_at + 4 * _paired_trace(adj6, form6),
+        -3 * _paired_trace(adj6, hess6) * h_at
+        + 4 * _paired_trace(adj6, veronese(hx, hy, hz)),
         9 * Fraction(h_at) ** 3,
     )
     x, y, z = (MPoly.variable(XYZ, v) for v in XYZ)
     df = x * grads[0] + y * grads[1] + z * grads[2]
-    a, b, c, f, g, h = (p.eval(point) for p in _sym_entries(bundle.hess_f))
-    d2f = (
-        x * x * a + y * y * b + z * z * c
-        + 2 * (x * y * h + x * z * g + y * z * f)
-    )
+    a, b, c, f, g, h = (p.eval(point) for p in bundle.hess_f)
+    d2f = MPoly(XYZ, dict(zip(CONIC_BASIS, (a, b, c, 2 * f, 2 * g, 2 * h))))
     dh = x * hx + y * hy + z * hz
     conic = d2f - (dh * Fraction(2, 3 * h_at) + df * lam) * df
     return conic.canonical()

@@ -23,6 +23,15 @@ from operator import add
 
 XYZ = ("x", "y", "z")
 ST = ("s", "t")
+# the conic monomial basis, in the fixed order x^2, y^2, z^2, yz, xz, xy;
+# a symmetric 3x3 matrix (a h g; h b f; g f c) is the 6-vector
+# (a, b, c, f, g, h) in the same order
+CONIC_BASIS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+
+def veronese(u, v, w):
+    """The conic monomials of (u, v, w) in CONIC_BASIS order; any ring elements."""
+    return (u * u, v * v, w * w, v * w, u * w, u * v)
 
 
 class PolyError(ValueError):

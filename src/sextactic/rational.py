@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .branch import CONIC_BASIS, BranchParam
+from .branch import BranchParam
 from .poly import (
+    CONIC_BASIS,
     ST,
     XYZ,
     MPoly,
@@ -25,6 +26,7 @@ from .poly import (
     projective_ints,
     split_linear_factors,
     squarefree_decomp,
+    veronese,
 )
 from .series import TruncSeries
 
@@ -78,9 +80,8 @@ class RationalParam:
         self.degree = degs.pop()
 
     def veronese(self):
-        """The six degree-2 products, in the fixed column order."""
-        p0, p1, p2 = self.phi
-        return (p0 * p0, p1 * p1, p2 * p2, p1 * p2, p0 * p2, p0 * p1)
+        """The six degree-2 products, in ``CONIC_BASIS`` order."""
+        return veronese(*self.phi)
 
     def eval_point(self, at):
         """Primitive integer coordinates of the curve point at (s0 : t0)."""

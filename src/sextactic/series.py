@@ -15,7 +15,7 @@ from .poly import _coeff_str, _norm, kronecker_product
 # A product of two series runs the plain double loop up to _LOOP_MAX_PAIRS
 # term pairs, or when the operands are too sparse for the kernel (more than
 # poly._SLOTS_PER_TERM dense slots per stored term); otherwise the exponents
-# are the slots of one ``poly.kronecker_product`` (``_packed_product``).
+# are the slots of one ``poly.kronecker_product``.
 # Measured on CPython 3.11 (BENCH_7.json), loop time over packed time for
 # dense operands with numerators up to 3: with Fraction coefficients 0.7 at
 # 1x1 terms, 1.4 at 2x2, 3.1 at 4x4 and 50 at 40x40; with int coefficients
@@ -106,7 +106,7 @@ class TruncSeries:
             other.trunc + self._val_bound(),
         )
         a, b = self.coeffs, other.coeffs
-        out = _packed_product(a, b, trunc) if len(a) * len(b) > _LOOP_MAX_PAIRS else None
+        out = kronecker_product(a, b, trunc) if len(a) * len(b) > _LOOP_MAX_PAIRS else None
         if out is None:
             out = {}
             for e1, c1 in a.items():
@@ -145,9 +145,3 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({self})"
-
-
-def _packed_product(a, b, trunc):
-    """Nonzero coefficients below ``trunc`` of the product of two nonempty
-    coefficient dicts, or None when the operands are too sparse to pack."""
-    return kronecker_product(a, b, trunc)

@@ -2,10 +2,31 @@
 
 The library takes every determinant by Laplace expansion and never
 multiplies two polynomial matrices; these two routines take the other road,
-so a cross-check against them does not share the code it checks.
+so a cross-check against them does not share the code it checks.  The
+library keeps a symmetric 3x3 matrix as the 6-vector of its entries in
+``CONIC_BASIS`` order; ``sym3`` spreads one back into a full matrix.
 """
 
-from sextactic.poly import MPoly, NonSquareMatrix, PolyError, PolyMatrix, exact_div
+from sextactic.poly import (
+    CONIC_BASIS,
+    MPoly,
+    NonSquareMatrix,
+    PolyError,
+    PolyMatrix,
+    exact_div,
+)
+
+
+def sym3(six) -> PolyMatrix:
+    """The symmetric matrix whose (i, j) entry is the entry of ``six`` on the
+    conic monomial x_i * x_j."""
+    index = {expo: k for k, expo in enumerate(CONIC_BASIS)}
+    return PolyMatrix(
+        [
+            [six[index[tuple((i == k) + (j == k) for k in range(3))]] for j in range(3)]
+            for i in range(3)
+        ]
+    )
 
 
 def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

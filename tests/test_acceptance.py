@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from cli_child import run_cli
-from poly_reference import matmul
+from poly_reference import matmul, sym3
 from sextactic.branch import (
     CONIC_BASIS,
     TruncationInsufficient,
@@ -457,6 +457,7 @@ def test_criterion_12_property_suite():
         d = (3, 4, 5)[i % 3]
         bundle = hessian(_random_form(rng, d))
         cov = covariants(bundle)
+        adj_f, hess_h = sym3(bundle.adj_f), sym3(bundle.hess_h)
         for j, v in enumerate(XYZ):
             assert (
                 cov.trace_product.partial(v)
@@ -465,8 +466,8 @@ def test_criterion_12_property_suite():
             # the direct formula, sum d_v(adj_f) * hess_H, as the reference
             assert cov.trace_grad_adj[j] == sum(
                 (
-                    bundle.adj_f.entries[r][c].partial(v)
-                    * bundle.hess_h.entries[r][c]
+                    adj_f.entries[r][c].partial(v)
+                    * hess_h.entries[r][c]
                     for r in range(3)
                     for c in range(3)
                 ),
@@ -481,7 +482,7 @@ def test_criterion_12_property_suite():
     for i in range(cases):
         d = (3, 4, 5)[i % 3]
         bundle = hessian(_random_form(rng, d))
-        prod = matmul(bundle.adj_f, bundle.hess_f)
+        prod = matmul(sym3(bundle.adj_f), sym3(bundle.hess_f))
         for a in range(3):
             for bcol in range(3):
                 want = bundle.H if a == bcol else MPoly.zero(XYZ)

@@ -19,7 +19,7 @@ from sextactic.branch import (
     valuation_ladder,
     weight2,
 )
-from sextactic.poly import XYZ, MPoly
+from sextactic.poly import XYZ, MPoly, veronese
 from sextactic.series import TruncSeries
 
 
@@ -163,6 +163,19 @@ class TestLadderExamples:
                 for r in rows
             ]
         assert rank == 6
+
+
+class TestVeronesePullback:
+    def test_matches_monomial_pullback(self):
+        rng = random.Random("veronese-branch")
+        for i in range(30):
+            if i % 2:
+                b = random_general_branch(rng, trunc=rng.randint(12, 16))
+            else:
+                b = random_normal_form(rng)[0]
+            pulls = veronese(*b.coords)
+            for expo, pull in zip(CONIC_BASIS, pulls, strict=True):
+                assert pull == b.monomial_pullback(expo)
 
 
 class TestTruncation:

@@ -442,6 +442,30 @@ class TestIntegerPrintLimit:
         assert err.startswith("error: IntegerTooLong: a computed integer of ")
         assert err.endswith(f" bits is over the limit of {limit} digits for printing\n")
 
+    def test_error_after_first_line_leaves_stdout_empty(self, capsys):
+        # d and H_degree are known before H fails to print
+        args = ["hessian", "--implicit", f"({'1' + '0' * 1500}*x)^3 + y^3 + z^3"]
+        assert cli.main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: IntegerTooLong: ")
+        r = run_cli(*args)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == err
+
+    @pytest.mark.parametrize("option", ["--d", "--c"])
+    def test_check_lemma37_option_over_limit_is_usage_error(self, option):
+        values = {"--d": "5", "--c": "7", option: LONG}
+        argv = [a for item in values.items() for a in item]
+        r = run_cli("check-lemma37", "--ms", "3,2", "--l", "6", *argv)
+        limit = sys.get_int_max_str_digits()
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.endswith(
+            f"argument {option}: integer literal over the limit of {limit} digits\n"
+        )
+        assert len(r.stderr) < 1000
+
     def test_check_lemma37_sequence_over_limit_is_domain_error(self, capsys):
         start = time.perf_counter()
         assert cli.main(["check-lemma37", "--ms", f"{LONG},2", "--d", "5"]) == 1

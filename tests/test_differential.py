@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from poly_reference import matmul
+from poly_reference import matmul, sym3
 from sextactic.differential import (
     DegreeTooSmall,
     HessianVanishes,
@@ -52,8 +52,8 @@ def direct_trace_grad_adj(bundle):
     """sum d_v(adj_f) * hess_H, entry by entry, for v = x, y, z."""
     return tuple(
         paired_trace(
-            [[q.partial(v) for q in row] for row in bundle.adj_f.entries],
-            bundle.hess_h.entries,
+            [[q.partial(v) for q in row] for row in sym3(bundle.adj_f).entries],
+            sym3(bundle.hess_h).entries,
         )
         for v in XYZ
     )
@@ -93,11 +93,40 @@ class TestHessian:
         rng = random.Random(17)
         for _ in range(12):
             b = hessian(random_form(rng, rng.randint(3, 5)))
-            prod = matmul(b.adj_f, b.hess_f)
+            prod = matmul(sym3(b.adj_f), sym3(b.hess_f))
             for i in range(3):
                 for j in range(3):
                     want = b.H if i == j else MPoly.zero(XYZ)
                     assert prod.entries[i][j] == want
+
+
+class TestDerivativeCount:
+    """Each form's first and second partials are taken once."""
+
+    @pytest.fixture
+    def partial_calls(self, monkeypatch):
+        calls = []
+        partial = MPoly.partial
+
+        def spy(self, var):
+            calls.append(var)
+            return partial(self, var)
+
+        monkeypatch.setattr(MPoly, "partial", spy)
+        return calls
+
+    @pytest.mark.parametrize("degree", [3, 5])
+    def test_hessian(self, partial_calls, degree):
+        hessian(dense_form(random.Random(degree), degree))
+        # 3 + 6 partials for F, then 3 + 6 for H
+        assert len(partial_calls) == 18
+
+    @pytest.mark.parametrize("degree", [3, 5])
+    def test_second_hessian(self, partial_calls, degree):
+        second_hessian(dense_form(random.Random(degree), degree))
+        # the bundle's 18, 3 * 6 for d_v(hess_H), 3 for d_v(trace) and 3
+        # for the gradient of the gradient form
+        assert len(partial_calls) == 42
 
 
 class TestCovariants:
@@ -119,7 +148,7 @@ class TestCovariants:
             cov = covariants(b)
             assert cov.trace_grad_adj == direct_trace_grad_adj(b)
             assert cov.trace_product == paired_trace(
-                b.adj_f.entries, b.hess_h.entries
+                sym3(b.adj_f).entries, sym3(b.hess_h).entries
             )
 
     def test_gradient_form_two_formulas(self):
@@ -292,9 +321,10 @@ def symbolic_osculating_conic(bundle, point, grads, h_at):
         (g.eval(point) * v for g, v in zip(bundle.H.grad(), (X, Y, Z))),
         MPoly.zero(XYZ),
     )
+    hess_f = sym3(bundle.hess_f)
     d2f = sum(
         (
-            bundle.hess_f.entries[i][j].eval(point) * u * v
+            hess_f.entries[i][j].eval(point) * u * v
             for i, u in enumerate((X, Y, Z))
             for j, v in enumerate((X, Y, Z))
         ),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from poly_reference import det_bareiss
 from sextactic import poly
 from sextactic.poly import (
+    CONIC_BASIS,
     ST,
     XYZ,
     ExactDivisionError,
@@ -31,6 +32,7 @@ from sextactic.poly import (
     projective_ints,
     split_linear_factors,
     squarefree_decomp,
+    veronese,
 )
 
 
@@ -399,6 +401,20 @@ class TestPartial:
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
             X.partial("t")
+
+
+class TestVeronese:
+    def test_matches_composed_conic_monomials(self):
+        rng = random.Random("veronese")
+        for _ in range(20):
+            images = [random_poly(rng, XYZ, 3, 4) for _ in range(3)]
+            want = [MPoly(XYZ, {e: 1}).compose(images) for e in CONIC_BASIS]
+            assert list(veronese(*images)) == want
+
+    def test_plain_numbers(self):
+        u, v, w = 2, Fraction(1, 3), -5
+        want = [u**a * v**b * w**c for a, b, c in CONIC_BASIS]
+        assert list(veronese(u, v, w)) == want
 
 
 class TestDeterminant:

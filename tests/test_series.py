@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sextactic import series
+from sextactic.poly import kronecker_product
 from sextactic.series import SeriesError, TruncSeries
 
 
@@ -154,14 +154,14 @@ class TestPackedProduct:
             assert prod.coeffs == want
             assert all(prod.coeffs.values())
         if a.coeffs and b.coeffs:
-            packed = series._packed_product(a.coeffs, b.coeffs, trunc)
+            packed = kronecker_product(a.coeffs, b.coeffs, end=trunc)
             assert packed is None or packed == want
 
     def test_cancelled_slots_are_absent(self):
         # (1/2 + t/3 + t^2/5)(1/2 - t/3) has no t^1 term
         a = ts({0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 5)}, 9)
         b = ts({0: Fraction(1, 2), 1: Fraction(-1, 3), 4: 7}, 9)
-        packed = series._packed_product(a.coeffs, b.coeffs, 9)
+        packed = kronecker_product(a.coeffs, b.coeffs, end=9)
         assert packed == loop_product(a, b)[0]
         assert 1 not in packed and 2 in packed
 
@@ -176,10 +176,10 @@ class TestPackedProduct:
 
     def test_dense_operands_pack_and_sparse_ones_do_not(self):
         dense = {e: Fraction(1, e + 1) for e in range(3, 9)}
-        assert series._packed_product(dense, dense, 20) is not None
+        assert kronecker_product(dense, dense, end=20) is not None
         sparse = {3: 1, 40: 2, 90: 3}
-        assert series._packed_product(sparse, dense, 100) is None
-        assert series._packed_product(dense, sparse, 100) is None
+        assert kronecker_product(sparse, dense, end=100) is None
+        assert kronecker_product(dense, sparse, end=100) is None
 
     def test_integral_results_come_out_as_int(self):
         a = ts({e: Fraction(1, 2) for e in range(5)}, 5)
