@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import CONIC_BASIS, XYZ, MPoly, veronese
+# CONIC_BASIS is re-exported: the ladder's witnesses are written in its order
+from .poly import CONIC_BASIS, MPoly, conic, veronese
 from .series import TruncSeries
 
 
@@ -132,9 +133,7 @@ def valuation_ladder(b: BranchParam) -> ValuationLadder:
     """The six conic contact orders attainable at the branch, with witnesses."""
     pivots = _reduce_to_distinct(veronese(*b.coords), b.trunc)
     orders = tuple(sorted(pivots))
-    witnesses = tuple(
-        MPoly(XYZ, dict(zip(CONIC_BASIS, pivots[v][1]))).canonical() for v in orders
-    )
+    witnesses = tuple(conic(pivots[v][1]).canonical() for v in orders)
     return ValuationLadder(orders, witnesses)
 
 

@@ -98,7 +98,6 @@ class CurveProfile:
     d: int
     g: int
     points: tuple
-    genus_given: bool = True
 
     def __post_init__(self):
         if not (isinstance(self.d, int) and self.d >= 3):
@@ -151,12 +150,12 @@ class CurveProfile:
                 raise CensusError("genus is underdetermined")
             if clebsch < 0:
                 raise CensusError(f"deltas exceed the genus budget: g = {clebsch}")
-            return cls(d, clebsch, points, genus_given=False)
+            return cls(d, clebsch, points)
         if clebsch is not None and clebsch != g:
             raise CensusError(
                 f"stated genus {g} conflicts with the degree/delta value {clebsch}"
             )
-        return cls(d, g, points, genus_given=True)
+        return cls(d, g, points)
 
     def set_I(self):
         """Inflections, cusps, and singular-point branches with l != 2m."""
@@ -185,7 +184,6 @@ class CensusReport:
     total: int
     sum_I: int
     sum_J: int
-    rational_form_agrees: "bool | None"  # genus-0 recomputation, when applicable
 
 
 def brill_segre_total(d: int, g: int) -> int:
@@ -212,21 +210,16 @@ def sextactic_count(profile: CurveProfile, per_branch: bool = False) -> CensusRe
         raise CensusError(
             f"negative sextactic count {s}: the profile is inconsistent"
         )
-    agrees = None
-    if profile.g == 0:
-        agrees = s == 6 * (2 * profile.d - 5) - sum_I - sum_J
-    return CensusReport(s, total, sum_I, sum_J, agrees)
+    return CensusReport(s, total, sum_I, sum_J)
 
 
 def inflection_count(profile: CurveProfile) -> int:
     """Number of inflection points, counted with multiplicity."""
+    cusps = profile.cusps()
+    if any(p.delta is None for p in cusps):
+        raise CensusError("every cusp record needs delta for the inflection count")
     d = profile.d
-    acc = 3 * d * (d - 2)
-    for p in profile.cusps():
-        if p.delta is None:
-            raise CensusError("every cusp record needs delta for the inflection count")
-        acc -= 6 * p.delta + p.m + p.l - 3
-    return acc
+    return 3 * d * (d - 2) - sum(map(predicted_hessian_order, cusps))
 
 
 @dataclass(frozen=True)
@@ -251,17 +244,19 @@ class IdentityReport:
 
 def intersection_identities(profile: CurveProfile, s: int) -> IdentityReport:
     """Bezout-flavoured identities distributing the Hessian-type intersection
-    budgets over the sextactic count, the deltas, and the local contact data."""
+    budgets over the sextactic count, the deltas, and the local contact data.
+
+    Each record of ``set_I`` and ``set_J`` (every record with a nonzero
+    delta is one) takes its predicted 2-Hessian order from the second budget
+    and that plus its predicted Hessian order from the first; a cusp without
+    delta is a ``CensusError``.
+    """
+    points = profile.set_I() + profile.set_J()
     d = profile.d
-    sum_delta = sum(p.delta or 0 for p in profile.points)
-    i_30 = sum(4 * p.m + 4 * p.l - 15 for p in profile.set_I())
-    j_30 = sum(10 * p.m + p.c - 15 for p in profile.set_J())
-    i_24 = sum(3 * p.m + 3 * p.l - 12 for p in profile.set_I())
-    j_24 = sum(7 * p.m + p.c - 12 for p in profile.set_J())
-    lhs1 = d * (12 * d - 27) + 3 * d * (d - 2)
-    rhs1 = s + 30 * sum_delta + i_30 + j_30
     lhs2 = d * (12 * d - 27)
-    rhs2 = s + 24 * sum_delta + i_24 + j_24
+    rhs2 = s + sum(map(predicted_hessian2_order, points))
+    lhs1 = lhs2 + 3 * d * (d - 2)
+    rhs1 = rhs2 + sum(map(predicted_hessian_order, points))
     return IdentityReport(lhs1, rhs1, lhs2, rhs2)
 
 

@@ -44,10 +44,9 @@ from .parse import (
     parse_poly,
     parse_profile,
 )
-from .poly import XYZ, MPoly, PolyError, _coeff_str, _int_str
+from .poly import CONIC_BASIS, XYZ, MPoly, PolyError, _coeff_str, _int_str
 from .rational import (
     RationalError,
-    conic_coefficients,
     conic_wronskian,
     intersection_orders,
     osculating_conic_family,
@@ -146,10 +145,17 @@ def _point_str(coords) -> str:
 _ASCII_INT = re.compile(r"\s*-?[0-9]+\s*")
 
 
+def _quoted(text: str) -> str:
+    """repr of an argument; past 40 characters, of its first 40 and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _ascii_int(text: str) -> int:
     """An optionally negative ASCII integer, blanks around it allowed."""
     if not _ASCII_INT.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}")
     try:
         return int(text)
     except ValueError:  # longer than the interpreter converts
@@ -225,9 +231,7 @@ def cmd_wronski(args, rep: Reporter):
             return
         family = osculating_conic_family(param)
         rep.kv("d", param.degree)
-        for expo, form in sorted(
-            conic_coefficients(family).items(), key=lambda kv: kv[0], reverse=True
-        ):
+        for expo, form in sorted(zip(CONIC_BASIS, family), reverse=True):
             rep.kv(f"omega[{MPoly(XYZ, {expo: 1})}]", form)
         return
     scan = conic_wronskian(param)
@@ -305,7 +309,9 @@ def cmd_osc_branch(args, rep: Reporter):
 def cmd_check_lemma37(args, rep: Reporter):
     items = [v for v in args.ms.split(",") if v.strip()]
     if not all(map(_ASCII_INT.fullmatch, items)):
-        raise BranchError(f"--ms expects a comma-separated integer list, got {args.ms!r}")
+        raise BranchError(
+            f"--ms expects a comma-separated integer list, got {_quoted(args.ms)}"
+        )
     try:
         ms = [_ascii_int(v) for v in items]
     except argparse.ArgumentTypeError as e:  # an over-long literal

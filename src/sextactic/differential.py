@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import CONIC_BASIS, XYZ, MPoly, PolyMatrix, veronese
+from .poly import XYZ, MPoly, PolyMatrix, conic, veronese
 
 
 class DifferentialError(ValueError):
@@ -218,16 +218,19 @@ def osculating_conic(F: MPoly, p) -> MPoly:
         raise InflectionPoint(f"the Hessian vanishes at {shown}")
     adj6 = [q.eval(point) for q in bundle.adj_f]
     hess6 = [q.eval(point) for q in bundle.hess_h]
-    hx, hy, hz = (g.eval(point) for g in bundle.grad_h)
+    dh = [g.eval(point) for g in bundle.grad_h]
     lam = Fraction(
-        -3 * _paired_trace(adj6, hess6) * h_at
-        + 4 * _paired_trace(adj6, veronese(hx, hy, hz)),
+        -3 * _paired_trace(adj6, hess6) * h_at + 4 * _paired_trace(adj6, veronese(*dh)),
         9 * Fraction(h_at) ** 3,
     )
-    x, y, z = (MPoly.variable(XYZ, v) for v in XYZ)
-    df = x * grads[0] + y * grads[1] + z * grads[2]
-    a, b, c, f, g, h = (p.eval(point) for p in bundle.hess_f)
-    d2f = MPoly(XYZ, dict(zip(CONIC_BASIS, (a, b, c, 2 * f, 2 * g, 2 * h))))
-    dh = x * hx + y * hy + z * hz
-    conic = d2f - (dh * Fraction(2, 3 * h_at) + df * lam) * df
-    return conic.canonical()
+    # conic = d2f - (dh * 2/(3H) + df * lam) * df, with d2f the Hessian form
+    # at p and df, dh the tangent forms of F and H; the product of two linear
+    # forms l and g has l_i g_i on the squares and l_j g_k + l_k g_j on yz, xz, xy
+    k = Fraction(2, 3 * h_at)
+    l0, l1, l2 = (k * hv + lam * fv for hv, fv in zip(dh, grads))
+    g0, g1, g2 = grads
+    a, b, c, f, g, h = (q.eval(point) for q in bundle.hess_f)
+    return conic((
+        a - l0 * g0, b - l1 * g1, c - l2 * g2,
+        2 * f - l1 * g2 - l2 * g1, 2 * g - l0 * g2 - l2 * g0, 2 * h - l0 * g1 - l1 * g0,
+    )).canonical()

@@ -254,55 +254,34 @@ def kronecker_product(a, b, end=None):
 
 
 def _packed_mul(a, b, n):
-    """Terms of the product of two term dicts in n variables by one
-    ``kronecker_product``, in ascending slot order; None when it refuses.
+    """Terms of the product of two binary or ternary forms, given as term
+    dicts in n = 2 or 3 variables, by one ``kronecker_product``, in ascending
+    slot order; None for any other operands or when the kernel refuses.
 
-    Exponent vectors map one-to-one onto slots as mixed-radix numbers whose
-    digit for a variable has radix one more than the largest exponent it
-    reaches in the product.  When both operands are binary or ternary forms,
-    the product has one total degree ``top`` and its last exponent is top
-    minus the others, so the last variable gets no digit.
+    The product has one total degree ``top``, so its last exponent is top
+    minus the others and the last variable gets no slot digit: the slot of
+    (i, j, k) is i * r + j, with r one more than the largest j of the product,
+    and the slot of (i, j) is i.
     """
-    radices = [x + y + 1 for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
-    if n in (2, 3):
-        da, db = set(map(sum, a)), set(map(sum, b))
-        if len(da) == len(db) == 1:
-            top = da.pop() + db.pop()
-            if n == 2:
-                out = kronecker_product(
-                    {e[0]: c for e, c in a.items()}, {e[0]: c for e, c in b.items()}
-                )
-                return None if out is None else {(s, top - s): c for s, c in out.items()}
-            r = radices[1]
-            out = kronecker_product(
-                {e[0] * r + e[1]: c for e, c in a.items()},
-                {e[0] * r + e[1]: c for e, c in b.items()},
-            )
-            if out is None:
-                return None
-            return {
-                (i, j, top - i - j): c for s, c in out.items() for i, j in (divmod(s, r),)
-            }
-
-    def slot(e):
-        s = 0
-        for x, r in zip(e, radices):
-            s = s * r + x
-        return s
-
+    if n not in (2, 3):
+        return None
+    da, db = set(map(sum, a)), set(map(sum, b))
+    if len(da) != 1 or len(db) != 1:
+        return None
+    top = da.pop() + db.pop()
+    if n == 2:
+        out = kronecker_product(
+            {e[0]: c for e, c in a.items()}, {e[0]: c for e, c in b.items()}
+        )
+        return None if out is None else {(s, top - s): c for s, c in out.items()}
+    r = max(e[1] for e in a) + max(e[1] for e in b) + 1
     out = kronecker_product(
-        {slot(e): c for e, c in a.items()}, {slot(e): c for e, c in b.items()}
+        {e[0] * r + e[1]: c for e, c in a.items()},
+        {e[0] * r + e[1]: c for e, c in b.items()},
     )
     if out is None:
         return None
-    terms = {}
-    for s, c in out.items():
-        e = []
-        for r in reversed(radices):
-            s, x = divmod(s, r)
-            e.append(x)
-        terms[tuple(reversed(e))] = c
-    return terms
+    return {(i, j, top - i - j): c for s, c in out.items() for i, j in (divmod(s, r),)}
 
 
 class MPoly:
@@ -612,6 +591,12 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({'/'.join(self.variables)}: {self})"
+
+
+def conic(six) -> MPoly:
+    """The conic sum six[i] * CONIC_BASIS[i] in (x, y, z), for rational six;
+    dual to ``veronese``: conic(six) at p is six paired with veronese(*p)."""
+    return MPoly(XYZ, dict(zip(CONIC_BASIS, six)))
 
 
 def exact_div(f: MPoly, g: MPoly) -> MPoly:

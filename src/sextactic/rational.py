@@ -14,12 +14,11 @@ from fractions import Fraction
 
 from .branch import BranchParam
 from .poly import (
-    CONIC_BASIS,
     ST,
-    XYZ,
     MPoly,
     PolyMatrix,
     binaryform_gcd,
+    conic,
     laplace_minors,
     linear_factor_orders,
     primitive_ints,
@@ -29,8 +28,6 @@ from .poly import (
     veronese,
 )
 from .series import TruncSeries
-
-XYZST = ("x", "y", "z", "s", "t")
 
 
 class RationalError(ValueError):
@@ -113,14 +110,13 @@ def _derivative_rows(forms, order: int):
 
 
 def osculating_conic_family(param: RationalParam, at=None):
-    """Conic with binary-form coefficients tracing the osculating conic.
+    """The osculating conic along the curve, as binary-form coefficients.
 
     Its six coefficients are the signed 5x5 minors of the fourth-order
-    partials of the Veronese products.  Without ``at``, the result is a
-    polynomial in (x, y, z, s, t): a conic in the first three variables
-    whose coefficients are forms of degree 10d-20 in the last two.  With
-    ``at``, the partials are evaluated first (evaluation commutes with the
-    determinant) and the minors are taken over the rationals; the conic is
+    partials of the Veronese products.  Without ``at``, the result is those
+    six minors, forms of degree 10d-20 in (s, t), in ``CONIC_BASIS`` order.
+    With ``at``, the partials are evaluated first (evaluation commutes with
+    the determinant) and the minors are taken over the rationals; the conic is
     returned in canonical primitive form.  Only when that conic is zero are
     the symbolic minors built, to tell an identically zero family from one
     that vanishes at the parameter.
@@ -131,27 +127,15 @@ def osculating_conic_family(param: RationalParam, at=None):
     if at is not None:
         s0, t0 = Fraction(at[0]), Fraction(at[1])
         values = [[f.eval((s0, t0)) for f in row] for row in rows]
-        conic = MPoly(XYZ, dict(zip(CONIC_BASIS, laplace_minors(values))))
-        if not conic.is_zero():
-            return conic.canonical()
-    minors = laplace_minors(rows)
-    if all(m.is_zero() for m in minors):
+        osc = conic(laplace_minors(values))
+        if not osc.is_zero():
+            return osc.canonical()
+    minors = tuple(laplace_minors(rows))
+    if not any(minors):
         raise DegenerateParam("conic family is identically zero")
     if at is not None:
         raise DegenerateParam(f"conic family vanishes at ({s0} : {t0})")
-    terms = {}
-    for expo, minor in zip(CONIC_BASIS, minors):
-        for (es, et), c in minor.terms.items():
-            terms[expo + (es, et)] = c
-    return MPoly(XYZST, terms)
-
-
-def conic_coefficients(family: MPoly):
-    """Split a (x, y, z, s, t) conic family into {conic monomial: form in (s, t)}."""
-    out = {expo: {} for expo in CONIC_BASIS}
-    for expo, c in family.terms.items():
-        out[expo[:3]][expo[3:]] = c
-    return {expo: MPoly(ST, terms) for expo, terms in out.items()}
+    return minors
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ from sextactic.poly import (
     squarefree_decomp,
 )
 from sextactic.rational import (
-    conic_coefficients,
     conic_wronskian,
     intersection_orders,
     osculating_conic_family,
@@ -178,7 +177,7 @@ def test_criterion_04_osculating_conic():
 
 
 def test_criterion_05_conic_family_determinant():
-    co = conic_coefficients(osculating_conic_family(NODAL_PARAM))
+    co = dict(zip(CONIC_BASIS, osculating_conic_family(NODAL_PARAM)))
     known_x2 = 2 * S**10 + 5 * S**8 * T**2 + 60 * S**6 * T**4 + 45 * S**4 * T**6
     mine_x2 = co[(2, 0, 0)]
     lead = next(iter(known_x2.terms))

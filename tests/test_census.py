@@ -112,7 +112,6 @@ class TestCounts:
         rep = sextactic_count(quintic_profile())
         assert rep.s == 2
         assert rep.total == 30
-        assert rep.rational_form_agrees is True
 
     def test_binomial(self):
         assert sextactic_count(binomial_profile()).s == 0
@@ -124,7 +123,6 @@ class TestCounts:
         rep = sextactic_count(smooth_cubic_profile())
         assert rep.s == 27
         assert rep.total == 36
-        assert rep.rational_form_agrees is None  # genus 1: no rational form
 
     def test_inflection_counts(self):
         assert inflection_count(quartic_profile()) == 2
@@ -162,6 +160,15 @@ class TestIdentities:
         rep = intersection_identities(profile, 3)
         assert (rep.lhs2, rep.rhs2) == (84, 84)
         assert rep.rhs2 == 3 + 24 * 3 + 9  # s + 24*delta + cusp term
+
+    def test_cusp_without_delta_rejected(self):
+        # the genus is stated, so the profile builds without the cusp's delta;
+        # the identities need it, as the inflection count does
+        profile = CurveProfile.build(5, [PointRecord("cusp", 2, 3)], g=5)
+        with pytest.raises(CensusError, match="needs delta"):
+            inflection_count(profile)
+        with pytest.raises(CensusError, match="needs delta"):
+            intersection_identities(profile, 0)
 
 
 class TestPredictions:

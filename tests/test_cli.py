@@ -105,6 +105,22 @@ class TestExitCodes:
             f"error: BranchError: --ms expects a comma-separated integer list, got {ms!r}\n"
         )
 
+    @pytest.mark.parametrize(
+        "args,code,option",
+        [
+            (("--ms", "3,2", "--d", LONG + "x"), 2, "argument --d"),
+            (("--ms", "3,2", "--d", "5", "--l", "٥" * 6000), 2, "argument --l"),
+            (("--ms", "3," * 3000 + "x", "--d", "5"), 1, "--ms"),
+        ],
+    )
+    def test_check_lemma37_quotes_a_long_bad_argument_briefly(self, args, code, option):
+        # the head of the argument and its length, not the whole of it
+        r = run_cli("check-lemma37", *args)
+        assert r.returncode == code
+        assert len(r.stderr.encode()) < 1000
+        assert option in r.stderr
+        assert "characters)" in r.stderr
+
     def test_check_lemma37_blanks_around_integers(self):
         r = run_cli("check-lemma37", "--ms", " 3 , 2 ", "--d", " 5", "--format", "machine")
         assert r.returncode == 0

@@ -307,6 +307,27 @@ class TestOsculatingConic:
         conic = osculating_conic(NODAL_CUBIC, (-1, 0, 1))
         assert conic == 2 * X**2 + Y**2 + Z**2 + 3 * X * Z
 
+    def test_no_polynomial_product_outside_hessian(self, monkeypatch):
+        # with the Hessian bundle precomputed, the conic is assembled from
+        # rationals as a 6-vector: no MPoly is multiplied
+        from sextactic import differential
+
+        bundle = hessian(NODAL_CUBIC)
+        point = (-1, 0, 1)
+        products = []
+        mul = MPoly.__mul__
+
+        def spy(self, other):
+            products.append((self, other))
+            return mul(self, other)
+
+        monkeypatch.setattr(differential, "hessian", lambda F: bundle)
+        monkeypatch.setattr(MPoly, "__mul__", spy)
+        monkeypatch.setattr(MPoly, "__rmul__", spy)
+        conic = osculating_conic(NODAL_CUBIC, point)
+        assert products == []
+        assert conic == 2 * X**2 + Y**2 + Z**2 + 3 * X * Z
+
 
 def symbolic_osculating_conic(bundle, point, grads, h_at):
     """The osculating conic from the covariants evaluated at the point."""

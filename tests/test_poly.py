@@ -279,9 +279,10 @@ class TestKernelProduct:
             f, g = dense(vs, d), dense(vs, d + 1)
             assert len(f.terms) * len(g.terms) >= poly._PACK_MIN_PAIRS
             assert assert_product(f, g)
-        # not homogeneous: one radix per variable
-        assert assert_product(dense(XYZ, box=3), dense(XYZ, box=2) + X**5)
-        assert assert_product(dense(("x",), box=12), dense(("x",), box=9))
+        # only binary and ternary forms pack: a mixed-degree ternary operand
+        # and a univariate one take the tuple-adding loop
+        assert not assert_product(dense(XYZ, box=3), dense(XYZ, box=2) + X**5)
+        assert not assert_product(dense(("x",), box=12), dense(("x",), box=9))
 
     def test_short_operands_loop(self):
         # one- and two-term operands never pay for the kernel
@@ -319,6 +320,9 @@ class TestKernelProduct:
         g = MPoly(("x", "y"), {(i, e): 1 - i for i, e in enumerate(spread)})
         assert poly._packed_mul(f.terms, g.terms, 2) is None
         assert not assert_product(f, g)
+        k = MPoly(ST, {(e, 10**6 - e): i + 1 for i, e in enumerate(spread)})
+        assert poly._packed_mul(k.terms, k.terms, 2) is None
+        assert not assert_product(k, k)
         h = MPoly(XYZ, {(e, 0, 10**6 - e): i + 1 for i, e in enumerate(spread)})
         assert not assert_product(h, h)
 
@@ -415,6 +419,20 @@ class TestVeronese:
         u, v, w = 2, Fraction(1, 3), -5
         want = [u**a * v**b * w**c for a, b, c in CONIC_BASIS]
         assert list(veronese(u, v, w)) == want
+
+    def test_conic_is_dual_to_veronese(self):
+        rng = random.Random("conic")
+
+        def rational():
+            return rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+
+        for _ in range(40):
+            six = [rational() for _ in CONIC_BASIS]
+            p = [rational() for _ in XYZ]
+            c = poly.conic(six)
+            assert c.variables == XYZ
+            assert c.eval(p) == sum(a * m for a, m in zip(six, veronese(*p)))
+        assert poly.conic([0] * 6).is_zero()
 
 
 class TestDeterminant:

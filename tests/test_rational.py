@@ -8,11 +8,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from poly_reference import det_bareiss
-from sextactic import cli, rational
+from sextactic import cli, poly, rational
 from sextactic.branch import weight2
 from sextactic.differential import hessian, second_hessian
 from sextactic.parse import parse_param, parse_poly
 from sextactic.poly import (
+    CONIC_BASIS,
     ST,
     XYZ,
     MPoly,
@@ -27,7 +28,6 @@ from sextactic.rational import (
     RationalError,
     RationalParam,
     ZeroPullback,
-    conic_coefficients,
     conic_wronskian,
     intersection_orders,
     local_branch_at,
@@ -83,7 +83,7 @@ class TestConicFamily:
         # all six coefficient forms of the nodal-cubic family agree with the
         # known expansion up to a single common scalar
         param = parse_param(NODAL_PARAM)
-        co = conic_coefficients(osculating_conic_family(param))
+        co = dict(zip(CONIC_BASIS, osculating_conic_family(param)))
         known = {
             (2, 0, 0): 2 * S**10 + 5 * S**8 * T**2 + 60 * S**6 * T**4 + 45 * S**4 * T**6,
             (0, 2, 0): S**10 + 10 * S**8 * T**2 + 5 * S**6 * T**4,
@@ -131,7 +131,27 @@ class TestConicFamily:
         param = parse_param("(s^3 : s*t^2 : t^3)")
         with pytest.raises(DegenerateParam, match=r"^conic family vanishes at \(1 : 0\)$"):
             osculating_conic_family(param, at=(1, 0))
-        assert not osculating_conic_family(param).is_zero()
+        assert any(osculating_conic_family(param))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_family_is_six_forms_read_through_conic(self, seed):
+        # six forms of degree 10d-20 in CONIC_BASIS order; their values at a
+        # parameter, as a conic, are the evaluate-first conic there
+        rng = random.Random(seed)
+        for text in (NODAL_PARAM, QUARTIC_PARAM, QUINTIC_PARAM):
+            param = parse_param(text)
+            family = osculating_conic_family(param)
+            assert isinstance(family, tuple) and len(family) == len(CONIC_BASIS)
+            for form in family:
+                assert form.variables == ST
+                assert form.is_zero() or form.homogeneous_degree() == 10 * param.degree - 20
+            while True:
+                at = (rng.randint(-9, 9), rng.randint(1, 9))
+                values = [form.eval(at) for form in family]
+                if any(values):
+                    break
+            want = poly.conic(values).canonical()
+            assert osculating_conic_family(param, at=at) == want
 
 
 class TestWronskian:
@@ -386,7 +406,7 @@ def check_evaluated_conic(param, at):
         with pytest.raises(DegenerateParam, match="identically zero"):
             osculating_conic_family(param, at=at)
         return
-    co = conic_coefficients(family)
+    co = dict(zip(CONIC_BASIS, family))
     conic = MPoly(XYZ, {expo: form.eval(at) for expo, form in co.items()})
     if conic.is_zero():
         with pytest.raises(DegenerateParam, match="vanishes at"):
