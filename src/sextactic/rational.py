@@ -16,13 +16,16 @@ from .branch import BranchParam
 from .poly import (
     ST,
     MPoly,
-    PolyMatrix,
+    VariableSetMismatch,
     binaryform_gcd,
     conic,
+    digit_width,
+    form_at,
     laplace_minors,
     linear_factor_orders,
     primitive_ints,
     projective_ints,
+    read_form,
     split_linear_factors,
     squarefree_decomp,
     veronese,
@@ -109,6 +112,27 @@ def _derivative_rows(forms, order: int):
     return rows
 
 
+def _l1(f: MPoly):
+    return sum(map(abs, f.terms.values()))
+
+
+def _evaluated_rows(rows):
+    """(w, rows at (s, t) = (2^(8w), 1)) for k rows of integer binary forms.
+
+    A k x k minor of the rows is a sum of k! products of one entry per row,
+    so every coefficient of one is at most k! times the product over the rows
+    of the largest l1-norm of an entry; w makes that bound, and every entry's
+    coefficients, fit a signed digit, so such a minor over the integers reads
+    back with ``read_form``.
+    """
+    norms = [max(map(_l1, row)) for row in rows]
+    bound = 1
+    for k, n in enumerate(norms, 1):
+        bound *= k * n
+    w = digit_width(max(bound, *norms))
+    return w, [[form_at(f, w) for f in row] for row in rows]
+
+
 def osculating_conic_family(param: RationalParam, at=None):
     """The osculating conic along the curve, as binary-form coefficients.
 
@@ -130,7 +154,9 @@ def osculating_conic_family(param: RationalParam, at=None):
         osc = conic(laplace_minors(values))
         if not osc.is_zero():
             return osc.canonical()
-    minors = tuple(laplace_minors(rows))
+    w, ints = _evaluated_rows(rows)
+    degree = 10 * param.degree - 20
+    minors = tuple(read_form(m, w, degree) for m in laplace_minors(ints))
     if not any(minors):
         raise DegenerateParam("conic family is identically zero")
     if at is not None:
@@ -171,8 +197,8 @@ def conic_wronskian(param: RationalParam) -> WeierstrassScan:
     """
     if param.degree < 3:
         raise RationalError(f"need degree >= 3, got {param.degree}")
-    rows = _derivative_rows(param.veronese(), 5)
-    xi = PolyMatrix(rows).det()
+    w, (top, *rest) = _evaluated_rows(_derivative_rows(param.veronese(), 5))
+    xi = read_form(sum(e * m for e, m in zip(top, laplace_minors(rest))), w, 12 * param.degree - 30)
     if xi.is_zero():
         raise DegenerateParam("Wronskian vanishes identically")
     content, factors = squarefree_decomp(xi)
@@ -212,11 +238,52 @@ def weights_from_xi(scan: WeierstrassScan, param: RationalParam):
     return tuple(out)
 
 
+def _horner(rows, degree, x, y, z):
+    """G(x, y, z) for the ternary form G of the given degree whose
+    coefficient of x^a y^b z^(degree-a-b) is rows[a][b]: Horner in x over
+    the rows, and in y within a row, with the powers of z cached."""
+    zs = [1]
+    for _ in range(degree):
+        zs.append(zs[-1] * z)
+    acc = 0
+    for a in range(degree, -1, -1):
+        row = rows.get(a)
+        inner = 0
+        if row:
+            m = degree - a
+            for b in range(max(row), -1, -1):
+                c = row.get(b)
+                inner = inner * y + c * zs[m - b] if c else inner * y
+        acc = acc * x + inner
+    return acc
+
+
 def pullback(G: MPoly, param: RationalParam) -> MPoly:
-    """Restriction G(phi0, phi1, phi2); zero when the curve divides G."""
+    """Restriction G(phi0, phi1, phi2); zero when the curve divides G.
+
+    With G = scale * (a primitive integer form), the integer form is
+    evaluated at (s, t) = (2^(8w), 1) over the integers.  Its pullback has
+    every coefficient at most sum |c| * prod ||phi_i||_1^e_i over its terms
+    c x^e, and w makes that bound, and every coefficient of phi, fit a signed
+    digit.
+    """
     if not G.is_homogeneous():
         raise RationalError("pullback needs a homogeneous polynomial")
-    return G.compose(param.phi)
+    if len(G.variables) != 3:
+        raise VariableSetMismatch(f"expected {len(G.variables)} images, got 3")
+    if not G.terms:
+        return MPoly.zero(ST)
+    ints, scale = primitive_ints(G.terms.values())
+    rows, abs_rows = {}, {}
+    for (a, b, _), c in zip(G.terms, ints):
+        rows.setdefault(a, {})[b] = c
+        abs_rows.setdefault(a, {})[b] = abs(c)
+    degree = G.degree()
+    norms = [_l1(p) for p in param.phi]
+    w = digit_width(max(_horner(abs_rows, degree, *norms), *norms))
+    value = _horner(rows, degree, *[form_at(p, w) for p in param.phi])
+    pb = read_form(value, w, degree * param.degree)
+    return pb if scale == 1 else pb * scale
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,15 @@ from sextactic.poly import (
     VariableSetMismatch,
     ZeroFormError,
     binaryform_gcd,
+    digit_width,
     exact_div,
+    form_at,
     laplace_minors,
     linear_factor_orders,
     linear_root_form,
     primitive_ints,
     projective_ints,
+    read_form,
     split_linear_factors,
     squarefree_decomp,
     veronese,
@@ -648,6 +651,128 @@ class TestSquarefree:
         monkeypatch.setattr(poly, "_u_squarefree", lambda u: [(u, 2)])
         with pytest.raises(AssertionError):
             squarefree_decomp((S + T) * (S + 2 * T))
+
+
+def dense_list(f):
+    """The dense integer list of a nonzero primitive-content-free form, as the
+    ``_u_*`` helpers see it."""
+    return poly._dense(f)[0]
+
+
+class TestCoprimeCertificate:
+    """``_u_gcd`` answers coprime operands from a gcd modulo a prime and
+    leaves the rest to the primitive PRS, kept as ``_u_prs_gcd``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(binary_forms(), binary_forms())
+    def test_matches_bare_prs(self, f, g):
+        a, b = dense_list(f), dense_list(g)
+        assert poly._u_gcd(a, b) == poly._u_prs_gcd(a, b)
+        assert poly._u_gcd(b, a) == poly._u_prs_gcd(b, a)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(binary_forms())
+    def test_matches_bare_prs_on_the_derivative(self, f):
+        # Yun's first gcd: repeated factors make it nontrivial
+        u = dense_list(f)
+        d = poly._u_deriv(u)
+        assert poly._u_gcd(u, d) == poly._u_prs_gcd(u, d)
+
+    def test_repeated_factor_is_not_certified(self):
+        u = dense_list((S + 2 * T) ** 3 * (S - T))
+        assert not poly._u_coprime_mod_p(u, poly._u_deriv(u))
+        assert poly._u_gcd(u, poly._u_deriv(u)) == dense_list((S + 2 * T) ** 2)
+
+    def test_constants_and_zero(self):
+        assert poly._u_gcd([5], [0]) == [1]
+        assert poly._u_gcd([0], [3, 1]) == [3, 1]
+        assert poly._u_gcd([2, 4], [6]) == [1]
+
+    def spy_prs(self, monkeypatch):
+        calls = []
+        prs = poly._u_prs_gcd
+
+        def spy(a, b):
+            calls.append((a, b))
+            return prs(a, b)
+
+        monkeypatch.setattr(poly, "_u_prs_gcd", spy)
+        return calls
+
+    def test_coprime_operands_skip_the_prs(self, monkeypatch):
+        calls = self.spy_prs(monkeypatch)
+        assert poly._u_gcd([1, 2, 3], [5, 0, 7]) == [1]
+        assert calls == []
+
+    def test_prime_dividing_one_leading_coefficient_uses_the_other(self, monkeypatch):
+        calls = self.spy_prs(monkeypatch)
+        p = poly._GCD_PRIMES[0]
+        assert poly._u_gcd([1, 2, p], [3, 1]) == [1]
+        assert calls == []
+
+    def test_next_prime_when_the_first_divides_both(self, monkeypatch):
+        calls = self.spy_prs(monkeypatch)
+        p = poly._GCD_PRIMES[0]
+        assert poly._u_gcd([1, 2, p], [3, 2 * p]) == [1]
+        assert calls == []
+
+    def test_fallback_when_every_prime_divides_both_leads(self, monkeypatch):
+        calls = self.spy_prs(monkeypatch)
+        lead = 1
+        for p in poly._GCD_PRIMES:
+            lead *= p
+        a, b = [1, 0, lead], [3, lead]
+        assert not poly._u_coprime_mod_p(a, b)
+        assert poly._u_gcd(a, b) == [1]
+        assert calls == [(a, b)]
+
+    def test_prime_divides_the_leading_coefficient_of_a_common_factor(self):
+        # modulo the first prime, (p*s + t) drops to t; both leading
+        # coefficients are multiples of p, so the certificate takes the next
+        # prime, sees the common factor there and leaves the gcd to the PRS
+        p = poly._GCD_PRIMES[0]
+        h = p * S + T
+        f, g = h * (S + 2 * T), h * (S - 3 * T) ** 2
+        assert binaryform_gcd(f, g) == h
+        _, factors = squarefree_decomp(h**2 * (S - 3 * T))
+        assert (h, 2) in factors and (S - 3 * T, 1) in factors
+
+
+class TestKroneckerEvaluation:
+    """Binary forms as integers at (s, t) = (2^(8w), 1) and back."""
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 13])
+    def test_width_edges(self, w):
+        edge = 2 ** (8 * w - 1) - 1
+        assert digit_width(edge) == w
+        assert digit_width(edge + 1) > w
+
+    def test_width_rounds_to_machine_words(self):
+        assert [digit_width(2 ** (8 * k - 1)) for k in range(1, 10)] == [2, 4, 4, 8, 8, 8, 8, 9, 10]
+        assert digit_width(0) == 1
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 13])
+    @pytest.mark.parametrize("n", [3, 40, 150])
+    def test_round_trip_at_the_edge(self, w, n):
+        edge = 2 ** (8 * w - 1) - 1
+        rng = random.Random(w * 1000 + n)
+        coeffs = [rng.choice([edge, -edge, 0, 1, -1, rng.randint(-edge, edge)]) for _ in range(n + 1)]
+        coeffs[-1] = -edge  # a negative leading digit
+        f = MPoly(ST, {(i, n - i): c for i, c in enumerate(coeffs)})
+        assert read_form(form_at(f, w), w, n) == f
+
+    def test_forms_divisible_by_s_or_t(self):
+        for f in (S**3 * T**2 * (S - T), -(T**6), S**5, 7 * S * T**4):
+            w = digit_width(max(abs(c) for c in f.terms.values()))
+            assert read_form(form_at(f, w), w, f.degree()) == f
+
+    def test_zero(self):
+        assert form_at(MPoly.zero(ST), 1) == 0
+        assert read_form(0, 4, 7).is_zero()
+
+    def test_value_is_the_form_at_a_power_of_two(self):
+        f = 3 * S**2 - 5 * S * T + T**2
+        assert form_at(f, 2) == f.eval((2**16, 1))
 
 
 class TestLinearFactorOrders:

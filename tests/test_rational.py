@@ -20,6 +20,7 @@ from sextactic.poly import (
     PolyMatrix,
     laplace_minors,
     projective_ints,
+    read_form,
     squarefree_decomp,
 )
 from sextactic.rational import (
@@ -490,3 +491,136 @@ class TestDeterminantPath:
             osculating_conic_family(param, at=(1, 2))
         with pytest.raises(DegenerateParam):
             osculating_conic_family(parse_param("(s^3 : s*t^2 : t^3)"), at=(1, 0))
+
+
+# -- binary forms evaluated at s = 2^(8w): family, Wronskian, pullback -------
+
+
+def integer_minors(rows, degree):
+    """``laplace_minors`` of integer binary-form rows taken over the integers
+    at s = 2^(8w) and read back, as ``osculating_conic_family`` does."""
+    w, ints = rational._evaluated_rows(rows)
+    return [read_form(m, w, degree) for m in laplace_minors(ints)]
+
+
+@st.composite
+def ternary_forms(draw, degree):
+    """A homogeneous ternary form with small rational coefficients."""
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    monomials = [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    chosen = draw(st.lists(st.sampled_from(monomials), max_size=12, unique=True))
+    return MPoly(XYZ, {e: draw(coeff) for e in chosen})
+
+
+class TestKroneckerEvaluation:
+    @DEGREES
+    @CHECK
+    @given(data=st.data())
+    def test_family_matches_minors_of_polynomial_rows(self, d, data):
+        param = data.draw(coprime_params(d))
+        want = tuple(laplace_minors(rational._derivative_rows(param.veronese(), 4)))
+        if not any(want):
+            with pytest.raises(DegenerateParam):
+                osculating_conic_family(param)
+        else:
+            assert osculating_conic_family(param) == want
+
+    @DEGREES
+    @CHECK
+    @given(data=st.data())
+    def test_wronskian_matches_polynomial_determinant(self, d, data):
+        param = data.draw(coprime_params(d))
+        want = PolyMatrix(rational._derivative_rows(param.veronese(), 5)).det()
+        if want.is_zero():
+            with pytest.raises(DegenerateParam):
+                conic_wronskian(param)
+        else:
+            assert conic_wronskian(param).xi == want
+
+    @pytest.mark.parametrize("degree", range(7))
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_pullback_matches_compose(self, degree, data):
+        G = data.draw(ternary_forms(degree))
+        param = data.draw(coprime_params(data.draw(st.integers(3, 6))))
+        assert pullback(G, param) == G.compose(param.phi)
+
+    def test_zero_minor_and_a_cancelling_slot(self):
+        # columns 0 and 1 agree, so every minor keeping both is zero
+        rows = [[S + T, S + T, T, S], [S - T, S - T, S, T], [S, S, T, 2 * S]]
+        got = integer_minors(rows, 3)
+        assert got == laplace_minors(rows)
+        assert got[2].is_zero() and got[3].is_zero() and not got[0].is_zero()
+        # the minor without column 2 is (s+t)*s - t*(s-t) = s^2 + t^2, whose
+        # s*t slot cancels
+        rows = [[S + T, T, S], [S - T, S, T]]
+        got = integer_minors(rows, 2)
+        assert got == laplace_minors(rows)
+        assert got[2] == S**2 + T**2
+
+    def test_minors_with_negative_leading_digits(self):
+        rows = [[-(S**2) - 7 * T**2, 3 * S * T, -5 * S**2], [S - 2 * T, -S, 4 * T]]
+        assert integer_minors(rows, 3) == laplace_minors(rows)
+
+    def test_minor_at_the_bound(self):
+        # the bound 2! * 129 * 127 = 32766 is met by the minor without column
+        # 2, 129 s * 127 s + 129 s * 127 s, one below the 2-byte limit
+        rows = [[129 * S, 129 * S, T], [-127 * S, 127 * S, T]]
+        w, _ = rational._evaluated_rows(rows)
+        assert w == 2
+        got = integer_minors(rows, 2)
+        assert got == laplace_minors(rows)
+        assert got[2] == 32766 * S**2
+
+    def test_zero_row(self):
+        rows = [[MPoly.zero(ST)] * 3, [200 * S**2, S * T, T**2]]
+        assert integer_minors(rows, 2) == [MPoly.zero(ST)] * 3
+
+    @pytest.mark.parametrize("c, w", [(127, 1), (128, 2), (2**15 - 1, 2), (2**15, 4)])
+    def test_pullback_coefficient_at_the_edge_of_the_width(self, c, w):
+        # G = x pulls back to phi0 = c * s^3; the bound is c itself
+        param = RationalParam(c * S**3, T**3, S**3 + T**3)
+        assert poly.digit_width(c) == w
+        assert pullback(X, param) == c * S**3
+        assert pullback(X * Y - Z**2, param) == X.compose(param.phi) * T**3 - (S**3 + T**3) ** 2
+
+    def test_pullback_along_forms_divisible_by_s_or_t(self):
+        for text in (BINOMIAL_PARAM, QUINTIC_PARAM, "(s^4 : s*t^3 : t^4 - s^2*t^2)"):
+            param = parse_param(text)
+            for G in (X**3, X * Y * Z, Y**2 - Fraction(1, 3) * X * Z, Z):
+                assert pullback(G, param) == G.compose(param.phi)
+
+    def test_pullback_constant_and_zero(self):
+        param = parse_param(NODAL_PARAM)
+        assert pullback(MPoly.constant(XYZ, Fraction(-3, 4)), param) == MPoly.constant(ST, Fraction(-3, 4))
+        assert pullback(MPoly.zero(XYZ), param) == MPoly.zero(ST)
+
+    def test_pullback_keeps_its_errors(self):
+        param = parse_param(NODAL_PARAM)
+        with pytest.raises(RationalError, match="homogeneous"):
+            pullback(X + Y**2, param)
+        with pytest.raises(poly.VariableSetMismatch):
+            pullback(MPoly.variable(ST, "s"), param)
+
+    def test_wronskian_never_reaches_polymatrix_det(self, monkeypatch):
+        def no_det(self):
+            raise AssertionError("PolyMatrix.det reached")
+
+        monkeypatch.setattr(PolyMatrix, "det", no_det)
+        for text in (NODAL_PARAM, QUARTIC_PARAM, QUINTIC_PARAM, BINOMIAL_PARAM):
+            param = parse_param(text)
+            assert conic_wronskian(param).total == 6 * (2 * param.degree - 5)
+        assert cli.main(["wronski", "--param", QUINTIC_PARAM]) == 0
+
+    def test_pullback_never_reaches_compose(self, monkeypatch):
+        G = second_hessian(parse_poly("x^4 - x^3*y + y^3*z"))
+        param = parse_param(QUARTIC_PARAM)
+        want = G.compose(param.phi)
+
+        def no_compose(self, images):
+            raise AssertionError("MPoly.compose reached")
+
+        monkeypatch.setattr(MPoly, "compose", no_compose)
+        assert pullback(G, param) == want
+        argv = ["orders", "--param", QUARTIC_PARAM, "--poly", "x*y - z^2", "--at", "(1:0)"]
+        assert cli.main(argv) == 0
