@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import XYZ, MPoly, PolyMatrix, conic, veronese
+from .poly import XYZ, MPoly, TernaryForm, _denominator, conic, veronese
 
 
 class DifferentialError(ValueError):
@@ -53,7 +53,9 @@ class HessianBundle:
 
     The symmetric matrices hess_f, hess_h and adj_f are 6-vectors of their
     entries (a, b, c, f, g, h) in ``CONIC_BASIS`` order; grad_f and grad_h
-    are the first partials in x, y, z.
+    are the first partials in x, y, z.  ``hessian`` fills the fields with
+    ``MPoly`` forms; ``_hessian_chain`` fills the same fields with the
+    ``TernaryForm`` data of lam * F, which every entry point computes on.
     """
 
     F: MPoly
@@ -98,14 +100,22 @@ def _adjugate(m):
     )
 
 
-def hessian(F: MPoly) -> HessianBundle:
-    """Hessian determinant and matrices of a form of degree >= 3."""
+def _hessian_chain(F: MPoly):
+    """(lam, bundle) for a form F of degree >= 3, lam the least common
+    denominator of F's coefficients and the bundle that of lam * F, on
+    integer ``TernaryForm``s.
+
+    The bundle's data scale as powers of lam: grad_f and hess_f by lam,
+    adj_f by lam^2, H, grad_h and hess_h by lam^3.
+    """
     if F.variables != XYZ:
         raise DifferentialError(f"expected a polynomial in {XYZ}")
     d = F.homogeneous_degree()  # raises NotHomogeneous on mixed degrees
     if d is None or d < 3:
         raise DegreeTooSmall(f"need a form of degree >= 3, got degree {d}")
-    grad_f, hess_f = _derivatives(F)
+    lam = _denominator(F.terms.values())
+    f = TernaryForm.of(F.terms, d, lam)
+    grad_f, hess_f = _derivatives(f)
     adj_f = _adjugate(hess_f)
     # expand det(hess_f) along its first row; the cofactors are the first
     # column of the adjugate
@@ -113,7 +123,20 @@ def hessian(F: MPoly) -> HessianBundle:
     A, _, _, _, Gq, Hq = adj_f
     H = a * A + h * Hq + g * Gq
     grad_h, hess_h = _derivatives(H)
-    return HessianBundle(F, d, H, hess_f, hess_h, adj_f, grad_f, grad_h)
+    return lam, HessianBundle(f, d, H, hess_f, hess_h, adj_f, grad_f, grad_h)
+
+
+def hessian(F: MPoly) -> HessianBundle:
+    """Hessian determinant and matrices of a form of degree >= 3."""
+    lam, b = _hessian_chain(F)
+
+    def out(forms, k):
+        return tuple(p.mpoly(lam**k) for p in forms)
+
+    return HessianBundle(
+        F, b.d, b.H.mpoly(lam**3), out(b.hess_f, 1), out(b.hess_h, 3),
+        out(b.adj_f, 2), out(b.grad_f, 1), out(b.grad_h, 3),
+    )
 
 
 def _paired_trace(adj6, hess6):
@@ -127,34 +150,42 @@ def _paired_trace(adj6, hess6):
 def covariants(bundle: HessianBundle) -> CovariantSet:
     """All first-order covariants entering the excess-contact determinants.
 
+    The bundle's adj_f, and its hess_h with grad_h, are taken over their
+    common denominators mu and nu as ``TernaryForm``s; the trace covariant
+    and its splittings come back over mu * nu, the gradient form over
+    mu * nu^2.
+    """
+    d = bundle.d
+    mu = _denominator(c for p in bundle.adj_f for c in p.terms.values())
+    nu = _denominator(c for p in bundle.hess_h + bundle.grad_h for c in p.terms.values())
+    cov = _covariants(
+        [TernaryForm.of(p.terms, 2 * d - 4, mu) for p in bundle.adj_f],
+        [TernaryForm.of(p.terms, 3 * d - 8, nu) for p in bundle.hess_h],
+        [TernaryForm.of(p.terms, 3 * d - 7, nu) for p in bundle.grad_h],
+    )
+    s = mu * nu
+    return CovariantSet(
+        cov.trace_product.mpoly(s),
+        tuple(p.mpoly(s) for p in cov.trace_grad_adj),
+        tuple(p.mpoly(s) for p in cov.trace_grad_hess),
+        cov.gradient_form.mpoly(s * nu),
+    )
+
+
+def _covariants(adj_f, hess_h, grad_h) -> CovariantSet:
+    """The covariants from the adjugate of hess_F and the partials of H.
+
     ``trace_grad_hess`` is built from its definition, sum adj_f * d_v(hess_H);
     ``trace_grad_adj`` is derived as ``d_v(trace) - trace_grad_hess[v]`` by
     the product rule, which saves the products of d_v(adj_f) with hess_H.
     """
-    adj_f = bundle.adj_f
-    trace = _paired_trace(adj_f, bundle.hess_h)
+    trace = _paired_trace(adj_f, hess_h)
     grad_hess = tuple(
-        _paired_trace(adj_f, [p.partial(v) for p in bundle.hess_h]) for v in XYZ
+        _paired_trace(adj_f, [p.partial(v) for p in hess_h]) for v in XYZ
     )
     grad_adj = tuple(trace.partial(v) - g for v, g in zip(XYZ, grad_hess))
-    gradient_form = _paired_trace(adj_f, veronese(*bundle.grad_h))
+    gradient_form = _paired_trace(adj_f, veronese(*grad_h))
     return CovariantSet(trace, grad_adj, grad_hess, gradient_form)
-
-
-def gradient_form_bordered(bundle: HessianBundle) -> MPoly:
-    """The gradient form as minus the bordered 4x4 determinant (cross-check)."""
-    hx, hy, hz = bundle.grad_h
-    zero = MPoly.zero(XYZ)
-    a, b, c, f, g, h = bundle.hess_f
-    m = PolyMatrix(
-        [
-            [zero, hx, hy, hz],
-            [hx, a, h, g],
-            [hy, h, b, f],
-            [hz, g, f, c],
-        ]
-    )
-    return -m.det()
 
 
 def second_hessian(F: MPoly, variant: str = "corrected") -> MPoly:
@@ -168,12 +199,12 @@ def second_hessian(F: MPoly, variant: str = "corrected") -> MPoly:
     if variant not in VARIANTS:
         raise DifferentialError(f"variant must be one of {VARIANTS}")
     kappa = 20 if variant == "corrected" else 40
-    bundle = hessian(F)
+    lam, bundle = _hessian_chain(F)
     if bundle.H.is_zero():
         raise HessianVanishes(
             "the Hessian vanishes identically; no excess-contact covariant exists"
         )
-    cov = covariants(bundle)
+    cov = _covariants(bundle.adj_f, bundle.hess_h, bundle.grad_h)
     d = bundle.d
     H = bundle.H
     # The three Jacobians det(grad F, grad H, r) share their first two rows,
@@ -188,7 +219,9 @@ def second_hessian(F: MPoly, variant: str = "corrected") -> MPoly:
         cov.trace_grad_adj, cov.trace_grad_hess, cov.gradient_form.grad()
     )
     combined = (H * (alpha * ta + beta * th) - gamma * g for ta, th, g in rows)
-    return sum((c * r for c, r in zip(cross, combined)), MPoly.zero(XYZ))
+    jx, jy, jz = (c * r for c, r in zip(cross, combined))
+    # the formula is of degree 12 in F's coefficients
+    return (jx + jy + jz).mpoly(lam**12)
 
 
 def osculating_conic(F: MPoly, p) -> MPoly:
@@ -198,7 +231,11 @@ def osculating_conic(F: MPoly, p) -> MPoly:
     The covariants enter only through their values at p, so the Hessian
     matrices are evaluated first: the trace covariant is the paired trace
     of adj_f(p) and hess_H(p), and the gradient form is grad H(p) paired
-    with adj_f(p).  ``covariants`` is never built here.
+    with adj_f(p).  ``covariants`` is never built here.  Every value is an
+    integer: the bundle is that of lam * F, taken at p over the common
+    denominator of its coordinates.  The conic is homogeneous of degree 1
+    in lam and of degree d - 2 in the point, so neither scale changes it
+    once it is made primitive.
     """
     try:
         point = tuple(Fraction(v) for v in p)
@@ -206,30 +243,30 @@ def osculating_conic(F: MPoly, p) -> MPoly:
         raise IrrationalPoint(f"point coordinates must be rational: {p!r}") from None
     if len(point) != 3 or not any(point):
         raise DifferentialError(f"need a projective point, got {p!r}")
-    bundle = hessian(F)
+    bundle = _hessian_chain(F)[1]
     shown = "(" + " : ".join(map(str, point)) + ")"
-    if F.eval(point) != 0:
+    den = _denominator(point)
+    at = [v.numerator * (den // v.denominator) for v in point]
+    if bundle.F.at(at) != 0:
         raise PointNotOnCurve(f"F does not vanish at {shown}")
-    grads = [g.eval(point) for g in bundle.grad_f]
+    grads = [g.at(at) for g in bundle.grad_f]
     if not any(grads):
         raise SingularPoint(f"the curve is singular at {shown}")
-    h_at = bundle.H.eval(point)
+    h_at = bundle.H.at(at)
     if h_at == 0:
         raise InflectionPoint(f"the Hessian vanishes at {shown}")
-    adj6 = [q.eval(point) for q in bundle.adj_f]
-    hess6 = [q.eval(point) for q in bundle.hess_h]
-    dh = [g.eval(point) for g in bundle.grad_h]
-    lam = Fraction(
-        -3 * _paired_trace(adj6, hess6) * h_at + 4 * _paired_trace(adj6, veronese(*dh)),
-        9 * Fraction(h_at) ** 3,
-    )
-    # conic = d2f - (dh * 2/(3H) + df * lam) * df, with d2f the Hessian form
-    # at p and df, dh the tangent forms of F and H; the product of two linear
-    # forms l and g has l_i g_i on the squares and l_j g_k + l_k g_j on yz, xz, xy
-    k = Fraction(2, 3 * h_at)
-    l0, l1, l2 = (k * hv + lam * fv for hv, fv in zip(dh, grads))
+    adj6 = [q.at(at) for q in bundle.adj_f]
+    hess6 = [q.at(at) for q in bundle.hess_h]
+    dh = [g.at(at) for g in bundle.grad_h]
+    n = -3 * _paired_trace(adj6, hess6) * h_at + 4 * _paired_trace(adj6, veronese(*dh))
+    # conic = d2f - (dh * 2/(3H) + df * n/(9H^3)) * df, with d2f the Hessian
+    # form at p and df, dh the tangent forms of F and H, here times 9H^3;
+    # the product of two linear forms l and g has l_i g_i on the squares and
+    # l_j g_k + l_k g_j on yz, xz, xy
+    s = 9 * h_at**3
+    l0, l1, l2 = (6 * h_at * h_at * hv + n * fv for hv, fv in zip(dh, grads))
     g0, g1, g2 = grads
-    a, b, c, f, g, h = (q.eval(point) for q in bundle.hess_f)
+    a, b, c, f, g, h = (s * q.at(at) for q in bundle.hess_f)
     return conic((
         a - l0 * g0, b - l1 * g1, c - l2 * g2,
         2 * f - l1 * g2 - l2 * g1, 2 * g - l0 * g2 - l2 * g0, 2 * h - l0 * g1 - l1 * g0,

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from cli_child import run_cli
-from poly_reference import matmul, sym3
+from poly_reference import gradient_form_bordered, matmul, sym3
 from sextactic.branch import (
     CONIC_BASIS,
     TruncationInsufficient,
@@ -27,7 +27,6 @@ from sextactic.census import (
 )
 from sextactic.differential import (
     covariants,
-    gradient_form_bordered,
     hessian,
     osculating_conic,
     second_hessian,

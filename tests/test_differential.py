@@ -4,21 +4,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poly_reference import matmul, sym3
+from poly_reference import (
+    covariants_reference,
+    gradient_form_bordered,
+    hessian_reference,
+    matmul,
+    second_hessian_reference,
+    sym3,
+)
 from sextactic.differential import (
+    VARIANTS,
     DegreeTooSmall,
     HessianVanishes,
     InflectionPoint,
     PointNotOnCurve,
     SingularPoint,
     covariants,
-    gradient_form_bordered,
     hessian,
     osculating_conic,
     second_hessian,
 )
-from sextactic.poly import XYZ, MPoly, NotHomogeneous, PolyMatrix
+from sextactic.poly import XYZ, MPoly, NotHomogeneous, PolyMatrix, TernaryForm
 from sextactic.rational import linear_factor_orders, pullback
 from sextactic.parse import parse_param
 
@@ -100,19 +109,117 @@ class TestHessian:
                     assert prod.entries[i][j] == want
 
 
+# (coefficients, highest degree, most terms): each kind up to the size its
+# MPoly reference finishes in about a tenth of a second
+COEFFICIENTS = {
+    "int": (st.integers(-9, 9), 7, 12),
+    "fraction": (st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)), 7, 5),
+    "huge": (
+        st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([2**70, -(2**70), 2**70 - 1])),
+        5,
+        5,
+    ),
+}
+
+
+@st.composite
+def plane_curves(draw):
+    """A nonzero form of degree 3..7 on a subset of its monomials, with
+    small, mixed-denominator or 70-bit coefficients."""
+    coeffs, top, most = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    d = draw(st.integers(3, top))
+    monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=most, unique=True))
+    terms = {e: draw(coeffs) for e in chosen}
+    if not any(terms.values()):
+        terms[chosen[0]] = 1
+    return MPoly(XYZ, terms)
+
+
+def assert_chain_matches_reference(f, variants=VARIANTS):
+    """hessian, covariants and second_hessian equal the MPoly formulas of
+    ``poly_reference``, or raise as they do."""
+    want = hessian_reference(f)
+    got = hessian(f)
+    assert got == want
+    assert covariants(got) == covariants_reference(want)
+    for variant in variants:
+        if want.H.is_zero():
+            with pytest.raises(HessianVanishes):
+                second_hessian(f, variant)
+        else:
+            assert second_hessian(f, variant) == second_hessian_reference(f, variant)
+
+
+class TestDenseChainAgainstMPoly:
+    """The dense chain, with its scaling by the common denominator of F,
+    against the same formulas on MPoly forms."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(plane_curves(), st.sampled_from(VARIANTS))
+    def test_matches_reference(self, f, variant):
+        assert_chain_matches_reference(f, [variant])
+
+    @pytest.mark.parametrize("degree", [6, 7])
+    def test_dense_curves(self, degree):
+        assert_chain_matches_reference(dense_form(random.Random(f"chain/{degree}"), degree))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            FERMAT,
+            X**2 * Y + Y**2 * Z + Z**2 * X,
+            Fraction(1, 6) * X**4 - Fraction(3, 10) * Y**3 * Z + Fraction(5, 7) * Z**4,
+            2**70 * X**5 - (2**70 - 1) * Y**4 * Z + 3 * X * Y * Z**3,
+        ],
+        ids=["fermat", "klein", "fractions", "2^70"],
+    )
+    def test_forms_with_empty_rows(self, f):
+        # each leaves whole rows of its triangle (fixed powers of x) empty
+        assert_chain_matches_reference(f)
+
+    @pytest.mark.parametrize("f", [X**3 - Y**3, X**4 + Y**4, Fraction(1, 3) * X**2 * Y])
+    def test_hessian_vanishes(self, f):
+        assert hessian(f).H.is_zero()
+        assert_chain_matches_reference(f)
+        with pytest.raises(HessianVanishes):
+            second_hessian(f)
+
+    @pytest.mark.parametrize(
+        "f", [X**2 + Y * Z, MPoly.constant(XYZ, 5), MPoly.zero(XYZ), X - Y]
+    )
+    def test_degree_too_small(self, f):
+        for run in (hessian, second_hessian, lambda F: osculating_conic(F, (0, 0, 1))):
+            with pytest.raises(DegreeTooSmall):
+                run(f)
+
+    @pytest.mark.parametrize("f", [X**3 + Y, X**4 - Fraction(1, 2) * Y**3 + Z])
+    def test_not_homogeneous(self, f):
+        for run in (hessian, second_hessian, lambda F: osculating_conic(F, (0, 0, 1))):
+            with pytest.raises(NotHomogeneous):
+                run(f)
+
+    def test_fraction_coefficients_scale_out(self):
+        # F and lam * F share H2 up to lam^12
+        f = QUARTIC + Fraction(1, 3) * X * Y * Z**2
+        assert second_hessian(3 * f) == 3**12 * second_hessian(f)
+        assert hessian(3 * f).H == 27 * hessian(f).H
+
+
 class TestDerivativeCount:
-    """Each form's first and second partials are taken once."""
+    """Each form's first and second partials are taken once, on the dense
+    forms the chain computes with."""
 
     @pytest.fixture
     def partial_calls(self, monkeypatch):
         calls = []
-        partial = MPoly.partial
+        partial = TernaryForm.partial
 
         def spy(self, var):
             calls.append(var)
             return partial(self, var)
 
-        monkeypatch.setattr(MPoly, "partial", spy)
+        monkeypatch.setattr(TernaryForm, "partial", spy)
         return calls
 
     @pytest.mark.parametrize("degree", [3, 5])
@@ -309,21 +416,27 @@ class TestOsculatingConic:
 
     def test_no_polynomial_product_outside_hessian(self, monkeypatch):
         # with the Hessian bundle precomputed, the conic is assembled from
-        # rationals as a 6-vector: no MPoly is multiplied
+        # values at the point as a 6-vector: neither an MPoly nor a dense
+        # form is multiplied
         from sextactic import differential
 
-        bundle = hessian(NODAL_CUBIC)
+        chain = differential._hessian_chain(NODAL_CUBIC)
         point = (-1, 0, 1)
         products = []
-        mul = MPoly.__mul__
 
-        def spy(self, other):
-            products.append((self, other))
-            return mul(self, other)
+        def spy_on(cls):
+            mul = cls.__mul__
 
-        monkeypatch.setattr(differential, "hessian", lambda F: bundle)
-        monkeypatch.setattr(MPoly, "__mul__", spy)
-        monkeypatch.setattr(MPoly, "__rmul__", spy)
+            def spy(self, other):
+                products.append((self, other))
+                return mul(self, other)
+
+            monkeypatch.setattr(cls, "__mul__", spy)
+            monkeypatch.setattr(cls, "__rmul__", spy)
+
+        monkeypatch.setattr(differential, "_hessian_chain", lambda F: chain)
+        spy_on(MPoly)
+        spy_on(TernaryForm)
         conic = osculating_conic(NODAL_CUBIC, point)
         assert products == []
         assert conic == 2 * X**2 + Y**2 + Z**2 + 3 * X * Z

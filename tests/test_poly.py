@@ -20,6 +20,7 @@ from sextactic.poly import (
     NonSquareMatrix,
     PolyError,
     PolyMatrix,
+    TernaryForm,
     UnknownVariable,
     VariableSetMismatch,
     ZeroFormError,
@@ -185,20 +186,22 @@ class TestPackedProduct:
 
 
 def product_and_path(p, q):
-    """(p * q, whether the product went through ``kronecker_product``)."""
+    """(p * q, whether the product went through the packed path: one
+    ``kronecker_product`` for binary forms, one ``TernaryForm`` product for
+    ternary ones)."""
     ran = []
-    kernel = poly.kronecker_product
+    kernel = poly._packed_mul
 
-    def spy(a, b, end=None):
-        out = kernel(a, b, end)
+    def spy(a, b, n):
+        out = kernel(a, b, n)
         ran.append(out is not None)
         return out
 
-    poly.kronecker_product = spy
+    poly._packed_mul = spy
     try:
         prod = p * q
     finally:
-        poly.kronecker_product = kernel
+        poly._packed_mul = kernel
     return prod, ran == [True]
 
 
@@ -328,6 +331,92 @@ class TestKernelProduct:
         assert not assert_product(k, k)
         h = MPoly(XYZ, {(e, 0, 10**6 - e): i + 1 for i, e in enumerate(spread)})
         assert not assert_product(h, h)
+
+
+# -- dense ternary forms against MPoly -----------------------------------------
+
+
+class TestPackDigits:
+    """``_pack`` and ``_digits`` are inverse on signed digits of every width,
+    word-sized or not, below and above the Horner cut-off."""
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 24, 33])
+    @pytest.mark.parametrize("n", [1, 2, 30, 41, 200])
+    def test_round_trip_at_the_edges(self, w, n):
+        edge = 2 ** (8 * w - 1) - 1
+        rng = random.Random(w * 1000 + n)
+        u = [rng.choice([edge, -edge, 0, 1, -1, rng.randint(-edge, edge)]) for _ in range(n)]
+        u[-1] = -edge
+        packed = poly._pack(u, w)
+        assert packed == sum(c << (8 * w * i) for i, c in enumerate(u))
+        assert poly._digits(packed, w, n) == u
+        # digits from n on are dropped
+        assert poly._digits(packed + (5 << (8 * w * n)), w, n) == u
+
+
+TERNARY_COEFFS = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**70, -(2**70), 2**64 - 1, -(2**63)]),
+)
+
+
+@st.composite
+def ternary_forms(draw, max_degree=9):
+    """A TernaryForm of degree 0..max_degree with any subset of its
+    coefficients nonzero, possibly none."""
+    d = draw(st.integers(0, max_degree))
+    rows = [[0] * (d + 1 - i) for i in range(d + 1)]
+    cells = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    for i, j in draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells))):
+        rows[i][j] = draw(TERNARY_COEFFS)
+    return TernaryForm(d, rows)
+
+
+class TestTernaryForm:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(ternary_forms(), ternary_forms())
+    def test_product_matches_tuple_add(self, a, b):
+        want = sorted(tuple_add_product(a.mpoly(), b.mpoly()))
+        for prod in (a * b, b * a):
+            assert prod.degree == a.degree + b.degree
+            assert [len(row) for row in prod.rows] == list(range(prod.degree + 1, 0, -1))
+            assert list(prod.terms().items()) == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ternary_forms(), st.integers(-5, 5))
+    def test_list_operations_match_mpoly(self, a, k):
+        f = a.mpoly()
+        b = TernaryForm.of((f * f).terms, 2 * a.degree)
+        assert (a + a).mpoly() == f + f
+        assert (a - a).is_zero() and (a - a).degree == a.degree
+        assert (k * a).mpoly() == (a * k).mpoly() == k * f
+        assert (b - a * a).is_zero()
+        if a.degree:
+            for v in XYZ:
+                assert a.partial(v).mpoly() == f.partial(v)
+                assert a.partial(v).degree == a.degree - 1
+        for point in ((2, -3, 5), (0, 0, 1), (1, 0, 0), (-7, 11, 0)):
+            assert a.at(point) == f.eval(point)
+
+    def test_conversions(self):
+        f = MPoly(XYZ, {(2, 0, 1): Fraction(1, 6), (0, 3, 0): Fraction(-3, 4), (0, 0, 3): 2})
+        a = TernaryForm.of(f.terms, 3, 12)
+        assert a.rows == [[24, 0, 0, -9], [0, 0, 0], [2, 0], [0]]
+        assert a.mpoly(12) == f
+        assert list(a.terms()) == [(0, 0, 3), (0, 3, 0), (2, 0, 1)]
+        with pytest.raises(poly.NotHomogeneous):
+            TernaryForm.of({(1, 0, 0): 1}, 3)
+        with pytest.raises(UnknownVariable):
+            a.partial("w")
+        with pytest.raises(PolyError):
+            a + a.partial("x")
+
+    def test_zero_forms_keep_their_degree(self):
+        zero = TernaryForm(4, [[0] * (5 - i) for i in range(5)])
+        x = TernaryForm.of({(1, 0, 0): 1}, 1)
+        assert (zero * x).degree == 5 and (zero * x).is_zero()
+        assert zero.mpoly().is_zero() and zero.at((3, 4, 5)) == 0
 
 
 # -- evaluation in the integers against the Fraction loop ----------------------
