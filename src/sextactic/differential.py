@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
-from .poly import XYZ, MPoly, TernaryForm, _denominator, conic, veronese
+from .poly import XYZ, MPoly, TernaryForm, _denominator, conic, fills_triangles, veronese
 
 
 class DifferentialError(ValueError):
@@ -46,26 +48,93 @@ class IrrationalPoint(DifferentialError):
 
 VARIANTS = ("corrected", "cayley1865")
 
+# ``hessian`` takes the dense chain for a form of at least _DENSE_MIN_TERMS
+# terms that fills its triangle (``fills_triangles``).  The chain of a form
+# of three terms keeps few terms in every form at any degree.  Measured on
+# CPython 3.11, second_hessian time on the sparse chain over the dense one
+# for random forms of n terms, four forms each: n = 3 gives 0.56 at d = 3,
+# 0.77 at d = 4 and 0.39-0.50 at d = 5..7; n = 4 gives 0.93 at d = 3 and
+# 1.40-1.77 at d = 4..7; forms that just fill a quarter of the triangle
+# give 1.08 at d = 8 and 1.20 at d = 10.
+_DENSE_MIN_TERMS = 4
 
-@dataclass(frozen=True)
-class HessianBundle:
-    """F with its Hessian data: H = det(hess_f) and adj_f * hess_f = H * I.
 
-    The symmetric matrices hess_f, hess_h and adj_f are 6-vectors of their
-    entries (a, b, c, f, g, h) in ``CONIC_BASIS`` order; grad_f and grad_h
-    are the first partials in x, y, z.  ``hessian`` fills the fields with
-    ``MPoly`` forms; ``_hessian_chain`` fills the same fields with the
-    ``TernaryForm`` data of lam * F, which every entry point computes on.
-    """
+class _Chain(NamedTuple):
+    """The Hessian chain of F, as ``hessian`` computes it: f is lam * F, and
+    every other field is computed from f.  On the dense chain the forms are
+    ``TernaryForm``s and lam is the least common denominator of F's
+    coefficients; on the sparse chain f is F itself, the forms are
+    ``MPoly``s and lam is 1."""
 
-    F: MPoly
+    f: object
     d: int
-    H: MPoly
+    lam: int
+    H: object
     hess_f: tuple
     hess_h: tuple
     adj_f: tuple
     grad_f: tuple
     grad_h: tuple
+
+    def mpoly(self, p, k):
+        """As an MPoly of F, a form p of degree k in f's coefficients, which
+        is lam^k times that of F."""
+        return p.mpoly(self.lam**k) if isinstance(p, TernaryForm) else p
+
+
+class HessianBundle:
+    """F with its Hessian data: H = det(hess_f) and adj_f * hess_f = H * I.
+
+    The symmetric matrices hess_f, hess_h and adj_f are 6-vectors of their
+    entries (a, b, c, f, g, h) in ``CONIC_BASIS`` order; grad_f and grad_h
+    are the first partials in x, y, z.  Every field reads as ``MPoly``
+    forms.  ``chain`` keeps the forms as the chain computed them, and each
+    field is converted from it on its first read, so a caller pays only for
+    the fields it reads; the other entry points compute on ``chain``.
+    """
+
+    def __init__(self, F: MPoly, chain: _Chain):
+        self.F = F
+        self.d = chain.d
+        self.chain = chain
+
+    @cached_property
+    def H(self) -> MPoly:
+        return self.chain.mpoly(self.chain.H, 3)
+
+    @cached_property
+    def hess_f(self) -> tuple:
+        return self._read(self.chain.hess_f, 1)
+
+    @cached_property
+    def hess_h(self) -> tuple:
+        return self._read(self.chain.hess_h, 3)
+
+    @cached_property
+    def adj_f(self) -> tuple:
+        return self._read(self.chain.adj_f, 2)
+
+    @cached_property
+    def grad_f(self) -> tuple:
+        return self._read(self.chain.grad_f, 1)
+
+    @cached_property
+    def grad_h(self) -> tuple:
+        return self._read(self.chain.grad_h, 3)
+
+    def _read(self, forms, k):
+        return tuple(self.chain.mpoly(p, k) for p in forms)
+
+    def _fields(self):
+        return (self.F, self.d, self.H, self.hess_f, self.hess_h, self.adj_f,
+                self.grad_f, self.grad_h)
+
+    def __eq__(self, other):
+        if not isinstance(other, HessianBundle):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -100,21 +169,26 @@ def _adjugate(m):
     )
 
 
-def _hessian_chain(F: MPoly):
-    """(lam, bundle) for a form F of degree >= 3, lam the least common
-    denominator of F's coefficients and the bundle that of lam * F, on
-    integer ``TernaryForm``s.
+def hessian(F: MPoly) -> HessianBundle:
+    """Hessian determinant and matrices of a form of degree >= 3.
 
-    The bundle's data scale as powers of lam: grad_f and hess_f by lam,
-    adj_f by lam^2, H, grad_h and hess_h by lam^3.
+    When F fills its triangle (``fills_triangles``), with at least
+    _DENSE_MIN_TERMS terms, the chain runs on dense ``TernaryForm``s of
+    lam * F, lam the least common denominator of F's coefficients, where
+    every sum is a list operation and every product one Kronecker multiply.
+    Any other F keeps its ``MPoly`` terms, whose time and memory follow the
+    stored terms: dense triangles of x^1000 + y^1000 + z^1000 would hold
+    millions of zeros.
     """
     if F.variables != XYZ:
         raise DifferentialError(f"expected a polynomial in {XYZ}")
     d = F.homogeneous_degree()  # raises NotHomogeneous on mixed degrees
     if d is None or d < 3:
         raise DegreeTooSmall(f"need a form of degree >= 3, got degree {d}")
-    lam = _denominator(F.terms.values())
-    f = TernaryForm.of(F.terms, d, lam)
+    f, lam = F, 1
+    if len(F.terms) >= _DENSE_MIN_TERMS and fills_triangles(len(F.terms), d):
+        lam = _denominator(F.terms.values())
+        f = TernaryForm.of(F.terms, d, lam)
     grad_f, hess_f = _derivatives(f)
     adj_f = _adjugate(hess_f)
     # expand det(hess_f) along its first row; the cofactors are the first
@@ -123,20 +197,7 @@ def _hessian_chain(F: MPoly):
     A, _, _, _, Gq, Hq = adj_f
     H = a * A + h * Hq + g * Gq
     grad_h, hess_h = _derivatives(H)
-    return lam, HessianBundle(f, d, H, hess_f, hess_h, adj_f, grad_f, grad_h)
-
-
-def hessian(F: MPoly) -> HessianBundle:
-    """Hessian determinant and matrices of a form of degree >= 3."""
-    lam, b = _hessian_chain(F)
-
-    def out(forms, k):
-        return tuple(p.mpoly(lam**k) for p in forms)
-
-    return HessianBundle(
-        F, b.d, b.H.mpoly(lam**3), out(b.hess_f, 1), out(b.hess_h, 3),
-        out(b.adj_f, 2), out(b.grad_f, 1), out(b.grad_h, 3),
-    )
+    return HessianBundle(F, _Chain(f, d, lam, H, hess_f, hess_h, adj_f, grad_f, grad_h))
 
 
 def _paired_trace(adj6, hess6):
@@ -148,27 +209,16 @@ def _paired_trace(adj6, hess6):
 
 
 def covariants(bundle: HessianBundle) -> CovariantSet:
-    """All first-order covariants entering the excess-contact determinants.
-
-    The bundle's adj_f, and its hess_h with grad_h, are taken over their
-    common denominators mu and nu as ``TernaryForm``s; the trace covariant
-    and its splittings come back over mu * nu, the gradient form over
-    mu * nu^2.
-    """
-    d = bundle.d
-    mu = _denominator(c for p in bundle.adj_f for c in p.terms.values())
-    nu = _denominator(c for p in bundle.hess_h + bundle.grad_h for c in p.terms.values())
-    cov = _covariants(
-        [TernaryForm.of(p.terms, 2 * d - 4, mu) for p in bundle.adj_f],
-        [TernaryForm.of(p.terms, 3 * d - 8, nu) for p in bundle.hess_h],
-        [TernaryForm.of(p.terms, 3 * d - 7, nu) for p in bundle.grad_h],
-    )
-    s = mu * nu
+    """All first-order covariants entering the excess-contact determinants,
+    computed on the bundle's chain."""
+    c = bundle.chain
+    cov = _covariants(c.adj_f, c.hess_h, c.grad_h)
+    # adj_f is of degree 2 in F's coefficients, hess_h and grad_h of degree 3
     return CovariantSet(
-        cov.trace_product.mpoly(s),
-        tuple(p.mpoly(s) for p in cov.trace_grad_adj),
-        tuple(p.mpoly(s) for p in cov.trace_grad_hess),
-        cov.gradient_form.mpoly(s * nu),
+        c.mpoly(cov.trace_product, 5),
+        tuple(c.mpoly(p, 5) for p in cov.trace_grad_adj),
+        tuple(c.mpoly(p, 5) for p in cov.trace_grad_hess),
+        c.mpoly(cov.gradient_form, 8),
     )
 
 
@@ -199,18 +249,18 @@ def second_hessian(F: MPoly, variant: str = "corrected") -> MPoly:
     if variant not in VARIANTS:
         raise DifferentialError(f"variant must be one of {VARIANTS}")
     kappa = 20 if variant == "corrected" else 40
-    lam, bundle = _hessian_chain(F)
-    if bundle.H.is_zero():
+    chain = hessian(F).chain
+    if chain.H.is_zero():
         raise HessianVanishes(
             "the Hessian vanishes identically; no excess-contact covariant exists"
         )
-    cov = _covariants(bundle.adj_f, bundle.hess_h, bundle.grad_h)
-    d = bundle.d
-    H = bundle.H
+    cov = _covariants(chain.adj_f, chain.hess_h, chain.grad_h)
+    d = chain.d
+    H = chain.H
     # The three Jacobians det(grad F, grad H, r) share their first two rows,
     # so each is (grad F x grad H) . r; combine the third rows first.
-    fx, fy, fz = bundle.grad_f
-    hx, hy, hz = bundle.grad_h
+    fx, fy, fz = chain.grad_f
+    hx, hy, hz = chain.grad_h
     cross = (fy * hz - fz * hy, fz * hx - fx * hz, fx * hy - fy * hx)
     alpha = 12 * d * d - 54 * d + 57
     beta = (d - 2) * (12 * d - 27)
@@ -221,7 +271,7 @@ def second_hessian(F: MPoly, variant: str = "corrected") -> MPoly:
     combined = (H * (alpha * ta + beta * th) - gamma * g for ta, th, g in rows)
     jx, jy, jz = (c * r for c, r in zip(cross, combined))
     # the formula is of degree 12 in F's coefficients
-    return (jx + jy + jz).mpoly(lam**12)
+    return chain.mpoly(jx + jy + jz, 12)
 
 
 def osculating_conic(F: MPoly, p) -> MPoly:
@@ -231,11 +281,12 @@ def osculating_conic(F: MPoly, p) -> MPoly:
     The covariants enter only through their values at p, so the Hessian
     matrices are evaluated first: the trace covariant is the paired trace
     of adj_f(p) and hess_H(p), and the gradient form is grad H(p) paired
-    with adj_f(p).  ``covariants`` is never built here.  Every value is an
-    integer: the bundle is that of lam * F, taken at p over the common
-    denominator of its coordinates.  The conic is homogeneous of degree 1
-    in lam and of degree d - 2 in the point, so neither scale changes it
-    once it is made primitive.
+    with adj_f(p).  ``covariants`` is never built here, and no form is
+    converted: the chain's forms, of lam * F, are evaluated at p taken over
+    the common denominator of its coordinates, which gives integers on the
+    dense chain.  The conic is homogeneous of degree 1 in lam and of degree
+    d - 2 in the point, so neither scale changes it once it is made
+    primitive.
     """
     try:
         point = tuple(Fraction(v) for v in p)
@@ -243,21 +294,21 @@ def osculating_conic(F: MPoly, p) -> MPoly:
         raise IrrationalPoint(f"point coordinates must be rational: {p!r}") from None
     if len(point) != 3 or not any(point):
         raise DifferentialError(f"need a projective point, got {p!r}")
-    bundle = _hessian_chain(F)[1]
+    chain = hessian(F).chain
     shown = "(" + " : ".join(map(str, point)) + ")"
     den = _denominator(point)
     at = [v.numerator * (den // v.denominator) for v in point]
-    if bundle.F.at(at) != 0:
+    if chain.f.eval(at) != 0:
         raise PointNotOnCurve(f"F does not vanish at {shown}")
-    grads = [g.at(at) for g in bundle.grad_f]
+    grads = [g.eval(at) for g in chain.grad_f]
     if not any(grads):
         raise SingularPoint(f"the curve is singular at {shown}")
-    h_at = bundle.H.at(at)
+    h_at = chain.H.eval(at)
     if h_at == 0:
         raise InflectionPoint(f"the Hessian vanishes at {shown}")
-    adj6 = [q.at(at) for q in bundle.adj_f]
-    hess6 = [q.at(at) for q in bundle.hess_h]
-    dh = [g.at(at) for g in bundle.grad_h]
+    adj6 = [q.eval(at) for q in chain.adj_f]
+    hess6 = [q.eval(at) for q in chain.hess_h]
+    dh = [g.eval(at) for g in chain.grad_h]
     n = -3 * _paired_trace(adj6, hess6) * h_at + 4 * _paired_trace(adj6, veronese(*dh))
     # conic = d2f - (dh * 2/(3H) + df * n/(9H^3)) * df, with d2f the Hessian
     # form at p and df, dh the tangent forms of F and H, here times 9H^3;
@@ -266,7 +317,7 @@ def osculating_conic(F: MPoly, p) -> MPoly:
     s = 9 * h_at**3
     l0, l1, l2 = (6 * h_at * h_at * hv + n * fv for hv, fv in zip(dh, grads))
     g0, g1, g2 = grads
-    a, b, c, f, g, h = (s * q.at(at) for q in bundle.hess_f)
+    a, b, c, f, g, h = (s * q.eval(at) for q in chain.hess_f)
     return conic((
         a - l0 * g0, b - l1 * g1, c - l2 * g2,
         2 * f - l1 * g2 - l2 * g1, 2 * g - l0 * g2 - l2 * g0, 2 * h - l0 * g1 - l1 * g0,

@@ -144,8 +144,9 @@ _FLIP = bytes(range(128, 256)) + bytes(range(128))
 
 # The kernel packs two operands only when their dense slots number at most
 # _SLOTS_PER_TERM times their stored terms, so its memory stays linear in the
-# input however sparse the operands are; ``_packed_mul`` turns two ternary
-# forms into ``TernaryForm``s only when their triangles pass the same test.
+# input however sparse the operands are; ternary forms become
+# ``TernaryForm``s only when their triangles pass the same test
+# (``fills_triangles``).
 _SLOTS_PER_TERM = 4
 
 # _pack runs Horner up to _HORNER_MAX_DIGITS + 64 // w digits of w bytes.
@@ -320,8 +321,8 @@ def _packed_mul(a, b, n):
 
     A binary product is one ``kronecker_product``, with the slot of (i, j)
     its first exponent i.  A ternary product is one ``TernaryForm`` product
-    of the two operands over their common denominators, when their
-    triangles have at most _SLOTS_PER_TERM entries per stored term.  Either
+    of the two operands' monomial cofactors over their common denominators,
+    when the triangles of the cofactors pass ``fills_triangles``.  Either
     way the terms come in ascending order of their exponents.
     """
     if n not in (2, 3):
@@ -336,11 +337,34 @@ def _packed_mul(a, b, n):
             {e[0]: c for e, c in a.items()}, {e[0]: c for e, c in b.items()}
         )
         return None if out is None else {(s, top - s): c for s, c in out.items()}
-    if _triangle(da) + _triangle(db) > _SLOTS_PER_TERM * (len(a) + len(b)):
+    ma, a = _monomial_cofactor(a)
+    mb, b = _monomial_cofactor(b)
+    da, db = da - sum(ma), db - sum(mb)
+    if not fills_triangles(len(a) + len(b), da, db):
         return None
     den_a, den_b = _denominator(a.values()), _denominator(b.values())
-    prod = TernaryForm.of(a, da, den_a) * TernaryForm.of(b, db, den_b)
-    return prod.terms(den_a * den_b)
+    out = (TernaryForm.of(a, da, den_a) * TernaryForm.of(b, db, den_b)).terms(den_a * den_b)
+    m = tuple(map(add, ma, mb))
+    if any(m):
+        out = {(i + m[0], j + m[1], k + m[2]): c for (i, j, k), c in out.items()}
+    return out
+
+
+def _monomial_cofactor(terms):
+    """(m, cofactor) of a ternary term dict: x^m0 y^m1 z^m2 the largest
+    monomial dividing every term, and the terms divided by it."""
+    m = tuple(map(min, zip(*terms)))
+    if not any(m):
+        return m, terms
+    return m, {(i - m[0], j - m[1], k - m[2]): c for (i, j, k), c in terms.items()}
+
+
+def fills_triangles(stored, *degrees):
+    """Whether ``stored`` terms fill ternary forms of these degrees densely
+    enough to keep them as ``TernaryForm``s: their triangles have at most
+    _SLOTS_PER_TERM entries per stored term, so the dense lists stay linear
+    in the terms."""
+    return sum(map(_triangle, degrees)) <= _SLOTS_PER_TERM * stored
 
 
 def _triangle(d):
@@ -898,7 +922,7 @@ class TernaryForm:
     def grad(self):
         return tuple(self.partial(v) for v in XYZ)
 
-    def at(self, point):
+    def eval(self, point):
         """The value at an integer point (x, y, z): Horner in y and z along
         each row, then in x over the rows."""
         x, y, z = point

@@ -6,17 +6,18 @@ road, so a cross-check against them does not share the code it checks.  The
 library keeps a symmetric 3x3 matrix as the 6-vector of its entries in
 ``CONIC_BASIS`` order; ``sym3`` spreads one back into a full matrix.
 
-The library computes the Hessian chain on dense ``TernaryForm``s; the
-``*_reference`` functions compute the same formulas on sparse ``MPoly``
-forms, with rational coefficients and no scaling.
+The library computes the Hessian chain of a dense curve on dense
+``TernaryForm``s; the ``*_reference`` functions compute the same formulas
+on sparse ``MPoly`` forms, with rational coefficients and no scaling.
 """
+
+from typing import NamedTuple
 
 from sextactic.differential import (
     VARIANTS,
     CovariantSet,
     DegreeTooSmall,
     DifferentialError,
-    HessianBundle,
     HessianVanishes,
 )
 from sextactic.poly import (
@@ -89,7 +90,26 @@ def det_bareiss(m: PolyMatrix) -> MPoly:
     return d if sign > 0 else -d
 
 
-def gradient_form_bordered(bundle: HessianBundle) -> MPoly:
+class ReferenceBundle(NamedTuple):
+    """The fields of ``HessianBundle``, in the order ``bundle_fields`` reads
+    them."""
+
+    F: MPoly
+    d: int
+    H: MPoly
+    hess_f: tuple
+    hess_h: tuple
+    adj_f: tuple
+    grad_f: tuple
+    grad_h: tuple
+
+
+def bundle_fields(bundle) -> ReferenceBundle:
+    """A ``HessianBundle``'s fields, each read as the library converts it."""
+    return ReferenceBundle(*(getattr(bundle, name) for name in ReferenceBundle._fields))
+
+
+def gradient_form_bordered(bundle) -> MPoly:
     """The gradient form as minus the bordered 4x4 determinant (cross-check)."""
     hx, hy, hz = bundle.grad_h
     zero = MPoly.zero(XYZ)
@@ -119,7 +139,7 @@ def _paired_trace(adj6, hess6):
     return A * a2 + B * b2 + C * c2 + 2 * (Fq * f2 + Gq * g2 + Hq * h2)
 
 
-def hessian_reference(F: MPoly) -> HessianBundle:
+def hessian_reference(F: MPoly) -> ReferenceBundle:
     """``hessian`` on MPoly forms: H expanded along the first row of hess_f."""
     if F.variables != XYZ:
         raise DifferentialError(f"expected a polynomial in {XYZ}")
@@ -134,10 +154,10 @@ def hessian_reference(F: MPoly) -> HessianBundle:
     )
     H = a * adj_f[0] + h * adj_f[5] + g * adj_f[4]
     grad_h, hess_h = _derivatives(H)
-    return HessianBundle(F, d, H, hess_f, hess_h, adj_f, grad_f, grad_h)
+    return ReferenceBundle(F, d, H, hess_f, hess_h, adj_f, grad_f, grad_h)
 
 
-def covariants_reference(bundle: HessianBundle) -> CovariantSet:
+def covariants_reference(bundle: ReferenceBundle) -> CovariantSet:
     """``covariants`` on MPoly forms, each split summand from its definition."""
     adj_f = bundle.adj_f
     trace = _paired_trace(adj_f, bundle.hess_h)

@@ -1,6 +1,8 @@
 """Hessian bundle, trace/gradient covariants, the 12d-27 covariant, conics."""
 
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poly_reference import (
+    bundle_fields,
     covariants_reference,
     gradient_form_bordered,
     hessian_reference,
@@ -16,6 +19,7 @@ from poly_reference import (
     sym3,
 )
 from sextactic.differential import (
+    _DENSE_MIN_TERMS,
     VARIANTS,
     DegreeTooSmall,
     HessianVanishes,
@@ -27,7 +31,14 @@ from sextactic.differential import (
     osculating_conic,
     second_hessian,
 )
-from sextactic.poly import XYZ, MPoly, NotHomogeneous, PolyMatrix, TernaryForm
+from sextactic.poly import (
+    XYZ,
+    MPoly,
+    NotHomogeneous,
+    PolyMatrix,
+    TernaryForm,
+    fills_triangles,
+)
 from sextactic.rational import linear_factor_orders, pullback
 from sextactic.parse import parse_param
 
@@ -110,10 +121,11 @@ class TestHessian:
 
 
 # (coefficients, highest degree, most terms): each kind up to the size its
-# MPoly reference finishes in about a tenth of a second
+# MPoly reference finishes in about a tenth of a second (a fifth for six
+# Fraction terms at degree 5)
 COEFFICIENTS = {
     "int": (st.integers(-9, 9), 7, 12),
-    "fraction": (st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)), 7, 5),
+    "fraction": (st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)), 7, 6),
     "huge": (
         st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([2**70, -(2**70), 2**70 - 1])),
         5,
@@ -122,14 +134,24 @@ COEFFICIENTS = {
 }
 
 
+def dense_size(d):
+    """The fewest terms with which a form of degree d takes the dense chain."""
+    return next(
+        n for n in itertools.count(_DENSE_MIN_TERMS) if fills_triangles(n, d)
+    )
+
+
 @st.composite
 def plane_curves(draw):
     """A nonzero form of degree 3..7 on a subset of its monomials, with
-    small, mixed-denominator or 70-bit coefficients."""
+    small, mixed-denominator or 70-bit coefficients: either with any number
+    of terms, or with enough to take the dense chain (``dense_size``)."""
     coeffs, top, most = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
-    d = draw(st.integers(3, top))
+    dense = draw(st.booleans())
+    d = draw(st.sampled_from([d for d in range(3, top + 1) if not dense or dense_size(d) <= most]))
     monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
-    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=most, unique=True))
+    least = dense_size(d) if dense else 1
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=least, max_size=most, unique=True))
     terms = {e: draw(coeffs) for e in chosen}
     if not any(terms.values()):
         terms[chosen[0]] = 1
@@ -141,7 +163,7 @@ def assert_chain_matches_reference(f, variants=VARIANTS):
     ``poly_reference``, or raise as they do."""
     want = hessian_reference(f)
     got = hessian(f)
-    assert got == want
+    assert bundle_fields(got) == want
     assert covariants(got) == covariants_reference(want)
     for variant in variants:
         if want.H.is_zero():
@@ -167,16 +189,56 @@ class TestDenseChainAgainstMPoly:
     @pytest.mark.parametrize(
         "f",
         [
-            FERMAT,
-            X**2 * Y + Y**2 * Z + Z**2 * X,
-            Fraction(1, 6) * X**4 - Fraction(3, 10) * Y**3 * Z + Fraction(5, 7) * Z**4,
-            2**70 * X**5 - (2**70 - 1) * Y**4 * Z + 3 * X * Y * Z**3,
+            FERMAT + 3 * Y * Z**2,
+            X**2 * Y + Y**2 * Z + Z**2 * X - Y**3,
+            Fraction(1, 6) * X**4 - Fraction(3, 10) * Y**3 * Z + Fraction(5, 7) * Z**4
+            + Fraction(1, 2) * Y**4,
+            2**70 * X**5 - (2**70 - 1) * Y**4 * Z + 3 * Y**2 * Z**3 + 5 * Y**5
+            - 7 * Z**5 + 11 * Y**3 * Z**2,
         ],
         ids=["fermat", "klein", "fractions", "2^70"],
     )
     def test_forms_with_empty_rows(self, f):
-        # each leaves whole rows of its triangle (fixed powers of x) empty
+        # each fills its triangle but leaves whole rows of it (fixed powers
+        # of x) empty
+        assert isinstance(hessian(f).chain.f, TernaryForm)
         assert_chain_matches_reference(f)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            FERMAT,
+            X**2 * Y + Y**2 * Z + Z**2 * X,
+            QUARTIC,
+            Fraction(1, 6) * X**4 - Fraction(3, 10) * Y**3 * Z + Fraction(5, 7) * Z**4,
+            2**70 * X**5 - (2**70 - 1) * Y**4 * Z + 3 * X * Y * Z**3,
+            X**7 + Y**7 + Z**7 - 3 * X**2 * Y**2 * Z**3 + X * Y**6,
+        ],
+        ids=["fermat", "klein", "quartic", "fractions", "2^70", "septic"],
+    )
+    def test_sparse_forms_keep_mpoly_terms(self, f):
+        # three terms, or too few to fill the triangle: the chain runs on
+        # F's terms
+        assert isinstance(hessian(f).chain.f, MPoly)
+        assert_chain_matches_reference(f)
+
+    def test_high_degree_sparse_curve_stays_small(self):
+        # dense triangles of the chain of x^1000 + y^1000 + z^1000 would
+        # hold millions of entries each; the sparse chain stores a few terms
+        d = 1000
+        f = X**d + Y**d + Z**d
+        tracemalloc.start()
+        try:
+            bundle = hessian(f)
+            h2 = second_hessian(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        c = d * (d - 1)
+        assert bundle.H == c**3 * (X * Y * Z) ** (d - 2)
+        assert h2.degree() == 12 * d - 27
+        assert h2 == second_hessian_reference(f)
 
     @pytest.mark.parametrize("f", [X**3 - Y**3, X**4 + Y**4, Fraction(1, 3) * X**2 * Y])
     def test_hessian_vanishes(self, f):
@@ -208,32 +270,45 @@ class TestDenseChainAgainstMPoly:
 
 class TestDerivativeCount:
     """Each form's first and second partials are taken once, on the dense
-    forms the chain computes with."""
+    forms of a curve that fills its triangle and on the MPoly forms of a
+    sparse one."""
 
     @pytest.fixture
     def partial_calls(self, monkeypatch):
         calls = []
-        partial = TernaryForm.partial
+        for cls in (MPoly, TernaryForm):
+            partial = cls.partial
 
-        def spy(self, var):
-            calls.append(var)
-            return partial(self, var)
+            def spy(self, var, partial=partial):
+                calls.append((type(self), var))
+                return partial(self, var)
 
-        monkeypatch.setattr(TernaryForm, "partial", spy)
+            monkeypatch.setattr(cls, "partial", spy)
         return calls
 
-    @pytest.mark.parametrize("degree", [3, 5])
-    def test_hessian(self, partial_calls, degree):
-        hessian(dense_form(random.Random(degree), degree))
+    CURVES = {
+        "dense3": (dense_form(random.Random(3), 3), TernaryForm),
+        "dense5": (dense_form(random.Random(5), 5), TernaryForm),
+        "sparse4": (QUARTIC, MPoly),
+        "sparse6": (X**6 + Y**6 + Z**6 - X * Y**4 * Z, MPoly),
+    }
+
+    @pytest.mark.parametrize("curve", sorted(CURVES))
+    def test_hessian(self, partial_calls, curve):
+        f, kind = self.CURVES[curve]
+        hessian(f)
         # 3 + 6 partials for F, then 3 + 6 for H
         assert len(partial_calls) == 18
+        assert {cls for cls, _ in partial_calls} == {kind}
 
-    @pytest.mark.parametrize("degree", [3, 5])
-    def test_second_hessian(self, partial_calls, degree):
-        second_hessian(dense_form(random.Random(degree), degree))
+    @pytest.mark.parametrize("curve", sorted(CURVES))
+    def test_second_hessian(self, partial_calls, curve):
+        f, kind = self.CURVES[curve]
+        second_hessian(f)
         # the bundle's 18, 3 * 6 for d_v(hess_H), 3 for d_v(trace) and 3
         # for the gradient of the gradient form
         assert len(partial_calls) == 42
+        assert {cls for cls, _ in partial_calls} == {kind}
 
 
 class TestCovariants:
@@ -414,14 +489,19 @@ class TestOsculatingConic:
         conic = osculating_conic(NODAL_CUBIC, (-1, 0, 1))
         assert conic == 2 * X**2 + Y**2 + Z**2 + 3 * X * Z
 
-    def test_no_polynomial_product_outside_hessian(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "f, point",
+        [(NODAL_CUBIC, (-1, 0, 1)), (QUARTIC, (1, -1, 2))],
+        ids=["dense", "sparse"],
+    )
+    def test_no_polynomial_product_outside_hessian(self, monkeypatch, f, point):
         # with the Hessian bundle precomputed, the conic is assembled from
         # values at the point as a 6-vector: neither an MPoly nor a dense
         # form is multiplied
         from sextactic import differential
 
-        chain = differential._hessian_chain(NODAL_CUBIC)
-        point = (-1, 0, 1)
+        bundle = hessian(f)
+        want = osculating_conic(f, point)
         products = []
 
         def spy_on(cls):
@@ -434,12 +514,13 @@ class TestOsculatingConic:
             monkeypatch.setattr(cls, "__mul__", spy)
             monkeypatch.setattr(cls, "__rmul__", spy)
 
-        monkeypatch.setattr(differential, "_hessian_chain", lambda F: chain)
+        monkeypatch.setattr(differential, "hessian", lambda F: bundle)
         spy_on(MPoly)
         spy_on(TernaryForm)
-        conic = osculating_conic(NODAL_CUBIC, point)
+        conic = osculating_conic(f, point)
         assert products == []
-        assert conic == 2 * X**2 + Y**2 + Z**2 + 3 * X * Z
+        assert conic == want
+        assert conic.eval(point) == 0
 
 
 def symbolic_osculating_conic(bundle, point, grads, h_at):

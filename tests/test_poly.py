@@ -285,6 +285,11 @@ class TestKernelProduct:
             f, g = dense(vs, d), dense(vs, d + 1)
             assert len(f.terms) * len(g.terms) >= poly._PACK_MIN_PAIRS
             assert assert_product(f, g)
+        # a monomial factor of an operand is taken out before the triangle
+        # test, so shifted forms still pack
+        f, g = dense(XYZ, 3), dense(XYZ, 4)
+        assert assert_product(X**70000 * f, Y**3 * Z**2 * g)
+        assert assert_product(X * Y * Z * f, g)
         # only binary and ternary forms pack: a mixed-degree ternary operand
         # and a univariate one take the tuple-adding loop
         assert not assert_product(dense(XYZ, box=3), dense(XYZ, box=2) + X**5)
@@ -397,7 +402,7 @@ class TestTernaryForm:
                 assert a.partial(v).mpoly() == f.partial(v)
                 assert a.partial(v).degree == a.degree - 1
         for point in ((2, -3, 5), (0, 0, 1), (1, 0, 0), (-7, 11, 0)):
-            assert a.at(point) == f.eval(point)
+            assert a.eval(point) == f.eval(point)
 
     def test_conversions(self):
         f = MPoly(XYZ, {(2, 0, 1): Fraction(1, 6), (0, 3, 0): Fraction(-3, 4), (0, 0, 3): 2})
@@ -416,7 +421,7 @@ class TestTernaryForm:
         zero = TernaryForm(4, [[0] * (5 - i) for i in range(5)])
         x = TernaryForm.of({(1, 0, 0): 1}, 1)
         assert (zero * x).degree == 5 and (zero * x).is_zero()
-        assert zero.mpoly().is_zero() and zero.at((3, 4, 5)) == 0
+        assert zero.mpoly().is_zero() and zero.eval((3, 4, 5)) == 0
 
 
 # -- evaluation in the integers against the Fraction loop ----------------------
