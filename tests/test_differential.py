@@ -434,6 +434,17 @@ class TestOsculatingConic:
         with pytest.raises(PointNotOnCurve):
             osculating_conic(NODAL_CUBIC, (1, 1, 1))
 
+    @pytest.mark.parametrize(
+        "point, error",
+        [((0, 1, 0), InflectionPoint), ((0, 0, 1), SingularPoint), ((1, 2, 1), PointNotOnCurve)],
+    )
+    def test_rejections_on_the_dense_chain(self, point, error):
+        # four terms: the nodal cubic's checks on the dense chain
+        f = NODAL_CUBIC + X * Y * Z
+        assert isinstance(hessian(f).chain.f, TernaryForm)
+        with pytest.raises(error):
+            osculating_conic(f, point)
+
     def test_vanishes_at_the_point(self):
         conic = osculating_conic(NODAL_CUBIC, (-1, 0, 1))
         assert conic.eval((-1, 0, 1)) == 0
@@ -490,18 +501,30 @@ class TestOsculatingConic:
         assert conic == 2 * X**2 + Y**2 + Z**2 + 3 * X * Z
 
     @pytest.mark.parametrize(
-        "f, point",
-        [(NODAL_CUBIC, (-1, 0, 1)), (QUARTIC, (1, -1, 2))],
-        ids=["dense", "sparse"],
+        "f, point, want",
+        [
+            (
+                NODAL_CUBIC + X * Y * Z,
+                (-1, 0, 1),
+                9 * X**2 - 2 * X * Y + 10 * X * Z + 5 * Y**2 - 10 * Y * Z + Z**2,
+            ),
+            (NODAL_CUBIC, (-1, 0, 1), 2 * X**2 + Y**2 + Z**2 + 3 * X * Z),
+            (
+                QUARTIC,
+                (1, -1, 2),
+                2942 * X**2 + 2039 * X * Y + 629 * X * Z + 491 * Y**2
+                + 1294 * Y * Z - 16 * Z**2,
+            ),
+        ],
+        ids=["dense", "sparse3", "sparse4"],
     )
-    def test_no_polynomial_product_outside_hessian(self, monkeypatch, f, point):
+    def test_no_polynomial_product_outside_hessian(self, monkeypatch, f, point, want):
         # with the Hessian bundle precomputed, the conic is assembled from
         # values at the point as a 6-vector: neither an MPoly nor a dense
-        # form is multiplied
+        # form is multiplied, on either chain
         from sextactic import differential
 
         bundle = hessian(f)
-        want = osculating_conic(f, point)
         products = []
 
         def spy_on(cls):
@@ -520,7 +543,6 @@ class TestOsculatingConic:
         conic = osculating_conic(f, point)
         assert products == []
         assert conic == want
-        assert conic.eval(point) == 0
 
 
 def symbolic_osculating_conic(bundle, point, grads, h_at):
