@@ -337,11 +337,12 @@ def _packed_mul(a, b, n):
             {e[0]: c for e, c in a.items()}, {e[0]: c for e, c in b.items()}
         )
         return None if out is None else {(s, top - s): c for s, c in out.items()}
-    ma, a = _monomial_cofactor(a)
-    mb, b = _monomial_cofactor(b)
+    # x^m0 y^m1 z^m2, the largest monomial dividing every term, for each
+    ma, mb = (tuple(map(min, zip(*t))) for t in (a, b))
     da, db = da - sum(ma), db - sum(mb)
     if not fills_triangles(len(a) + len(b), da, db):
         return None
+    a, b = _cofactor(a, ma), _cofactor(b, mb)
     den_a, den_b = _denominator(a.values()), _denominator(b.values())
     out = (TernaryForm.of(a, da, den_a) * TernaryForm.of(b, db, den_b)).terms(den_a * den_b)
     m = tuple(map(add, ma, mb))
@@ -350,13 +351,11 @@ def _packed_mul(a, b, n):
     return out
 
 
-def _monomial_cofactor(terms):
-    """(m, cofactor) of a ternary term dict: x^m0 y^m1 z^m2 the largest
-    monomial dividing every term, and the terms divided by it."""
-    m = tuple(map(min, zip(*terms)))
+def _cofactor(terms, m):
+    """A ternary term dict divided by the monomial x^m0 y^m1 z^m2."""
     if not any(m):
-        return m, terms
-    return m, {(i - m[0], j - m[1], k - m[2]): c for (i, j, k), c in terms.items()}
+        return terms
+    return {(i - m[0], j - m[1], k - m[2]): c for (i, j, k), c in terms.items()}
 
 
 def fills_triangles(stored, *degrees):
