@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .poly import XYZ, MPoly, TernaryForm, _denominator, conic, fills_triangles, veronese
+from .poly import XYZ, MPoly, TernaryForm, _denominator, conic, fills_triangles
 
 
 class DifferentialError(ValueError):
@@ -208,6 +208,20 @@ def _paired_trace(adj6, hess6):
     )
 
 
+def _quadratic_form(adj6, g):
+    """g^T (adj6 g), adj6 a symmetric matrix as a 6-vector: nine products
+    with the entries of g, then three.  Pairing adj6 with ``veronese(*g)``
+    gives the same form from larger products: it multiplies the entries of
+    g together first."""
+    A, B, C, Fq, Gq, Hq = adj6
+    g0, g1, g2 = g
+    return (
+        g0 * (A * g0 + Hq * g1 + Gq * g2)
+        + g1 * (Hq * g0 + B * g1 + Fq * g2)
+        + g2 * (Gq * g0 + Fq * g1 + C * g2)
+    )
+
+
 def covariants(bundle: HessianBundle) -> CovariantSet:
     """All first-order covariants entering the excess-contact determinants,
     computed on the bundle's chain."""
@@ -234,7 +248,7 @@ def _covariants(adj_f, hess_h, grad_h) -> CovariantSet:
         _paired_trace(adj_f, [p.partial(v) for p in hess_h]) for v in XYZ
     )
     grad_adj = tuple(trace.partial(v) - g for v, g in zip(XYZ, grad_hess))
-    gradient_form = _paired_trace(adj_f, veronese(*grad_h))
+    gradient_form = _quadratic_form(adj_f, grad_h)
     return CovariantSet(trace, grad_adj, grad_hess, gradient_form)
 
 
@@ -309,7 +323,7 @@ def osculating_conic(F: MPoly, p) -> MPoly:
     adj6 = [q.eval(at) for q in chain.adj_f]
     hess6 = [q.eval(at) for q in chain.hess_h]
     dh = [g.eval(at) for g in chain.grad_h]
-    n = -3 * _paired_trace(adj6, hess6) * h_at + 4 * _paired_trace(adj6, veronese(*dh))
+    n = -3 * _paired_trace(adj6, hess6) * h_at + 4 * _quadratic_form(adj6, dh)
     # conic = d2f - (dh * 2/(3H) + df * n/(9H^3)) * df, with d2f the Hessian
     # form at p and df, dh the tangent forms of F and H, here times 9H^3;
     # the product of two linear forms l and g has l_i g_i on the squares and

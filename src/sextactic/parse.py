@@ -42,172 +42,253 @@ class ParseError(ValueError):
         super().__init__(message if span is None else f"{message} at {span}")
 
 
-# Every punctuation character the grammars use, with its token kind.
-_PUNCTUATION = {
-    "+": "OP", "-": "OP", "*": "OP", "^": "OP",
-    "(": "LPAREN", ")": "RPAREN", ":": "COLON", "/": "SLASH", ",": "COMMA",
-}
-# ASCII digits and letters only: str.isdigit also takes "²", which int()
-# rejects, and "٣", which int() reads as 3.  \s matches exactly str.isspace.
-_LEXEME = re.compile(r"(?P<SPACE>\s+)|(?P<INT>[0-9]+)|(?P<VAR>[A-Za-z]+)|.", re.S)
+# Every character some lexeme takes: blanks (\s matches exactly
+# str.isspace), ASCII digits and letters, and the punctuation of the
+# grammars.  str.isdigit also takes "²", which int() rejects, and "٣", which
+# int() reads as 3.
+_BAD_CHARACTER = re.compile(r"[^\s0-9A-Za-z+\-*^():/,]")
+_BLANKS = re.compile(r"\s*")
+# The token at a non-blank position: an integer literal, a name, or one
+# punctuation character; empty at the end of the text.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z]+|.|", re.S)
+# A maximal product of powers of integer literals and names, negated or not,
+# with the blanks around it; _POWER finds its powers as (literal, name,
+# exponent) strings.
+_ATOM = r"(?:[0-9]+|[A-Za-z]+)"
+_PRODUCT = re.compile(
+    rf"\s*(-)?\s*{_ATOM}(?:\s*\^\s*[0-9]+)?(?:\s*\*\s*{_ATOM}(?:\s*\^\s*[0-9]+)?)*\s*"
+)
+_POWER = re.compile(r"(?:([0-9]+)|([A-Za-z]+))(?:\s*\^\s*([0-9]+))?")
 
 
-def tokenize(text: str):
-    """(kind, text, begin, end) tuples, the last of kind EOF."""
-    tokens = []
-    for m in _LEXEME.finditer(text):
-        kind = m.lastgroup or _PUNCTUATION.get(m.group())
-        if kind is None:
-            raise ParseError(f"unexpected character {m.group()!r}", SourceSpan(*m.span()))
-        if kind != "SPACE":
-            tokens.append((kind, m.group(), *m.span()))
-    tokens.append(("EOF", "", len(text), len(text)))
-    return tokens
-
-
-def _over_limit_message() -> str:
+def _over_limit_message(what: str = "integer literal") -> str:
     # int() refuses decimal strings longer than the interpreter's limit
-    return f"integer literal over the limit of {sys.get_int_max_str_digits()} digits"
+    return f"{what} over the limit of {sys.get_int_max_str_digits()} digits"
 
 
-def _int_literal(tok) -> int:
-    """The value of an INT token; an over-long literal is a ParseError."""
-    try:
-        return int(tok[1])
-    except ValueError:
-        raise ParseError(_over_limit_message(), SourceSpan(*tok[2:])) from None
+def _power_over_limit(c: int, k: int) -> bool:
+    """Whether c^k must have more decimal digits than int() and str() take:
+    |c|^k >= 2^(k (b - 1)), b the bit length of c, and 2^(10 L / 3) > 10^L."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    return limit > 0 and 3 * k * (abs(c).bit_length() - 1) >= 10 * limit
 
 
 class _Parser:
-    """Recursive descent over the token list; expressions come back as
-    expanded ``MPoly`` values, with monomials built directly."""
+    """Recursive descent straight over the text; ``pos`` is always at a
+    non-blank character or at the end.  A product of powers of integer
+    literals and variables, negated or not, is one match of _PRODUCT, folded
+    into one (exponents, coefficient) pair; only parentheses, unary minus and
+    powers of sums build an ``MPoly`` before ``poly`` builds one from its
+    dict of terms."""
 
     def __init__(self, text: str, variables):
-        self.tokens = tokenize(text)
-        self.pos = 0
+        bad = _BAD_CHARACTER.search(text)
+        if bad:  # before any grammar error, however early
+            raise ParseError(f"unexpected character {bad.group()!r}", SourceSpan(*bad.span()))
+        self.text = text
+        self.pos = _BLANKS.match(text).end()
         self.variables = variables
         self.one = (0,) * len(variables)  # exponent vector of a constant
-        self.units = {v: tuple(int(v == w) for w in variables) for v in variables}
+        self.index = {v: i for i, v in enumerate(variables)}
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The next character, '' at the end."""
+        return self.text[self.pos : self.pos + 1]
+
+    def skip_to(self, pos: int):
+        if self.text[pos : pos + 1].isspace():
+            pos = _BLANKS.match(self.text, pos).end()
+        self.pos = pos
 
     def advance(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "EOF":
-            self.pos += 1
-        return tok
+        self.skip_to(self.pos + 1)
 
-    def expect(self, kind: str, what: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(
-                f"expected {what}, found {tok[1] or 'end of input'!r}", SourceSpan(*tok[2:])
-            )
-        return self.advance()
+    def token(self):
+        """(text, begin, end) of the next token; text is '' at the end."""
+        m = _TOKEN.match(self.text, self.pos)
+        return m.group(), m.start(), m.end()
+
+    def found(self, message: str):
+        tok, begin, end = self.token()
+        return ParseError(f"{message}, found {tok or 'end of input'!r}", SourceSpan(begin, end))
+
+    def expect(self, char: str, what: str):
+        if self.peek() != char:
+            raise self.found(f"expected {what}")
+        self.advance()
 
     def expect_eof(self):
-        tok = self.peek()
-        if tok[0] != "EOF":
-            raise ParseError(f"trailing input {tok[1]!r}", SourceSpan(*tok[2:]))
+        if self.pos < len(self.text):
+            tok, begin, end = self.token()
+            raise ParseError(f"trailing input {tok!r}", SourceSpan(begin, end))
 
-    def _monomial(self, poly: MPoly):
-        """(exponents, coefficient) of a polynomial with at most one term."""
-        return next(iter(poly.terms.items()), (self.one, 0))
+    def integer(self, what: str):
+        """(value, begin, end) of the integer literal that comes next."""
+        tok, begin, end = self.token()
+        if not tok[:1].isdigit():
+            raise self.found(f"expected {what}")
+        self.skip_to(end)
+        return _literal(tok, begin, end), begin, end
+
+    def poly(self) -> MPoly:
+        return MPoly._make(self.variables, self.expr())
 
     # expr := term (('+' | '-') term)*
-    def expr(self) -> MPoly:
-        out = dict(self.term().terms)
-        while (op := self.peek()[1]) in ("+", "-"):
-            self.advance()
-            sign = 1 if op == "+" else -1
-            for e, c in self.term().terms.items():
-                out[e] = out.get(e, 0) + sign * c
-        return MPoly._make(self.variables, out)
-
-    # term := unary ('*' unary)*
-    def term(self) -> MPoly:
-        coef, expo, sums = 1, self.one, []
+    def expr(self) -> dict:
+        """The expression's terms; a cancelled term stays with coefficient 0.
+        A term that is one match of _PRODUCT is read here, any other by
+        ``term``."""
+        out, sign, text, pos = {}, 1, self.text, self.pos
         while True:
-            factor = self.unary()
-            if len(factor.terms) > 1:
-                sums.append(factor)
+            m = _PRODUCT.match(text, pos)
+            end = pos if m is None else m.end()
+            if m is not None and text[end : end + 1] not in ("*", "^"):
+                e, c, _ = self.product(pos, end)
+                out[e] = out.get(e, 0) + (-sign * c if m.group(1) else sign * c)
+                pos = end
             else:
-                e, c = self._monomial(factor)
-                coef *= c
+                self.skip_to(pos)
+                self.term(out, sign)
+                pos = self.pos
+            op = text[pos : pos + 1]
+            if op not in ("+", "-"):
+                self.pos = pos
+                return out
+            sign = 1 if op == "+" else -1
+            pos += 1
+
+    # term := factor ('*' factor)*
+    def term(self, out: dict, sign: int):
+        """Add sign times the term to out."""
+        expo, coef, sums = self.one, sign, []
+        while True:
+            factor = self.factor()
+            if type(factor) is tuple:
+                e, c = factor
                 expo = tuple(map(add, expo, e))
-            if self.peek()[1] != "*":
+                coef *= c
+            else:
+                sums.append(factor)
+            if self.peek() != "*":
                 break
             self.advance()
         if not sums:
-            return MPoly._make(self.variables, {expo: coef})
+            out[expo] = out.get(expo, 0) + coef
+            return
         prod = sums[0]
         for factor in sums[1:]:
             prod = prod * factor
-        return MPoly._make(
-            self.variables, {tuple(map(add, e, expo)): coef * c for e, c in prod.terms.items()}
-        )
+        for e, c in prod.terms.items():
+            e = tuple(map(add, e, expo))
+            out[e] = out.get(e, 0) + coef * c
 
-    # unary := '-' unary | power
-    def unary(self) -> MPoly:
-        if self.peek()[1] == "-":
+    # factor := '-'? product of powers | unary
+    def factor(self):
+        """An (exponents, coefficient) pair, or an MPoly of two or more terms."""
+        m = _PRODUCT.match(self.text, self.pos)
+        if m is None:
+            return self.unary()
+        e, c, k = self.product(self.pos, m.end())
+        self.pos = m.end()
+        if not k and self.peek() == "^":
+            # _PRODUCT takes every exponent that is an integer literal
             self.advance()
-            return -self.unary()
-        return self.power()
+            self.exponent()
+        return e, -c if m.group(1) else c
 
-    # power := atom ('^' INT)?
-    def power(self) -> MPoly:
-        base = self.atom()
-        if self.peek()[1] != "^":
+    def product(self, begin: int, end: int):
+        """(exponents, coefficient, last exponent text) of the product of
+        powers in text[begin:end]."""
+        exps, coef, k = list(self.one), 1, ""
+        try:
+            for num, name, k in _POWER.findall(self.text, begin, end):
+                if num:
+                    c = int(num)
+                    if k:
+                        if _power_over_limit(c, int(k)):
+                            raise ValueError  # product_error raises it at its span
+                        c **= int(k)
+                    coef *= c
+                else:
+                    exps[self.index[name]] += int(k) if k else 1
+        except (KeyError, ValueError):
+            self.product_error(begin, end)
+        return tuple(exps), coef, k
+
+    def product_error(self, begin: int, end: int):
+        """Raise the first error in the products of powers in
+        text[begin:end], in reading order: each atom, then its exponent."""
+        for m in _POWER.finditer(self.text, begin, end):
+            num, name, k = m.groups()
+            if name is not None and name not in self.index:
+                raise ParseError(
+                    f"unknown variable {name!r} (alphabet: {', '.join(self.variables)})",
+                    SourceSpan(*m.span(2)),
+                )
+            c = None if num is None else _literal(num, *m.span(1))
+            if k is not None:
+                k = _literal(k, *m.span(3))
+                if c is not None and _power_over_limit(c, k):
+                    raise ParseError(_over_limit_message("integer power"), SourceSpan(*m.span(3)))
+        raise AssertionError(f"no error in {self.text[begin:end]!r}")
+
+    # unary := '-' factor | '(' expr ')' ('^' INT)?
+    def unary(self):
+        char = self.peek()
+        if char == "-":
+            self.advance()
+            factor = self.factor()
+            return (factor[0], -factor[1]) if type(factor) is tuple else -factor
+        if char != "(":
+            raise self.found("expected a term")
+        self.advance()
+        terms = {e: c for e, c in self.expr().items() if c}
+        self.expect(")", "')'")
+        if len(terms) > 1:
+            base = MPoly._make(self.variables, terms)
+        else:
+            base = next(iter(terms.items()), (self.one, 0))
+        if self.peek() != "^":
             return base
         self.advance()
-        kind, text, begin, end = self.peek()
-        if text == "-":
-            raise ParseError("negative exponent", SourceSpan(begin, end))
-        if kind != "INT":
-            raise ParseError("exponent must be an integer literal", SourceSpan(begin, end))
-        k = _int_literal(self.advance())
-        if len(base.terms) > 1:
+        k = self.exponent()
+        if type(base) is not tuple:
             return base**k
-        e, c = self._monomial(base)
-        return MPoly._make(self.variables, {tuple(v * k for v in e): c**k})
+        e, c = base
+        return tuple(v * k for v in e), c**k
 
-    def atom(self) -> MPoly:
-        kind, text, begin, end = self.peek()
-        if kind == "INT":
-            return MPoly._make(self.variables, {self.one: _int_literal(self.advance())})
-        if kind == "VAR":
-            if text not in self.units:
-                raise ParseError(
-                    f"unknown variable {text!r} (alphabet: {', '.join(self.variables)})",
-                    SourceSpan(begin, end),
-                )
-            self.advance()
-            return MPoly._make(self.variables, {self.units[text]: 1})
-        if kind == "LPAREN":
-            self.advance()
-            inner = self.expr()
-            self.expect("RPAREN", "')'")
-            return inner
-        raise ParseError(
-            f"expected a term, found {text or 'end of input'!r}", SourceSpan(begin, end)
-        )
+    def exponent(self) -> int:
+        """The integer literal after a '^'."""
+        tok, begin, end = self.token()
+        if tok == "-":
+            raise ParseError("negative exponent", SourceSpan(begin, end))
+        if not tok[:1].isdigit():
+            raise ParseError("exponent must be an integer literal", SourceSpan(begin, end))
+        self.skip_to(end)
+        return _literal(tok, begin, end)
 
     # rational := '-'? INT ('/' INT)?
     def rational(self) -> Fraction:
         sign = 1
-        if self.peek()[1] == "-":
+        if self.peek() == "-":
             self.advance()
             sign = -1
-        num = _int_literal(self.expect("INT", "an integer"))
-        if self.peek()[0] != "SLASH":
+        num = self.integer("an integer")[0]
+        if self.peek() != "/":
             return Fraction(sign * num)
         self.advance()
-        tok = self.expect("INT", "a denominator")
-        den = _int_literal(tok)
+        den, begin, end = self.integer("a denominator")
         if den == 0:
-            raise ParseError("zero denominator", SourceSpan(*tok[2:]))
+            raise ParseError("zero denominator", SourceSpan(begin, end))
         return Fraction(sign * num, den)
+
+
+def _literal(digits: str, begin: int, end: int) -> int:
+    """The value of an integer literal; an over-long one is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(_over_limit_message(), SourceSpan(begin, end)) from None
 
 
 def parse_poly(text: str, alphabet: str = "xyz") -> MPoly:
@@ -216,7 +297,7 @@ def parse_poly(text: str, alphabet: str = "xyz") -> MPoly:
     if variables is None:
         raise ParseError(f"unknown alphabet {alphabet!r}; use 'xyz' or 'st'")
     parser = _Parser(text, variables)
-    poly = parser.expr()
+    poly = parser.poly()
     parser.expect_eof()
     return poly
 
@@ -224,23 +305,23 @@ def parse_poly(text: str, alphabet: str = "xyz") -> MPoly:
 def parse_param(text: str) -> RationalParam:
     """Parse a parametrization triple "(e0 : e1 : e2)" of forms in (s, t)."""
     parser = _Parser(text, ST)
-    parser.expect("LPAREN", "'('")
-    forms = [parser.expr()]
+    parser.expect("(", "'('")
+    forms = [parser.poly()]
     for _ in range(2):
-        parser.expect("COLON", "':'")
-        forms.append(parser.expr())
-    parser.expect("RPAREN", "')'")
+        parser.expect(":", "':'")
+        forms.append(parser.poly())
+    parser.expect(")", "')'")
     parser.expect_eof()
     return RationalParam(*forms)
 
 
 def _parse_ratio_tuple(parser: _Parser, n: int):
-    parser.expect("LPAREN", "'('")
+    parser.expect("(", "'('")
     vals = [parser.rational()]
     for _ in range(n - 1):
-        parser.expect("COLON", "':'")
+        parser.expect(":", "':'")
         vals.append(parser.rational())
-    parser.expect("RPAREN", "')'")
+    parser.expect(")", "')'")
     if not any(vals):
         raise ParseError("projective coordinates cannot all be zero")
     return tuple(vals)
@@ -266,7 +347,7 @@ def parse_parameter_list(text: str):
     """Parse a comma-separated list of parameter values."""
     parser = _Parser(text, ST)
     pairs = [_parse_ratio_tuple(parser, 2)]
-    while parser.peek()[0] == "COMMA":
+    while parser.peek() == ",":
         parser.advance()
         pairs.append(_parse_ratio_tuple(parser, 2))
     parser.expect_eof()

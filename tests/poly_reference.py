@@ -9,8 +9,17 @@ library keeps a symmetric 3x3 matrix as the 6-vector of its entries in
 The library computes the Hessian chain of a dense curve on dense
 ``TernaryForm``s; the ``*_reference`` functions compute the same formulas
 on sparse ``MPoly`` forms, with rational coefficients and no scaling.
+
+The library reads polynomial text in one pass, a product of powers of
+literals and variables at a time; ``TokenParser`` is the token-list
+recursive descent it replaced, which builds an ``MPoly`` for every atom.
+The ``parse_*_reference`` functions run it.
 """
 
+import re
+import sys
+from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from sextactic.differential import (
@@ -20,8 +29,10 @@ from sextactic.differential import (
     DifferentialError,
     HessianVanishes,
 )
+from sextactic.parse import ALPHABETS, ParseError, SourceSpan
 from sextactic.poly import (
     CONIC_BASIS,
+    ST,
     XYZ,
     MPoly,
     NonSquareMatrix,
@@ -30,6 +41,7 @@ from sextactic.poly import (
     exact_div,
     veronese,
 )
+from sextactic.rational import RationalParam
 
 
 def sym3(six) -> PolyMatrix:
@@ -191,3 +203,234 @@ def second_hessian_reference(F: MPoly, variant: str = "corrected") -> MPoly:
         + (d - 2) * (12 * d - 27) * bundle.H * jac_hess
         - kappa * (d - 2) * (d - 2) * jac_form
     )
+
+
+# Every punctuation character the grammars use, with its token kind.
+_PUNCTUATION = {
+    "+": "OP", "-": "OP", "*": "OP", "^": "OP",
+    "(": "LPAREN", ")": "RPAREN", ":": "COLON", "/": "SLASH", ",": "COMMA",
+}
+# ASCII digits and letters only: str.isdigit also takes "²", which int()
+# rejects, and "٣", which int() reads as 3.  \s matches exactly str.isspace.
+_LEXEME = re.compile(r"(?P<SPACE>\s+)|(?P<INT>[0-9]+)|(?P<VAR>[A-Za-z]+)|.", re.S)
+
+
+def tokenize(text: str):
+    """(kind, text, begin, end) tuples, the last of kind EOF."""
+    tokens = []
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup or _PUNCTUATION.get(m.group())
+        if kind is None:
+            raise ParseError(f"unexpected character {m.group()!r}", SourceSpan(*m.span()))
+        if kind != "SPACE":
+            tokens.append((kind, m.group(), *m.span()))
+    tokens.append(("EOF", "", len(text), len(text)))
+    return tokens
+
+
+def _over_limit_message() -> str:
+    # int() refuses decimal strings longer than the interpreter's limit
+    return f"integer literal over the limit of {sys.get_int_max_str_digits()} digits"
+
+
+def _int_literal(tok) -> int:
+    """The value of an INT token; an over-long literal is a ParseError."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseError(_over_limit_message(), SourceSpan(*tok[2:])) from None
+
+
+class TokenParser:
+    """Recursive descent over the token list; expressions come back as
+    expanded ``MPoly`` values, with monomials built directly."""
+
+    def __init__(self, text: str, variables):
+        self.tokens = tokenize(text)
+        self.pos = 0
+        self.variables = variables
+        self.one = (0,) * len(variables)  # exponent vector of a constant
+        self.units = {v: tuple(int(v == w) for w in variables) for v in variables}
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        if tok[0] != "EOF":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(
+                f"expected {what}, found {tok[1] or 'end of input'!r}", SourceSpan(*tok[2:])
+            )
+        return self.advance()
+
+    def expect_eof(self):
+        tok = self.peek()
+        if tok[0] != "EOF":
+            raise ParseError(f"trailing input {tok[1]!r}", SourceSpan(*tok[2:]))
+
+    def _monomial(self, poly: MPoly):
+        """(exponents, coefficient) of a polynomial with at most one term."""
+        return next(iter(poly.terms.items()), (self.one, 0))
+
+    # expr := term (('+' | '-') term)*
+    def expr(self) -> MPoly:
+        out = dict(self.term().terms)
+        while (op := self.peek()[1]) in ("+", "-"):
+            self.advance()
+            sign = 1 if op == "+" else -1
+            for e, c in self.term().terms.items():
+                out[e] = out.get(e, 0) + sign * c
+        return MPoly._make(self.variables, out)
+
+    # term := unary ('*' unary)*
+    def term(self) -> MPoly:
+        coef, expo, sums = 1, self.one, []
+        while True:
+            factor = self.unary()
+            if len(factor.terms) > 1:
+                sums.append(factor)
+            else:
+                e, c = self._monomial(factor)
+                coef *= c
+                expo = tuple(map(add, expo, e))
+            if self.peek()[1] != "*":
+                break
+            self.advance()
+        if not sums:
+            return MPoly._make(self.variables, {expo: coef})
+        prod = sums[0]
+        for factor in sums[1:]:
+            prod = prod * factor
+        return MPoly._make(
+            self.variables, {tuple(map(add, e, expo)): coef * c for e, c in prod.terms.items()}
+        )
+
+    # unary := '-' unary | power
+    def unary(self) -> MPoly:
+        if self.peek()[1] == "-":
+            self.advance()
+            return -self.unary()
+        return self.power()
+
+    # power := atom ('^' INT)?
+    def power(self) -> MPoly:
+        base = self.atom()
+        if self.peek()[1] != "^":
+            return base
+        self.advance()
+        kind, text, begin, end = self.peek()
+        if text == "-":
+            raise ParseError("negative exponent", SourceSpan(begin, end))
+        if kind != "INT":
+            raise ParseError("exponent must be an integer literal", SourceSpan(begin, end))
+        k = _int_literal(self.advance())
+        if len(base.terms) > 1:
+            return base**k
+        e, c = self._monomial(base)
+        return MPoly._make(self.variables, {tuple(v * k for v in e): c**k})
+
+    def atom(self) -> MPoly:
+        kind, text, begin, end = self.peek()
+        if kind == "INT":
+            return MPoly._make(self.variables, {self.one: _int_literal(self.advance())})
+        if kind == "VAR":
+            if text not in self.units:
+                raise ParseError(
+                    f"unknown variable {text!r} (alphabet: {', '.join(self.variables)})",
+                    SourceSpan(begin, end),
+                )
+            self.advance()
+            return MPoly._make(self.variables, {self.units[text]: 1})
+        if kind == "LPAREN":
+            self.advance()
+            inner = self.expr()
+            self.expect("RPAREN", "')'")
+            return inner
+        raise ParseError(
+            f"expected a term, found {text or 'end of input'!r}", SourceSpan(begin, end)
+        )
+
+    # rational := '-'? INT ('/' INT)?
+    def rational(self) -> Fraction:
+        sign = 1
+        if self.peek()[1] == "-":
+            self.advance()
+            sign = -1
+        num = _int_literal(self.expect("INT", "an integer"))
+        if self.peek()[0] != "SLASH":
+            return Fraction(sign * num)
+        self.advance()
+        tok = self.expect("INT", "a denominator")
+        den = _int_literal(tok)
+        if den == 0:
+            raise ParseError("zero denominator", SourceSpan(*tok[2:]))
+        return Fraction(sign * num, den)
+
+
+def parse_poly_reference(text: str, alphabet: str = "xyz") -> MPoly:
+    """Parse and expand a polynomial expression over the given alphabet."""
+    variables = ALPHABETS.get(alphabet)
+    if variables is None:
+        raise ParseError(f"unknown alphabet {alphabet!r}; use 'xyz' or 'st'")
+    parser = TokenParser(text, variables)
+    poly = parser.expr()
+    parser.expect_eof()
+    return poly
+
+
+def parse_param_reference(text: str) -> RationalParam:
+    """Parse a parametrization triple "(e0 : e1 : e2)" of forms in (s, t)."""
+    parser = TokenParser(text, ST)
+    parser.expect("LPAREN", "'('")
+    forms = [parser.expr()]
+    for _ in range(2):
+        parser.expect("COLON", "':'")
+        forms.append(parser.expr())
+    parser.expect("RPAREN", "')'")
+    parser.expect_eof()
+    return RationalParam(*forms)
+
+
+def _parse_ratio_tuple(parser: TokenParser, n: int):
+    parser.expect("LPAREN", "'('")
+    vals = [parser.rational()]
+    for _ in range(n - 1):
+        parser.expect("COLON", "':'")
+        vals.append(parser.rational())
+    parser.expect("RPAREN", "')'")
+    if not any(vals):
+        raise ParseError("projective coordinates cannot all be zero")
+    return tuple(vals)
+
+
+def parse_point_reference(text: str):
+    """Parse a projective point "(a : b : c)" with rational entries."""
+    parser = TokenParser(text, XYZ)
+    point = _parse_ratio_tuple(parser, 3)
+    parser.expect_eof()
+    return point
+
+
+def parse_parameter_reference(text: str):
+    """Parse a parameter value "(s0 : t0)" with rational entries."""
+    parser = TokenParser(text, ST)
+    pair = _parse_ratio_tuple(parser, 2)
+    parser.expect_eof()
+    return pair
+
+
+def parse_parameter_list_reference(text: str):
+    """Parse a comma-separated list of parameter values."""
+    parser = TokenParser(text, ST)
+    pairs = [_parse_ratio_tuple(parser, 2)]
+    while parser.peek()[0] == "COMMA":
+        parser.advance()
+        pairs.append(_parse_ratio_tuple(parser, 2))
+    parser.expect_eof()
+    return pairs

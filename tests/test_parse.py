@@ -3,13 +3,22 @@
 import functools
 import json
 import random
+import re
 import sys
+import time
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from poly_reference import (
+    parse_param_reference,
+    parse_parameter_list_reference,
+    parse_parameter_reference,
+    parse_point_reference,
+    parse_poly_reference,
+)
 from sextactic.branch import NonPrimitiveBranch
 from sextactic.census import CensusError
 from sextactic.parse import (
@@ -156,6 +165,95 @@ class TestAgainstSympy:
         assert parse_poly(text).terms == {e: int(c) for e, c in oracle.items()}, text
 
 
+_TOKEN_TEXT = re.compile(r"[0-9]+|[A-Za-z]+|\S")
+_BLANKS = st.sampled_from(["", "", "", " ", "  ", "\t", "\n "])
+_LONG_EXPONENT = re.compile(r"\^\s*[0-9]{2}")
+
+
+@st.composite
+def _variants(draw, texts, inserts):
+    """A text of ``texts`` with random blanks between its tokens; three in
+    five are then edited by inserting, deleting or replacing one character.
+    Exponents stay below 10, so that no power runs long."""
+    tokens = _TOKEN_TEXT.findall(draw(texts))
+    blanks = draw(st.lists(_BLANKS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = "".join(b + t for b, t in zip(blanks, tokens + [""]))
+    edit = draw(st.sampled_from([None, None, "insert", "delete", "replace"]))
+    if edit is not None:
+        i = draw(st.integers(0, len(text)))
+        char = "" if edit == "delete" else draw(st.sampled_from(inserts))
+        text = text[:i] + char + text[i + (edit != "insert") :]
+    assume(not _LONG_EXPONENT.search(text))
+    return text
+
+
+def _outcome(parse, *args):
+    """The parsed value, or the error's type, message and span."""
+    try:
+        value = parse(*args)
+    except Exception as e:
+        span = getattr(e, "span", None)
+        return type(e).__name__, str(e), span and (span.begin, span.end)
+    return value.phi if hasattr(value, "phi") else value
+
+
+_EXPRESSION_TEXTS = _expressions(1).map(lambda node: node[0])
+_ST_TEXTS = _EXPRESSION_TEXTS.map(lambda t: t.translate(str.maketrans("xyz", "sts")))
+_FORM_TEXTS = st.integers(0, 5).flatmap(
+    lambda d: st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1).map(
+        lambda cs: str(MPoly(ST, {(i, d - i): c for i, c in enumerate(cs)}))
+    )
+)
+_PARAM_TEXTS = st.lists(st.one_of(_FORM_TEXTS, _ST_TEXTS), min_size=3, max_size=3).map(
+    lambda forms: "(" + " : ".join(forms) + ")"
+)
+_RATIONAL_TEXTS = st.tuples(
+    st.sampled_from(["", "-"]), st.integers(0, 99).map(str), st.sampled_from(["", "/0", "/1", "/3", "/12"])
+).map("".join)
+
+
+def _ratio_texts(n):
+    return st.lists(_RATIONAL_TEXTS, min_size=n, max_size=n).map(lambda v: f"({':'.join(v)})")
+
+
+class TestAgainstTokenParser:
+    """The one-pass parser against the token-list parser it replaced
+    (``poly_reference.TokenParser``): equal values for well-formed texts,
+    and an equal error type, message and span for malformed ones."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_variants(_EXPRESSION_TEXTS, list("+-*^() xyzstw$²:/,")), st.sampled_from(["xyz", "st"]))
+    def test_parse_poly(self, text, alphabet):
+        if alphabet == "st":
+            text = text.translate(str.maketrans("xyz", "sts"))
+        want = _outcome(parse_poly_reference, text, alphabet)
+        assert _outcome(parse_poly, text, alphabet) == want, text
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_variants(_PARAM_TEXTS, list("+-*^(): stx,")))
+    def test_parse_param(self, text):
+        assert _outcome(parse_param, text) == _outcome(parse_param_reference, text), text
+
+    @pytest.mark.parametrize(
+        "parse, reference, texts",
+        [
+            (parse_point, parse_point_reference, _ratio_texts(3)),
+            (parse_parameter, parse_parameter_reference, _ratio_texts(2)),
+            (
+                parse_parameter_list,
+                parse_parameter_list_reference,
+                st.lists(_ratio_texts(2), min_size=1, max_size=4).map(",".join),
+            ),
+        ],
+        ids=["point", "parameter", "parameter_list"],
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_tuple_parsers(self, parse, reference, texts, data):
+        text = data.draw(_variants(texts, list("-/:(),0 7x$")))
+        assert _outcome(parse, text) == _outcome(reference, text), text
+
+
 def _branch(**fields):
     data = {"truncation": 11, "x": [[1, 1, 3]], "y": [[1, 1, 5]], "z": [[1, 1, 0]]}
     data.update(fields)
@@ -184,6 +282,15 @@ ERROR_TABLE = [
     (parse_poly, "x**2", "expected a term, found '*' at [2:3]", (2, 3)),
     (parse_poly, "x y", "trailing input 'y' at [2:3]", (2, 3)),
     (parse_poly, "2^2^2", "trailing input '^' at [3:4]", (3, 4)),
+    (parse_poly, "+x", "expected a term, found '+' at [0:1]", (0, 1)),
+    (parse_poly, "2x", "trailing input 'x' at [1:2]", (1, 2)),
+    (parse_poly, "x*", "expected a term, found 'end of input' at [2:2]", (2, 2)),
+    # 3^100000000 would have about 4.8e7 digits; it is refused unexpanded
+    (
+        parse_poly, "3^100000000*x",
+        f"integer power over the limit of {sys.get_int_max_str_digits()} digits at [2:11]",
+        (2, 11),
+    ),
     (lambda t: parse_poly(t, "uvw"), "x", "unknown alphabet 'uvw'; use 'xyz' or 'st'", None),
     (parse_param, "s^3 : t^3 : s*t^2)", "expected '(', found 's' at [0:1]", (0, 1)),
     (parse_param, "(s^3 , t^3 : s*t^2)", "expected ':', found ',' at [5:6]", (5, 6)),
@@ -294,6 +401,52 @@ def test_over_long_integer_literal(parser, text, span):
     else:
         assert str(info.value) == f"{OVER_LIMIT} at [{span[0]}:{span[1]}]"
         assert (info.value.span.begin, info.value.span.end) == span
+
+
+class TestLiteralPowerBound:
+    """A power of an integer literal whose value must pass the digit limit is
+    refused at its exponent before it is computed."""
+
+    @pytest.mark.parametrize(
+        "text, span",
+        [
+            ("3^100000000*x", (2, 11)),
+            ("x*-7 ^ 99999999 + y", (7, 15)),
+            ("(x + y)*12^50000000", (11, 19)),
+            ("x^2 - 2^1000000000000*z", (8, 21)),
+            ("3^100000000*w", (2, 11)),
+        ],
+    )
+    def test_refused_unexpanded(self, text, span):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert time.perf_counter() - start < 0.5
+        limit = sys.get_int_max_str_digits()
+        assert str(info.value) == f"integer power over the limit of {limit} digits at [{span[0]}:{span[1]}]"
+        assert (info.value.span.begin, info.value.span.end) == span
+
+    def test_errors_keep_reading_order(self):
+        with pytest.raises(ParseError, match="unknown variable 'w'"):
+            parse_poly("w*3^100000000")
+
+    @pytest.mark.parametrize("c", [2, 3, 10, 99, 2**64 + 1])
+    def test_bound_trips_only_on_powers_over_the_limit(self, c):
+        # the least k refused: 3 k (b - 1) >= 10 L, b the bit length of c
+        limit = sys.get_int_max_str_digits()
+        k = -(-10 * limit // (3 * (c.bit_length() - 1)))
+        assert c**k >= 10**limit  # more than limit digits
+        assert parse_poly(f"{c}^{k - 1}*x").terms == {(1, 0, 0): c ** (k - 1)}
+        with pytest.raises(ParseError, match="integer power over the limit"):
+            parse_poly(f"{c}^{k}*x")
+
+    def test_units_and_zero_have_no_bound(self):
+        assert parse_poly("1^99999999999*x - 0^99999999999 + -1^99999999999") == X - 1
+
+    def test_parenthesized_base_is_no_literal(self):
+        # a computed integer over the limit fails only when it is printed
+        big = 10**1500
+        assert parse_poly(f"({big}*x)^3").terms == {(3, 0, 0): big**3}
 
 
 class TestMonomialsBuiltInPlace:
