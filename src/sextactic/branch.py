@@ -10,10 +10,18 @@ weight of the point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
 # CONIC_BASIS is re-exported: the ladder's witnesses are written in its order
-from .poly import CONIC_BASIS, MPoly, conic, veronese
+from .poly import (
+    _PACK_MIN_PAIRS,
+    _PACK_MIN_TERMS,
+    CONIC_BASIS,
+    MPoly,
+    conic,
+    kronecker_product,
+    veronese,
+)
 from .series import TruncSeries
 
 
@@ -79,20 +87,45 @@ class BranchParam:
         return f"BranchParam(x={self.x}, y={self.y}, z={self.z})"
 
 
-@dataclass(frozen=True)
 class ValuationLadder:
     """Attainable conic contact orders at a branch, with witnesses.
 
     ``orders`` is strictly increasing; ``witnesses[i]`` is a primitive
     integer conic whose pullback along the branch has valuation exactly
-    ``orders[i]``.
+    ``orders[i]``.  The ladder keeps each witness as a rational 6-vector in
+    ``CONIC_BASIS`` order, any nonzero multiple of it, and builds the conic
+    only when it is read.
     """
 
-    orders: tuple
-    witnesses: tuple
+    __slots__ = ("orders", "_vectors", "_witnesses")
+
+    def __init__(self, orders, vectors):
+        self.orders = orders
+        self._vectors = vectors
+        self._witnesses = None
+
+    @property
+    def witnesses(self) -> tuple:
+        if self._witnesses is None:
+            self._witnesses = tuple(map(_witness, self._vectors))
+        return self._witnesses
 
     def witness_for(self, order: int) -> MPoly:
-        return self.witnesses[self.orders.index(order)]
+        return _witness(self._vectors[self.orders.index(order)])
+
+    def __eq__(self, other):
+        if not isinstance(other, ValuationLadder):
+            return NotImplemented
+        return self.orders == other.orders and self.witnesses == other.witnesses
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"ValuationLadder(orders={self.orders!r}, witnesses={self.witnesses!r})"
+
+
+def _witness(vec) -> MPoly:
+    return conic(vec).canonical()
 
 
 @dataclass(frozen=True)
@@ -106,35 +139,102 @@ class WeightReport:
     sextactic_order: "int | None"
 
 
+class _IntSeries:
+    """A truncated series with integer coefficients, as a plain exponent ->
+    coefficient dict: ``TruncSeries``' product on the branch's cleared
+    coordinates, without its checks on the way in and out."""
+
+    __slots__ = ("coeffs", "trunc")
+
+    def __init__(self, coeffs, trunc):
+        self.coeffs = coeffs
+        self.trunc = trunc
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        # TruncSeries' rule: a tail times the other factor's lowest term is
+        # the first coefficient the product cannot know
+        trunc = min(
+            self.trunc + (min(b) if b else other.trunc),
+            other.trunc + (min(a) if a else self.trunc),
+        )
+        if not a or not b:
+            return _IntSeries({}, trunc)
+        out = None
+        if len(a) * len(b) >= _PACK_MIN_PAIRS and min(len(a), len(b)) >= _PACK_MIN_TERMS:
+            out = kronecker_product(a, b, trunc)
+        if out is None:
+            out = {}
+            get = out.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    if e < trunc:
+                        out[e] = get(e, 0) + c1 * c2
+            out = {e: c for e, c in out.items() if c}
+        return _IntSeries(out, trunc)
+
+
+def _cleared_coords(b: BranchParam):
+    """The coordinates times D, the lcm of all their coefficient
+    denominators, as integer series; (Dx : Dy : Dz) is the same projective
+    branch."""
+    coords = b.coords
+    d = lcm(*[c.denominator for s in coords for c in s.coeffs.values()])
+    return [
+        _IntSeries({e: c.numerator * (d // c.denominator) for e, c in s.coeffs.items()}, s.trunc)
+        for s in coords
+    ]
+
+
 def _reduce_to_distinct(items, branch_trunc: int):
-    """Gaussian elimination by leading exponent on a list of series; returns
-    {valuation: (series, vector)} with distinct valuations, where the vector
-    holds the coefficients of that series in the input items."""
+    """Gaussian elimination by leading exponent on a list of integer series;
+    returns {valuation: vector} with distinct valuations, where the vector
+    holds the integer coefficients of the reduced series in the input items.
+
+    Fraction-free (Bareiss 1968): a series that meets a pivot at its
+    valuation v becomes a * series - b * pivot, with a = pivot[v] and
+    b = series[v] over their gcd, and its vector takes the same step.  Each
+    series and vector is a nonzero multiple of the one exact rational
+    elimination (series - (b/a) * pivot) builds, so the valuations, the
+    truncations and the witnesses are the same.
+    """
     n = len(items)
     pivots = {}
-    for i, series in enumerate(items):
-        vec = tuple(Fraction(int(i == j)) for j in range(n))
+    vectors = {}
+    for i, item in enumerate(items):
+        series, trunc = item.coeffs, item.trunc
+        vec = [0] * n
+        vec[i] = 1
         while True:
-            v = series.valuation()
-            if v is None:
-                raise TruncationInsufficient(branch_trunc + 1, series.trunc)
+            if not series:
+                raise TruncationInsufficient(branch_trunc + 1, trunc)
+            v = min(series)
             hit = pivots.get(v)
             if hit is None:
-                pivots[v] = (series, vec)
+                pivots[v] = (series, trunc)
+                vectors[v] = vec
                 break
-            ps, pvec = hit
-            r = Fraction(series.coeffs[v]) / Fraction(ps.coeffs[v])
-            series = series - ps * r
-            vec = tuple(a - r * b for a, b in zip(vec, pvec))
-    return pivots
+            ps, ptrunc = hit
+            a, b = ps[v], series[v]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            trunc = min(trunc, ptrunc)
+            out = {e: a * c for e, c in series.items() if e < trunc}
+            get = out.get
+            for e, c in ps.items():
+                if e < trunc:
+                    out[e] = get(e, 0) - b * c
+            series = {e: c for e, c in out.items() if c}
+            vec = [a * x - b * y for x, y in zip(vec, vectors[v])]
+    return vectors
 
 
 def valuation_ladder(b: BranchParam) -> ValuationLadder:
     """The six conic contact orders attainable at the branch, with witnesses."""
-    pivots = _reduce_to_distinct(veronese(*b.coords), b.trunc)
-    orders = tuple(sorted(pivots))
-    witnesses = tuple(conic(pivots[v][1]).canonical() for v in orders)
-    return ValuationLadder(orders, witnesses)
+    vectors = _reduce_to_distinct(veronese(*_cleared_coords(b)), b.trunc)
+    orders = tuple(sorted(vectors))
+    return ValuationLadder(orders, tuple(vectors[v] for v in orders))
 
 
 def line_orders(b: BranchParam):
@@ -142,7 +242,7 @@ def line_orders(b: BranchParam):
 
     These are the two nonzero valuations attainable by linear forms.
     """
-    v0, m, l = sorted(_reduce_to_distinct(b.coords, b.trunc))
+    v0, m, l = sorted(_reduce_to_distinct(_cleared_coords(b), b.trunc))
     if v0 != 0:
         raise NonPrimitiveBranch("no linear form is a unit along the branch")
     return m, l

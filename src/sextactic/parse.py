@@ -375,10 +375,13 @@ def _series_from_entries(entries, trunc: int, key: str) -> TruncSeries:
         raise ParseError(f"coordinate {key!r} must be a list of [num, den, exp] triples")
     coeffs = {}
     for item in entries:
-        if (
-            not isinstance(item, list)
-            or len(item) != 3
-            or not all(map(_is_int, item))
+        # ``type(v) is int`` refuses JSON's true and false, loaded as bool
+        if not (
+            isinstance(item, list)
+            and len(item) == 3
+            and type(item[0]) is int
+            and type(item[1]) is int
+            and type(item[2]) is int
         ):
             raise ParseError(f"bad entry {item!r} in coordinate {key!r}")
         num, den, exp = item
@@ -393,8 +396,8 @@ def _series_from_entries(entries, trunc: int, key: str) -> TruncSeries:
             )
         if exp in coeffs:
             raise ParseError(f"duplicate exponent {exp} in coordinate {key!r}")
-        coeffs[exp] = Fraction(num, den)
-    return TruncSeries(coeffs, trunc)
+        coeffs[exp] = num // den if num % den == 0 else Fraction(num, den)
+    return TruncSeries._make(coeffs, trunc)
 
 
 def parse_branch(text: str) -> BranchParam:

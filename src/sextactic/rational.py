@@ -71,6 +71,8 @@ class RationalParam:
         g = nonzero[0]
         for p in nonzero[1:]:
             g = binaryform_gcd(g, p)
+            if g.degree() == 0:
+                break  # the gcd with the rest is a constant too
         if g.degree() > 0:
             raise CommonFactorError(g)
         # strip the common positive rational content of the whole triple;

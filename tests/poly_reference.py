@@ -14,6 +14,11 @@ The library reads polynomial text in one pass, a product of powers of
 literals and variables at a time; ``TokenParser`` is the token-list
 recursive descent it replaced, which builds an ``MPoly`` for every atom.
 The ``parse_*_reference`` functions run it.
+
+The library reduces a branch's conic pullbacks to distinct valuations by
+fraction-free elimination on integer series; ``reduce_to_distinct_reference``
+is the exact rational elimination on ``TruncSeries`` it replaced, and the
+``*_reference`` ladder and line orders run it.
 """
 
 import re
@@ -22,6 +27,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
+from sextactic.branch import NonPrimitiveBranch, TruncationInsufficient, ValuationLadder
 from sextactic.differential import (
     VARIANTS,
     CovariantSet,
@@ -434,3 +440,39 @@ def parse_parameter_list_reference(text: str):
         pairs.append(_parse_ratio_tuple(parser, 2))
     parser.expect_eof()
     return pairs
+
+
+def reduce_to_distinct_reference(items, branch_trunc: int):
+    """Gaussian elimination by leading exponent on a list of series; returns
+    {valuation: (series, vector)} with distinct valuations, where the vector
+    holds the coefficients of that series in the input items."""
+    n = len(items)
+    pivots = {}
+    for i, series in enumerate(items):
+        vec = tuple(Fraction(int(i == j)) for j in range(n))
+        while True:
+            v = series.valuation()
+            if v is None:
+                raise TruncationInsufficient(branch_trunc + 1, series.trunc)
+            hit = pivots.get(v)
+            if hit is None:
+                pivots[v] = (series, vec)
+                break
+            ps, pvec = hit
+            r = Fraction(series.coeffs[v]) / Fraction(ps.coeffs[v])
+            series = series - ps * r
+            vec = tuple(a - r * b for a, b in zip(vec, pvec))
+    return pivots
+
+
+def valuation_ladder_reference(b) -> ValuationLadder:
+    pivots = reduce_to_distinct_reference(veronese(*b.coords), b.trunc)
+    orders = tuple(sorted(pivots))
+    return ValuationLadder(orders, tuple(pivots[v][1] for v in orders))
+
+
+def line_orders_reference(b):
+    v0, m, l = sorted(reduce_to_distinct_reference(b.coords, b.trunc))
+    if v0 != 0:
+        raise NonPrimitiveBranch("no linear form is a unit along the branch")
+    return m, l

@@ -1,11 +1,16 @@
 """Valuation ladders against closed forms and brute-force oracles."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poly_reference import line_orders_reference, valuation_ladder_reference
+from sextactic import branch, cli
 from sextactic.branch import (
     BranchError,
     BranchParam,
@@ -365,3 +370,121 @@ class TestLineOrders:
         b = mk_branch({0: 1}, {2: 1}, {5: 1}, 12)
         assert line_orders(b) == (2, 5)
         assert valuation_ladder(b).orders == attainable_orders_by_rank(b)
+
+
+# 70-bit numerators over denominators up to a prime just above 10^6
+_COEFF = st.builds(
+    Fraction, st.integers(-(2**70), 2**70).filter(bool), st.integers(1, 10**6 + 3)
+)
+
+
+@st.composite
+def _branches(draw):
+    """(branch or None, (m, l, c) when the branch must show them).
+
+    The branch is (x : y : z) with x = a t^m + ..., y = b t^l + ... and
+    z = z0 + ...; for l = 2m, z is the constant z0 and y agrees with x^2 / z0
+    below t^c, which plants the conic order c.  Then each coordinate is cut
+    at its own truncation, one may be set to zero, one may gain an integer
+    multiple of another, and the three are shuffled.  None when no
+    coordinate is a unit.
+    """
+    m = draw(st.integers(1, 5))
+    l = draw(st.one_of(st.just(2 * m), st.integers(m + 1, 3 * m + 2)))
+    c = None
+    if l == 2 * m:
+        c = draw(st.sampled_from([v for v in range(2 * m + 1, 5 * m + 3) if v not in (3 * m, 4 * m)]))
+    top = max(2 * l, 4 * m, c + 2 * m if c else 0)
+
+    def series(lead, fixed=()):
+        coeffs = dict(fixed)
+        coeffs.setdefault(lead, draw(_COEFF))
+        for e in draw(st.lists(st.integers(lead + 1, top + 2), max_size=4, unique=True)):
+            coeffs[e] = draw(_COEFF)
+        return coeffs
+
+    z0 = draw(_COEFF)
+    x = series(m)
+    if c is None:
+        y = series(l)
+    else:
+        sq = {}
+        for (e1, c1), (e2, c2) in itertools.product(x.items(), repeat=2):
+            if e1 + e2 <= c:
+                sq[e1 + e2] = sq.get(e1 + e2, 0) + c1 * c2 / z0
+        y = series(c, {e: v for e, v in sq.items() if e < c})
+        y[c] = sq.get(c, 0) + draw(_COEFF)
+    z = {0: z0} if c else series(0, {0: z0})
+    coords = []
+    low = max(1, draw(st.sampled_from([top // 2, top - 3])))
+    for coeffs in (x, y, z):
+        trunc = draw(st.integers(low, top + 4))
+        coords.append(TruncSeries({e: v for e, v in coeffs.items() if e < trunc}, trunc))
+    zeroed = draw(st.booleans()) and draw(st.booleans())
+    if zeroed:
+        i = draw(st.integers(0, 2))
+        coords[i] = TruncSeries({}, coords[i].trunc)
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(3)))[:2]
+        coords[i] = coords[i] + coords[j] * draw(st.sampled_from([-2, -1, 1, 3]))
+    coords = draw(st.permutations(coords))
+    try:
+        b = BranchParam(*coords)
+    except NonPrimitiveBranch:
+        return None, None
+    return b, None if zeroed else (m, l, c)
+
+
+def _outcome(fn, b):
+    try:
+        return fn(b)
+    except TruncationInsufficient as e:
+        return ("stall", e.needed, e.stalled_at)
+    except BranchError as e:  # NonPrimitiveBranch, a ladder of the wrong shape
+        return (type(e).__name__, str(e))
+
+
+class TestFractionFreeLadder:
+    """The integer elimination against the exact rational one it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=_branches())
+    def test_matches_the_rational_elimination(self, case):
+        b, planted = case
+        if b is None:
+            return
+        ladder = _outcome(valuation_ladder, b)
+        want = _outcome(valuation_ladder_reference, b)
+        assert ladder == want
+        if isinstance(ladder, branch.ValuationLadder):
+            assert ladder.orders == want.orders
+            assert ladder.witnesses == want.witnesses
+            assert [ladder.witness_for(v) for v in ladder.orders] == list(want.witnesses)
+        assert _outcome(line_orders, b) == _outcome(line_orders_reference, b)
+        # weight2 and the maximal-contact conic, run once more with the
+        # rational ladder and line orders in their place
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(branch, "valuation_ladder", valuation_ladder_reference)
+            mp.setattr(branch, "line_orders", line_orders_reference)
+            want_report = _outcome(weight2, b)
+            want_conic = _outcome(branch._hyperosculating, b)
+        report = _outcome(weight2, b)
+        assert report == want_report
+        assert _outcome(branch._hyperosculating, b) == want_conic
+        if planted and isinstance(report, branch.WeightReport):
+            assert (report.m, report.l, report.c) == planted
+
+
+class TestWitnessesWhenRead:
+    BRANCH = {"truncation": 12, "x": [[1, 1, 2]], "y": [[1, 1, 4], [1, 1, 5]], "z": [[1, 1, 0]]}
+
+    @pytest.mark.parametrize("command, built", [("weight", 0), ("osc-branch", 1), ("ladder", 6)])
+    def test_conics_built_per_command(self, tmp_path, monkeypatch, capsys, command, built):
+        calls = []
+        real = branch.conic
+        monkeypatch.setattr(branch, "conic", lambda six: calls.append(six) or real(six))
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(self.BRANCH))
+        assert cli.main([command, "--branch", str(path)]) == 0
+        capsys.readouterr()
+        assert len(calls) == built

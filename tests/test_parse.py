@@ -344,6 +344,8 @@ ERROR_TABLE = [
     (parse_branch, _branch(x=[[True, 1, 2]]), "bad entry [True, 1, 2] in coordinate 'x'", None),
     (parse_branch, _branch(y=[[1, True, 5]]), "bad entry [1, True, 5] in coordinate 'y'", None),
     (parse_branch, _branch(z=[[1, 1, False]]), "bad entry [1, 1, False] in coordinate 'z'", None),
+    (parse_branch, _branch(x=[[True, 1, 0]]), "bad entry [True, 1, 0] in coordinate 'x'", None),
+    (parse_branch, _branch(y=[[1.5, 1, 5]]), "bad entry [1.5, 1, 5] in coordinate 'y'", None),
     (parse_profile, "[]", "profile file must contain a JSON object", None),
     (parse_profile, '{"d": 5, "q": 1}', "unknown profile file keys ['q']", None),
     (parse_profile, '{"points": []}', "profile is missing the degree key 'd'", None),
