@@ -53,7 +53,7 @@ class TruncationInsufficient(BranchError):
 class BranchParam:
     """Primitive branch (x(t) : y(t) : z(t)) with a common usable truncation."""
 
-    __slots__ = ("x", "y", "z")
+    __slots__ = ("x", "y", "z", "_cleared")
 
     def __init__(self, x: TruncSeries, y: TruncSeries, z: TruncSeries):
         if not any(c.valuation() == 0 for c in (x, y, z)):
@@ -63,6 +63,7 @@ class BranchParam:
         self.x = x
         self.y = y
         self.z = z
+        self._cleared = None
 
     @property
     def coords(self):
@@ -82,6 +83,18 @@ class BranchParam:
             t = self.trunc
             return TruncSeries({0: 1}, t)
         return out
+
+    def _integer_coords(self):
+        """The coordinates times D, the lcm of all their coefficient
+        denominators, as integer series, computed once; (Dx : Dy : Dz) is
+        the same projective branch."""
+        if self._cleared is None:
+            d = lcm(*[c.denominator for s in self.coords for c in s.coeffs.values()])
+            self._cleared = [
+                _IntSeries({e: c.numerator * (d // c.denominator) for e, c in s.coeffs.items()}, s.trunc)
+                for s in self.coords
+            ]
+        return self._cleared
 
     def __repr__(self):
         return f"BranchParam(x={self.x}, y={self.y}, z={self.z})"
@@ -175,18 +188,6 @@ class _IntSeries:
         return _IntSeries(out, trunc)
 
 
-def _cleared_coords(b: BranchParam):
-    """The coordinates times D, the lcm of all their coefficient
-    denominators, as integer series; (Dx : Dy : Dz) is the same projective
-    branch."""
-    coords = b.coords
-    d = lcm(*[c.denominator for s in coords for c in s.coeffs.values()])
-    return [
-        _IntSeries({e: c.numerator * (d // c.denominator) for e, c in s.coeffs.items()}, s.trunc)
-        for s in coords
-    ]
-
-
 def _reduce_to_distinct(items, branch_trunc: int):
     """Gaussian elimination by leading exponent on a list of integer series;
     returns {valuation: vector} with distinct valuations, where the vector
@@ -232,7 +233,7 @@ def _reduce_to_distinct(items, branch_trunc: int):
 
 def valuation_ladder(b: BranchParam) -> ValuationLadder:
     """The six conic contact orders attainable at the branch, with witnesses."""
-    vectors = _reduce_to_distinct(veronese(*_cleared_coords(b)), b.trunc)
+    vectors = _reduce_to_distinct(veronese(*b._integer_coords()), b.trunc)
     orders = tuple(sorted(vectors))
     return ValuationLadder(orders, tuple(vectors[v] for v in orders))
 
@@ -242,7 +243,7 @@ def line_orders(b: BranchParam):
 
     These are the two nonzero valuations attainable by linear forms.
     """
-    v0, m, l = sorted(_reduce_to_distinct(_cleared_coords(b), b.trunc))
+    v0, m, l = sorted(_reduce_to_distinct(b._integer_coords(), b.trunc))
     if v0 != 0:
         raise NonPrimitiveBranch("no linear form is a unit along the branch")
     return m, l
