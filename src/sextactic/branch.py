@@ -51,7 +51,10 @@ class TruncationInsufficient(BranchError):
 
 
 class BranchParam:
-    """Primitive branch (x(t) : y(t) : z(t)) with a common usable truncation."""
+    """Primitive branch (x(t) : y(t) : z(t)) with a common usable truncation.
+
+    Immutable by convention: its integer coordinates are computed once.
+    """
 
     __slots__ = ("x", "y", "z", "_cleared")
 
