@@ -160,12 +160,26 @@ def _derivatives(P: MPoly):
     )
 
 
+def _dot(pairs):
+    """sum(c * a * b) over the (int c, a, b) of ``pairs``: one fused
+    ``TernaryForm.dot`` on the dense chain, the plain sum of the products on
+    ``MPoly`` forms and on numbers."""
+    if isinstance(pairs[0][1], TernaryForm):
+        return TernaryForm.dot(pairs)
+    total = None
+    for c, a, b in pairs:
+        p = a * b if c == 1 else (c * a) * b
+        total = p if total is None else total + p
+    return total
+
+
 def _adjugate(m):
     """Adjugate of a symmetric 3x3 matrix, both as 6-vectors."""
     a, b, c, f, g, h = m
     return (
-        b * c - f * f, a * c - g * g, a * b - h * h,
-        h * g - a * f, h * f - b * g, f * g - h * c,
+        _dot(((1, b, c), (-1, f, f))), _dot(((1, a, c), (-1, g, g))),
+        _dot(((1, a, b), (-1, h, h))), _dot(((1, h, g), (-1, a, f))),
+        _dot(((1, h, f), (-1, b, g))), _dot(((1, f, g), (-1, h, c))),
     )
 
 
@@ -175,7 +189,8 @@ def hessian(F: MPoly) -> HessianBundle:
     When F fills its triangle (``fills_triangles``), with at least
     _DENSE_MIN_TERMS terms, the chain runs on dense ``TernaryForm``s of
     lam * F, lam the least common denominator of F's coefficients, where
-    every sum is a list operation and every product one Kronecker multiply.
+    every sum of products is one ``TernaryForm.dot`` (``_dot``) and every
+    other sum a list operation.
     Any other F keeps its ``MPoly`` terms, whose time and memory follow the
     stored terms: dense triangles of x^1000 + y^1000 + z^1000 would hold
     millions of zeros.
@@ -195,7 +210,7 @@ def hessian(F: MPoly) -> HessianBundle:
     # column of the adjugate
     a, _, _, _, g, h = hess_f
     A, _, _, _, Gq, Hq = adj_f
-    H = a * A + h * Hq + g * Gq
+    H = _dot(((1, a, A), (1, h, Hq), (1, g, Gq)))
     grad_h, hess_h = _derivatives(H)
     return HessianBundle(F, _Chain(f, d, lam, H, hess_f, hess_h, adj_f, grad_f, grad_h))
 
@@ -203,9 +218,7 @@ def hessian(F: MPoly) -> HessianBundle:
 def _paired_trace(adj6, hess6):
     a2, b2, c2, f2, g2, h2 = hess6
     A, B, C, Fq, Gq, Hq = adj6
-    return (
-        A * a2 + B * b2 + C * c2 + 2 * (Fq * f2 + Gq * g2 + Hq * h2)
-    )
+    return _dot(((1, A, a2), (1, B, b2), (1, C, c2), (2, Fq, f2), (2, Gq, g2), (2, Hq, h2)))
 
 
 def _quadratic_form(adj6, g):
@@ -215,11 +228,11 @@ def _quadratic_form(adj6, g):
     g together first."""
     A, B, C, Fq, Gq, Hq = adj6
     g0, g1, g2 = g
-    return (
-        g0 * (A * g0 + Hq * g1 + Gq * g2)
-        + g1 * (Hq * g0 + B * g1 + Fq * g2)
-        + g2 * (Gq * g0 + Fq * g1 + C * g2)
-    )
+    return _dot((
+        (1, g0, _dot(((1, A, g0), (1, Hq, g1), (1, Gq, g2)))),
+        (1, g1, _dot(((1, Hq, g0), (1, B, g1), (1, Fq, g2)))),
+        (1, g2, _dot(((1, Gq, g0), (1, Fq, g1), (1, C, g2)))),
+    ))
 
 
 def covariants(bundle: HessianBundle) -> CovariantSet:
@@ -275,7 +288,11 @@ def second_hessian(F: MPoly, variant: str = "corrected") -> MPoly:
     # so each is (grad F x grad H) . r; combine the third rows first.
     fx, fy, fz = chain.grad_f
     hx, hy, hz = chain.grad_h
-    cross = (fy * hz - fz * hy, fz * hx - fx * hz, fx * hy - fy * hx)
+    cross = (
+        _dot(((1, fy, hz), (-1, fz, hy))),
+        _dot(((1, fz, hx), (-1, fx, hz))),
+        _dot(((1, fx, hy), (-1, fy, hx))),
+    )
     alpha = 12 * d * d - 54 * d + 57
     beta = (d - 2) * (12 * d - 27)
     gamma = kappa * (d - 2) * (d - 2)
@@ -283,9 +300,9 @@ def second_hessian(F: MPoly, variant: str = "corrected") -> MPoly:
         cov.trace_grad_adj, cov.trace_grad_hess, cov.gradient_form.grad()
     )
     combined = (H * (alpha * ta + beta * th) - gamma * g for ta, th, g in rows)
-    jx, jy, jz = (c * r for c, r in zip(cross, combined))
+    jacobian = _dot([(1, c, r) for c, r in zip(cross, combined)])
     # the formula is of degree 12 in F's coefficients
-    return chain.mpoly(jx + jy + jz, 12)
+    return chain.mpoly(jacobian, 12)
 
 
 def osculating_conic(F: MPoly, p) -> MPoly:

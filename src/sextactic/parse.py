@@ -251,10 +251,13 @@ class _Parser:
         if self.peek() != "^":
             return base
         self.advance()
+        span = SourceSpan(*self.token()[1:])
         k = self.exponent()
         if type(base) is not tuple:
             return base**k
         e, c = base
+        if _power_over_limit(c, k):
+            raise ParseError(_over_limit_message("integer power"), span)
         return tuple(v * k for v in e), c**k
 
     def exponent(self) -> int:

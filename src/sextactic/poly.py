@@ -155,16 +155,20 @@ _SLOTS_PER_TERM = 4
 # 8 to 32 bytes it is 2.8 to 4, and at 1000 digits 40.
 _HORNER_MAX_DIGITS = 32
 
-# A TernaryForm product of degree D whose operands have at most
-# _LOOP_PAIRS_PER_SLOT * (D + 1)^2 pairs of nonzero terms takes a loop over
-# those pairs; the kernel packs and reads back about 2 (D + 1)^2 digits
-# whatever the operands hold.  Measured on CPython 3.11, loop time over
-# kernel time for dense forms of degrees (D1, D2), with 8-bit coefficients:
-# 0.71 at (0, 3), 0.80 at (1, 1), 0.91 at (2, 4), 0.88 at (3, 3), 1.18 at
-# (3, 4), 1.25 at (4, 4) and 2.06 at (6, 6); with 40-bit coefficients, whose
-# product digits are wider than a machine word: 0.50, 0.52, 0.69, 0.85,
-# 0.73, 0.76 and 1.06.
-_LOOP_PAIRS_PER_SLOT = 2
+# A TernaryForm.dot whose pairs hold at most _LOOP_PAIRS_PER_SLOT pairs of
+# nonzero terms per slot of the row kernel, one product of a packed row of a
+# by one of b ((D1 + 1) (D2 + 1) per pair of degrees D1, D2), takes a loop
+# over those pairs.  Dense forms hold (D1 + 1) (D2 + 1) (D1 + 2) (D2 + 2) / 4
+# pairs, so the ratio grows with the degrees.  Measured on CPython 3.11, loop
+# time over row-kernel time for one pair of dense forms of degrees (D1, D2),
+# with 8-bit coefficients: 0.51 at (0, 3), 0.56 at (1, 1), 0.59 at (2, 2),
+# 0.74 at (3, 3) (6.25 pairs per slot), 0.84 at (3, 4) (7.5), 0.95 at
+# (4, 4) (9), 1.10 at (4, 5) (10.5) and 1.66 at (6, 6) (16); with 40-bit
+# coefficients 0.39, 0.40, 0.52, 0.70, 0.81, 0.98, 1.14 and 1.59.  A sum of
+# six such pairs shares one read-back, and the kernel catches up sooner:
+# 0.93 at (2, 4) (6), 0.96 at (3, 3), 1.10 at (3, 4) and 1.25 at (4, 4)
+# with 8-bit coefficients, 1.10, 1.20, 1.34 and 1.55 with 40-bit ones.
+_LOOP_PAIRS_PER_SLOT = 8
 
 # MPoly products of at least _PACK_MIN_PAIRS term pairs, with at least
 # _PACK_MIN_TERMS terms in each operand, go through the kernel.  Measured on
@@ -237,16 +241,25 @@ def _digits(n, w, k):
 
     Adding ``_bias`` makes each of the k digits c a field c + 2^(8w - 1) in
     [0, 2^(8w)) without a carry between them; the digits from k on only add
-    a multiple of 2^(8wk), which the mask drops.  A field of a machine word
-    size is read as c in two's complement once its top bit is flipped.  A
-    wider one is spread over m 8-byte limbs, the last of which carries the
-    bias, and put back together from them.
+    a multiple of 2^(8wk), which the mask drops.  ``_fields`` reads the
+    fields back.
     """
     total = (n + _bias(w, k)) & ((1 << (8 * w * k)) - 1)
-    raw = bytearray(total.to_bytes(w * k, "little"))
+    return _fields(bytearray(total.to_bytes(w * k, "little")), w)
+
+
+def _fields(raw, w):
+    """The digits c of the little-endian w-byte fields c + 2^(8w - 1) of
+    ``raw``, a bytearray it may change.
+
+    A field of a machine word size is read as c in two's complement once
+    its top bit is flipped.  A wider one is spread over m 8-byte limbs, the
+    last of which carries the bias, and put back together from them.
+    """
     if w in _WORDS:
         raw[w - 1 :: w] = raw[w - 1 :: w].translate(_FLIP)
         return memoryview(raw).cast(_WORDS[w]).tolist()
+    k = len(raw) // w
     m = -(-w // 8)
     wide = bytearray(8 * m * k)
     for i in range(w):
@@ -687,7 +700,11 @@ class MPoly:
 
 def conic(six) -> MPoly:
     """The conic sum six[i] * CONIC_BASIS[i] in (x, y, z), for rational six;
-    dual to ``veronese``: conic(six) at p is six paired with veronese(*p)."""
+    dual to ``veronese``: conic(six) at p is six paired with veronese(*p).
+    Six ints and Fractions skip ``MPoly``'s checks of each term."""
+    six = tuple(six)
+    if all(type(c) is int or type(c) is Fraction for c in six):
+        return MPoly._make(XYZ, dict(zip(CONIC_BASIS, map(_norm, six))))
     return MPoly(XYZ, dict(zip(CONIC_BASIS, six)))
 
 
@@ -798,17 +815,63 @@ def laplace_minors(rows):
 # -- dense ternary forms in (x, y, z) ------------------------------------------
 
 
+def _row_kernel(pairs, top):
+    """The rows of sum(c * a * b) over the (c, a, b) of ``pairs``, nonzero
+    ints c and nonzero TernaryForms a and b whose degrees sum to ``top``, by
+    Kronecker substitution in y alone (Fateman 2005).
+
+    Each row of each operand is packed on its own as one integer at a digit
+    width w (``_pack``).  The product of rows i of a and k of b is then row
+    i + k's share of a * b; the shares of every pair add up in one integer
+    per row of the result, and the rows are read back together once
+    (``_fields``).  w holds the sum of |c| * max|a| * max|b| times the terms
+    that meet in one coefficient, at most the triangle of the smaller
+    degree.
+    """
+    bound = 0
+    for c, a, b in pairs:
+        bound += abs(c) * a._bound() * b._bound() * _triangle(min(a.degree, b.degree))
+    w = digit_width(bound)
+    packed = {}
+    out = [0] * (top + 1)
+    for c, a, b in pairs:
+        pa = packed.get(id(a))
+        if pa is None:
+            pa = packed[id(a)] = [_pack(row, w) for row in a.rows]
+        pb = packed.get(id(b))
+        if pb is None:
+            pb = packed[id(b)] = [_pack(row, w) for row in b.rows]
+        n = len(pb)
+        for i, p in enumerate(pa):
+            if p:
+                if c != 1:
+                    p *= c
+                out[i : i + n] = map(add, out[i : i + n], map(p.__mul__, pb))
+    # row r plus the bias of its top + 1 - r digits is a run of fields in
+    # [0, 2^(8w)), so the rows read back end to end in one pass
+    raw = bytearray().join(
+        [(n + _bias(w, top + 1 - r)).to_bytes(w * (top + 1 - r), "little") for r, n in enumerate(out)]
+    )
+    flat = _fields(raw, w)
+    rows, end = [], 0
+    for r in range(top + 1):
+        rows.append(flat[end : end + top + 1 - r])
+        end += top + 1 - r
+    return rows
+
+
 class TernaryForm:
     """Dense homogeneous form in (x, y, z) with integer coefficients.
 
     ``rows[i][j]`` is the coefficient of x^i y^j z^(degree - i - j), so row i
-    has degree - i + 1 entries; a zero form keeps its degree.  Sums, integer
-    multiples and partials are list operations.  A product of forms of
-    degrees D1 and D2 is one Kronecker multiply (``_pack``, ``_digits``): with
-    R = D1 + D2 + 1, the coefficient of x^i y^j z^k sits in slot i * R + j,
-    and j < R keeps every row of the product clear of the next.  Operands
-    with few pairs of nonzero terms (``_LOOP_PAIRS_PER_SLOT``) loop over
-    those pairs instead.
+    is a binary form in (y, z) with degree - i + 1 entries; a zero form keeps
+    its degree.  Sums, integer multiples and partials are list operations.
+    Every product goes through ``dot``, which sums integer multiples of
+    products of pairs of forms in one pass: the row kernel
+    (``_row_kernel``) packs each row of each operand into one integer,
+    multiplies rows i and k into row i + k of the result, and reads each row
+    of the result back once, so no row is padded.  Pairs with few pairs of
+    nonzero terms (``_LOOP_PAIRS_PER_SLOT``) loop over those pairs instead.
     """
 
     __slots__ = ("degree", "rows")
@@ -864,28 +927,53 @@ class TernaryForm:
             return TernaryForm(self.degree, [[c * other for c in row] for row in self.rows])
         if not isinstance(other, TernaryForm):
             return NotImplemented
-        top = self.degree + other.degree
-        r = top + 1
-        if self._stored() * other._stored() <= _LOOP_PAIRS_PER_SLOT * r * r:
-            out = [[0] * (r - i) for i in range(r)]
-            others = list(other._nonzero())
-            for i, j, c in self._nonzero():
-                for k, l, e in others:
-                    out[i + k][j + l] += c * e
-            return TernaryForm(top, out)
-        u, v = self._padded(r), other._padded(r)
-        bound = max(max(u), -min(u)) * max(max(v), -min(v))
-        # a coefficient of the product sums at most the terms of the
-        # smaller-degree operand
-        w = digit_width(bound * _triangle(min(self.degree, other.degree)))
-        slots = _digits(_pack(u, w) * _pack(v, w), w, top * r + 1)
-        return TernaryForm(top, [slots[i * r : (i + 1) * r - i] for i in range(r)])
+        return TernaryForm.dot(((1, self, other),))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(pairs):
+        """The form sum(c * a * b) over the (int c, form a, form b) of
+        ``pairs``, a nonempty sequence whose products share one degree.
+
+        Pairs with c = 0 or a zero form drop out.  When the rest hold at most
+        _LOOP_PAIRS_PER_SLOT pairs of nonzero terms per row product, a loop
+        over those pairs adds them up; otherwise the row kernel does.
+        """
+        top = pairs[0][1].degree + pairs[0][2].degree
+        stored = {}
+        live, work, rows = [], 0, 0
+        for c, a, b in pairs:
+            if a.degree + b.degree != top:
+                raise PolyError(f"cannot add products of degrees {a.degree + b.degree} and {top}")
+            na = stored.get(id(a))
+            if na is None:
+                na = stored[id(a)] = a._stored()
+            nb = stored.get(id(b))
+            if nb is None:
+                nb = stored[id(b)] = b._stored()
+            if c and na and nb:
+                live.append((c, a, b))
+                work += na * nb
+                rows += (a.degree + 1) * (b.degree + 1)
+        if work <= _LOOP_PAIRS_PER_SLOT * rows:
+            out = [[0] * (top + 1 - i) for i in range(top + 1)]
+            for c, a, b in live:
+                others = list(b._nonzero())
+                for i, j, x in a._nonzero():
+                    x *= c
+                    for k, l, y in others:
+                        out[i + k][j + l] += x * y
+            return TernaryForm(top, out)
+        return TernaryForm(top, _row_kernel(live, top))
 
     def _stored(self):
         """The number of nonzero coefficients."""
         return _triangle(self.degree) - sum(map(list.count, self.rows, repeat(0)))
+
+    def _bound(self):
+        """The largest magnitude of a coefficient."""
+        return max(max(map(max, self.rows)), -min(map(min, self.rows)))
 
     def _nonzero(self):
         """(i, j, c) for each nonzero coefficient c of x^i y^j z^k."""
@@ -895,15 +983,6 @@ class TernaryForm:
             for i in compress(range(len(rows)), map(any, rows))
             for j in compress(range(len(rows[i])), rows[i])
         )
-
-    def _padded(self, r):
-        """The rows end to end, each padded with zeros to r entries."""
-        u = []
-        pad = [0] * r
-        for row in self.rows:
-            u += row
-            u += pad[len(row) :]
-        return u
 
     def partial(self, var):
         """Formal partial derivative with respect to "x", "y" or "z"."""

@@ -9,6 +9,8 @@ library keeps a symmetric 3x3 matrix as the 6-vector of its entries in
 The library computes the Hessian chain of a dense curve on dense
 ``TernaryForm``s; the ``*_reference`` functions compute the same formulas
 on sparse ``MPoly`` forms, with rational coefficients and no scaling.
+The library multiplies ``TernaryForm``s row by row; ``padded_product`` is
+the one two-dimensional Kronecker multiply it replaced.
 
 The library reads polynomial text in one pass, a product of powers of
 literals and variables at a time; ``TokenParser`` is the token-list
@@ -44,6 +46,11 @@ from sextactic.poly import (
     NonSquareMatrix,
     PolyError,
     PolyMatrix,
+    TernaryForm,
+    _digits,
+    _pack,
+    _triangle,
+    digit_width,
     exact_div,
     veronese,
 )
@@ -106,6 +113,32 @@ def det_bareiss(m: PolyMatrix) -> MPoly:
         prev = a[k][k]
     d = a[n - 1][n - 1]
     return d if sign > 0 else -d
+
+
+def padded_product(a: TernaryForm, b: TernaryForm) -> TernaryForm:
+    """a * b by one Kronecker multiply in two dimensions: with R = D1 + D2 + 1
+    the coefficient of x^i y^j z^k sits in slot i * R + j, every row of both
+    operands padded with zeros to R digits, and j < R keeps every row of the
+    product clear of the next.  A zero operand gives the zero form, as the
+    pair loop that took it did."""
+    top = a.degree + b.degree
+    r = top + 1
+    if a.is_zero() or b.is_zero():
+        return TernaryForm(top, [[0] * (r - i) for i in range(r)])
+
+    def padded(form):
+        u = []
+        for row in form.rows:
+            u += row + [0] * (r - len(row))
+        return u
+
+    u, v = padded(a), padded(b)
+    bound = max(max(u), -min(u)) * max(max(v), -min(v))
+    # a coefficient of the product sums at most the terms of the
+    # smaller-degree operand
+    w = digit_width(bound * _triangle(min(a.degree, b.degree)))
+    slots = _digits(_pack(u, w) * _pack(v, w), w, top * r + 1)
+    return TernaryForm(top, [slots[i * r : (i + 1) * r - i] for i in range(r)])
 
 
 class ReferenceBundle(NamedTuple):

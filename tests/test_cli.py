@@ -448,10 +448,14 @@ class TestInProcessSequence:
 class TestIntegerPrintLimit:
     """Python refuses str() of an integer over sys.get_int_max_str_digits()."""
 
+    # a product of literals has no digit bound of its own, so the coefficient
+    # of x^3 is 10^4500 and the Hessian's 216 * 10^4500; a parenthesized
+    # power of the literal would be refused while parsing
+    BIG_CUBE = "*".join(["1" + "0" * 1500] * 3) + "*x^3 + y^3 + z^3"
+
     def test_printed_coefficient_is_domain_error(self, capsys):
-        big = "1" + "0" * 1500
         start = time.perf_counter()
-        assert cli.main(["hessian", "--implicit", f"({big}*x)^3 + y^3 + z^3"]) == 1
+        assert cli.main(["hessian", "--implicit", self.BIG_CUBE]) == 1
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         limit = sys.get_int_max_str_digits()
@@ -460,7 +464,7 @@ class TestIntegerPrintLimit:
 
     def test_error_after_first_line_leaves_stdout_empty(self, capsys):
         # d and H_degree are known before H fails to print
-        args = ["hessian", "--implicit", f"({'1' + '0' * 1500}*x)^3 + y^3 + z^3"]
+        args = ["hessian", "--implicit", self.BIG_CUBE]
         assert cli.main(args) == 1
         out, err = capsys.readouterr()
         assert out == ""

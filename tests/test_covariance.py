@@ -1,0 +1,121 @@
+"""Covariance of the Hessian chain under a linear change of coordinates.
+
+For F of degree d and an invertible integer matrix A, with F∘A the form
+F(A (x, y, z)):
+
+- H(F∘A) = det(A)^2 * H(F)∘A, since hess(F∘A) = A^T (hess F ∘ A) A;
+- H2(F∘A) = det(A)^9 * H2(F)∘A for both variants: H2 has degree 12 in F's
+  coefficients and order 12d - 27, so its weight is (12d - (12d - 27)) / 3.
+
+Each law checks the chain against itself, not against a second
+implementation of the same formulas, so it would see a transposed index in
+a helper that the library and the references share.  A sparse F has a dense
+F∘A, so its laws run the sparse ``MPoly`` chain on one side and the dense
+``TernaryForm`` chain on the other.  Up to d = 4 both sides are compared as
+polynomials; above, where composing H2 takes seconds, at three random
+integer points, where one wrong value is a counterexample.
+"""
+
+import random
+
+import pytest
+
+from sextactic.differential import VARIANTS, hessian, second_hessian
+from sextactic.poly import XYZ, MPoly, TernaryForm
+
+X, Y, Z = (MPoly.variable(XYZ, v) for v in XYZ)
+EXACT_MAX_DEGREE = 4
+
+
+def dense_curve(rng, d):
+    """Every monomial of degree d, coefficients in [-5, 5], i outer, j inner."""
+    return MPoly(
+        XYZ,
+        {(i, j, d - i - j): rng.randint(-5, 5) for i in range(d + 1) for j in range(d + 1 - i)},
+    )
+
+
+def det3(a):
+    return (
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    )
+
+
+def random_map(rng):
+    """A with entries in [-2, 2], drawn row by row until det A != 0."""
+    while True:
+        a = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        if det3(a):
+            return a
+
+
+def images(a):
+    """Row i of A (x, y, z), the image of the i-th variable."""
+    return [row[0] * X + row[1] * Y + row[2] * Z for row in a]
+
+
+def apply(a, p):
+    return tuple(sum(c * v for c, v in zip(row, p)) for row in a)
+
+
+# one sparse curve per degree: under _DENSE_MIN_TERMS terms, or under a
+# quarter of the triangle, so the library keeps its MPoly chain; under the
+# map drawn for it, each one's image fills its triangle
+SPARSE = {
+    3: X**3 + Y**3 + Z**3,
+    4: X**4 - X**3 * Y + Y**3 * Z,
+    5: X**5 + Y**5 + Z**5,
+    6: X**6 + Y**6 + Z**6 - 3 * X * Y**4 * Z,
+}
+
+
+def cases():
+    """(id, d, F, A) for the dense curves of d = 3..6 and the sparse ones."""
+    rng = random.Random(3)
+    out = []
+    for d in range(3, 7):
+        out.append((f"dense{d}", d, dense_curve(rng, d), random_map(rng)))
+    for d, f in SPARSE.items():
+        out.append((f"sparse{d}", d, f, random_map(rng)))
+    return out
+
+
+CASES = {name: (d, f, a) for name, d, f, a in cases()}
+
+
+def assert_covariant(left, right, weight, a, d, rng):
+    """left = det(A)^weight * right∘A, as polynomials for d up to
+    EXACT_MAX_DEGREE and at three random integer points above."""
+    scale = det3(a) ** weight
+    if d <= EXACT_MAX_DEGREE:
+        assert left == scale * right.compose(images(a))
+        return
+    for _ in range(3):
+        p = tuple(rng.randint(-9, 9) for _ in range(3))
+        assert left.eval(p) == scale * right.eval(apply(a, p))
+
+
+def test_sparse_curves_meet_both_chains():
+    for name, (d, f, a) in CASES.items():
+        assert isinstance(hessian(f.compose(images(a))).chain.f, TernaryForm)
+        chain = MPoly if name.startswith("sparse") else TernaryForm
+        assert isinstance(hessian(f).chain.f, chain)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_hessian_has_weight_two(name):
+    d, f, a = CASES[name]
+    left = hessian(f.compose(images(a))).H
+    assert not left.is_zero()
+    assert_covariant(left, hessian(f).H, 2, a, d, random.Random(name))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_second_hessian_has_weight_nine(name, variant):
+    d, f, a = CASES[name]
+    left = second_hessian(f.compose(images(a)), variant)
+    assert not left.is_zero()
+    assert_covariant(left, second_hessian(f, variant), 9, a, d, random.Random(name + variant))

@@ -533,7 +533,8 @@ class TestOsculatingConic:
 
 def assert_no_product_outside_hessian(monkeypatch, f, point, want):
     """osculating_conic(f, point) is want, and with ``hessian`` answered from
-    a precomputed bundle it multiplies no MPoly and no TernaryForm."""
+    a precomputed bundle it multiplies no MPoly and no TernaryForm, neither
+    one at a time nor as a fused ``TernaryForm.dot``."""
     from sextactic import differential
 
     bundle = hessian(f)
@@ -549,12 +550,22 @@ def assert_no_product_outside_hessian(monkeypatch, f, point, want):
         monkeypatch.setattr(cls, "__mul__", spy)
         monkeypatch.setattr(cls, "__rmul__", spy)
 
+    dot = TernaryForm.dot
+
+    def spy_dot(pairs):
+        products.append(tuple(pairs))
+        return dot(pairs)
+
     monkeypatch.setattr(differential, "hessian", lambda F: bundle)
     spy_on(MPoly)
     spy_on(TernaryForm)
+    monkeypatch.setattr(TernaryForm, "dot", staticmethod(spy_dot))
     conic = osculating_conic(f, point)
     assert products == []
     assert conic == want
+    # the spies see the chain's products when the bundle is computed
+    hessian(f)
+    assert products
 
 
 def symbolic_osculating_conic(bundle, point, grads, h_at):

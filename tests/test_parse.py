@@ -445,10 +445,25 @@ class TestLiteralPowerBound:
     def test_units_and_zero_have_no_bound(self):
         assert parse_poly("1^99999999999*x - 0^99999999999 + -1^99999999999") == X - 1
 
-    def test_parenthesized_base_is_no_literal(self):
-        # a computed integer over the limit fails only when it is printed
-        big = 10**1500
-        assert parse_poly(f"({big}*x)^3").terms == {(3, 0, 0): big**3}
+    @pytest.mark.parametrize(
+        "text, span",
+        [("(3)^20000*x^3 + y^3 + z^3", (4, 9)), ("(-3*x)^20000 + y^3", (7, 12))],
+    )
+    def test_parenthesized_one_term_power_is_refused(self, text, span):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert time.perf_counter() - start < 0.5
+        limit = sys.get_int_max_str_digits()
+        assert str(info.value) == f"integer power over the limit of {limit} digits at [{span[0]}:{span[1]}]"
+
+    def test_parenthesized_base_takes_the_literal_bound(self):
+        # the coefficient of a parenthesized one-term base is bounded like a
+        # literal: 10^1500 cubed has 4501 digits, 10^1400 cubed 4201
+        with pytest.raises(ParseError, match="integer power over the limit") as info:
+            parse_poly(f"({10**1500}*x)^3")
+        assert (info.value.span.begin, info.value.span.end) == (1506, 1507)
+        assert parse_poly(f"({10**1400}*x)^3").terms == {(3, 0, 0): 10**4200}
 
 
 class TestMonomialsBuiltInPlace:

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from poly_reference import det_bareiss
+from poly_reference import det_bareiss, padded_product
 from sextactic import poly
 from sextactic.poly import (
     CONIC_BASIS,
@@ -422,6 +422,132 @@ class TestTernaryForm:
         x = TernaryForm.of({(1, 0, 0): 1}, 1)
         assert (zero * x).degree == 5 and (zero * x).is_zero()
         assert zero.mpoly().is_zero() and zero.eval((3, 4, 5)) == 0
+
+
+# -- the row kernel and fused sums against the padded multiply -----------------
+
+
+@st.composite
+def kernel_forms(draw, degree):
+    """A TernaryForm of the given degree whose rows are each all zero, all
+    drawn, or drawn with zeros among them; coefficients reach 2^70, past the
+    machine-word digit widths."""
+    rows = []
+    for i in range(degree + 1):
+        n = degree + 1 - i
+        kind = draw(st.sampled_from(["zero", "full", "holes"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        else:
+            coeff = TERNARY_COEFFS if kind == "full" else st.one_of(st.just(0), TERNARY_COEFFS)
+            rows.append(draw(st.lists(coeff, min_size=n, max_size=n)))
+    return TernaryForm(degree, rows)
+
+
+DOT_MULTIPLES = st.sampled_from([0, 1, -1, 2, -2, 2**40, -(2**40)])
+
+
+@st.composite
+def dot_pairs(draw):
+    """One to four (c, a, b) whose degrees sum to one total of 0..12, each
+    split differently."""
+    top = draw(st.integers(0, 12))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        da = draw(st.integers(0, top))
+        pairs.append((draw(DOT_MULTIPLES), draw(kernel_forms(da)), draw(kernel_forms(top - da))))
+    return pairs
+
+
+def tuple_add_dot(pairs):
+    """sum(c * a * b) as an MPoly, each product by adding exponent tuples."""
+    total = MPoly.zero(XYZ)
+    for c, a, b in pairs:
+        total = total + c * MPoly(XYZ, dict(tuple_add_product(a.mpoly(), b.mpoly())))
+    return total
+
+
+def zero_form(degree):
+    return TernaryForm(degree, [[0] * (degree + 1 - i) for i in range(degree + 1)])
+
+
+class TestRowKernel:
+    """``a * b`` and ``TernaryForm.dot`` against the padded two-dimensional
+    multiply and the tuple-adding product, on both the loop and the row
+    kernel."""
+
+    @pytest.fixture(params=["loop", "kernel"])
+    def path(self, request, monkeypatch):
+        # every sum of nonzero pairs loops, or none does
+        limit = 10**9 if request.param == "loop" else -1
+        monkeypatch.setattr(poly, "_LOOP_PAIRS_PER_SLOT", limit)
+        return request.param
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_product_matches_references(self, path, data):
+        da, db = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+        a, b = data.draw(kernel_forms(da)), data.draw(kernel_forms(db))
+        want = padded_product(a, b)
+        assert want.mpoly() == MPoly(XYZ, dict(tuple_add_product(a.mpoly(), b.mpoly())))
+        for prod in (a * b, b * a, TernaryForm.dot([(1, a, b)])):
+            assert prod.degree == da + db
+            assert prod.rows == want.rows
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dot_pairs())
+    def test_dot_matches_references(self, path, pairs):
+        top = pairs[0][1].degree + pairs[0][2].degree
+        want = zero_form(top)
+        for c, a, b in pairs:
+            want = want + c * padded_product(a, b)
+        got = TernaryForm.dot(pairs)
+        assert got.degree == top
+        assert got.rows == want.rows
+        assert got.mpoly() == tuple_add_dot(pairs)
+
+    def test_zero_pairs_keep_the_degree(self, path):
+        a, b = TernaryForm.of({(1, 1, 0): 3}, 2), TernaryForm.of({(0, 0, 3): -5}, 3)
+        for pairs in ([(0, a, b)], [(1, zero_form(2), b)], [(2, a, zero_form(3)), (0, b, a)]):
+            got = TernaryForm.dot(pairs)
+            assert got.degree == 5 and got.rows == zero_form(5).rows
+        got = TernaryForm.dot([(0, a, b), (-2, a, b)])
+        assert got.terms() == {(1, 1, 3): 30}
+
+    def test_cancelling_pairs(self, path):
+        rng = random.Random(22)
+        a = TernaryForm(6, [[rng.randint(-(2**70), 2**70) for _ in range(7 - i)] for i in range(7)])
+        b = TernaryForm(5, [[rng.randint(-(2**70), 2**70) for _ in range(6 - i)] for i in range(6)])
+        assert TernaryForm.dot([(2**40, a, b), (-(2**40), b, a)]).is_zero()
+        assert TernaryForm.dot([(1, a, b), (1, a, b), (-2, b, a)]).rows == zero_form(11).rows
+
+    def test_degrees_must_agree(self):
+        a = TernaryForm.of({(1, 0, 0): 1}, 1)
+        with pytest.raises(PolyError):
+            TernaryForm.dot([(1, a, a), (1, a, a * a)])
+
+    def test_dense_sums_take_the_kernel(self, monkeypatch):
+        ran = []
+        kernel = poly._row_kernel
+
+        def spy(pairs, top):
+            ran.append(len(pairs))
+            return kernel(pairs, top)
+
+        monkeypatch.setattr(poly, "_row_kernel", spy)
+        rng = random.Random(5)
+
+        def dense(d):
+            return TernaryForm(d, [[rng.randint(-9, 9) or 1 for _ in range(d + 1 - i)] for i in range(d + 1)])
+
+        a, b = dense(1), dense(2)
+        TernaryForm.dot([(1, a, b), (-1, b, a)])  # 36 pairs of terms, 12 row products
+        assert ran == []
+        a, b = dense(6), dense(8)
+        TernaryForm.dot([(1, a, b), (2, b, a)])  # 2 * 28 * 45 pairs, 126 row products
+        assert ran == [2]
 
 
 # -- evaluation in the integers against the Fraction loop ----------------------
