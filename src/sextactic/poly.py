@@ -832,20 +832,13 @@ def _row_kernel(pairs, top):
     for c, a, b in pairs:
         bound += abs(c) * a._bound() * b._bound() * _triangle(min(a.degree, b.degree))
     w = digit_width(bound)
-    packed = {}
     out = [0] * (top + 1)
     for c, a, b in pairs:
-        pa = packed.get(id(a))
-        if pa is None:
-            pa = packed[id(a)] = [_pack(row, w) for row in a.rows]
-        pb = packed.get(id(b))
-        if pb is None:
-            pb = packed[id(b)] = [_pack(row, w) for row in b.rows]
+        pb = [_pack(row, w) for row in b.rows]
         n = len(pb)
-        for i, p in enumerate(pa):
+        for i, row in enumerate(a.rows):
+            p = c * _pack(row, w)
             if p:
-                if c != 1:
-                    p *= c
                 out[i : i + n] = map(add, out[i : i + n], map(p.__mul__, pb))
     # row r plus the bias of its top + 1 - r digits is a run of fields in
     # [0, 2^(8w)), so the rows read back end to end in one pass
@@ -941,20 +934,14 @@ class TernaryForm:
         over those pairs adds them up; otherwise the row kernel does.
         """
         top = pairs[0][1].degree + pairs[0][2].degree
-        stored = {}
         live, work, rows = [], 0, 0
         for c, a, b in pairs:
             if a.degree + b.degree != top:
                 raise PolyError(f"cannot add products of degrees {a.degree + b.degree} and {top}")
-            na = stored.get(id(a))
-            if na is None:
-                na = stored[id(a)] = a._stored()
-            nb = stored.get(id(b))
-            if nb is None:
-                nb = stored[id(b)] = b._stored()
-            if c and na and nb:
+            term_pairs = a._stored() * b._stored()
+            if c and term_pairs:
                 live.append((c, a, b))
-                work += na * nb
+                work += term_pairs
                 rows += (a.degree + 1) * (b.degree + 1)
         if work <= _LOOP_PAIRS_PER_SLOT * rows:
             out = [[0] * (top + 1 - i) for i in range(top + 1)]
