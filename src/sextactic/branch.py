@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 # CONIC_BASIS is re-exported: the ladder's witnesses are written in its order
-from .poly import (
-    _PACK_MIN_PAIRS,
-    _PACK_MIN_TERMS,
-    CONIC_BASIS,
-    MPoly,
-    conic,
-    kronecker_product,
-    veronese,
-)
+from .poly import CONIC_BASIS, MPoly, conic, veronese
 from .series import TruncSeries
 
 
@@ -94,7 +86,7 @@ class BranchParam:
         if self._cleared is None:
             d = lcm(*[c.denominator for s in self.coords for c in s.coeffs.values()])
             self._cleared = [
-                _IntSeries({e: c.numerator * (d // c.denominator) for e, c in s.coeffs.items()}, s.trunc)
+                TruncSeries._make({e: c.numerator * (d // c.denominator) for e, c in s.coeffs.items()}, s.trunc)
                 for s in self.coords
             ]
         return self._cleared
@@ -153,42 +145,6 @@ class WeightReport:
     l: int
     c: "int | None"
     sextactic_order: "int | None"
-
-
-class _IntSeries:
-    """A truncated series with integer coefficients, as a plain exponent ->
-    coefficient dict: ``TruncSeries``' product on the branch's cleared
-    coordinates, without its checks on the way in and out."""
-
-    __slots__ = ("coeffs", "trunc")
-
-    def __init__(self, coeffs, trunc):
-        self.coeffs = coeffs
-        self.trunc = trunc
-
-    def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        # TruncSeries' rule: a tail times the other factor's lowest term is
-        # the first coefficient the product cannot know
-        trunc = min(
-            self.trunc + (min(b) if b else other.trunc),
-            other.trunc + (min(a) if a else self.trunc),
-        )
-        if not a or not b:
-            return _IntSeries({}, trunc)
-        out = None
-        if len(a) * len(b) >= _PACK_MIN_PAIRS and min(len(a), len(b)) >= _PACK_MIN_TERMS:
-            out = kronecker_product(a, b, trunc)
-        if out is None:
-            out = {}
-            get = out.get
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    if e < trunc:
-                        out[e] = get(e, 0) + c1 * c2
-            out = {e: c for e, c in out.items() if c}
-        return _IntSeries(out, trunc)
 
 
 def _reduce_to_distinct(items, branch_trunc: int):

@@ -400,7 +400,7 @@ def _series_from_entries(entries, trunc: int, key: str) -> TruncSeries:
         if exp in coeffs:
             raise ParseError(f"duplicate exponent {exp} in coordinate {key!r}")
         coeffs[exp] = num // den if num % den == 0 else Fraction(num, den)
-    return TruncSeries._make(coeffs, trunc)
+    return TruncSeries._make({e: c for e, c in coeffs.items() if c}, trunc)
 
 
 def parse_branch(text: str) -> BranchParam:

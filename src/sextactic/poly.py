@@ -19,7 +19,7 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import compress, repeat
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul, sub
 
 XYZ = ("x", "y", "z")
@@ -30,9 +30,10 @@ ST = ("s", "t")
 CONIC_BASIS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
-def veronese(u, v, w):
-    """The conic monomials of (u, v, w) in CONIC_BASIS order; any ring elements."""
-    return (u * u, v * v, w * w, v * w, u * w, u * v)
+def veronese(u, v, w, times=mul):
+    """The conic monomials of (u, v, w) in CONIC_BASIS order: any ring
+    elements, multiplied by ``times``."""
+    return (times(u, u), times(v, v), times(w, w), times(v, w), times(u, w), times(u, v))
 
 
 class PolyError(ValueError):
@@ -274,21 +275,10 @@ def _fields(raw, w):
     return out
 
 
-def form_at(f, w):
-    """The integer f(2^(8w), 1) of a binary form f whose integer coefficients
-    are below 2^(8w - 1) in magnitude."""
-    if not f.terms:
-        return 0
-    u = [0] * (max(e[0] for e in f.terms) + 1)
-    for e, c in f.terms.items():
-        u[e[0]] = c
-    return _pack(u, w)
-
-
 def read_form(n, w, degree):
     """The binary form in (s, t) of the given degree whose value at
     (2^(8w), 1) is n, for coefficients below 2^(8w - 1) in magnitude: the
-    inverse of ``form_at``."""
+    inverse of ``_pack`` on the form's dense list."""
     return _form(_digits(n, w, degree + 1), 0, 0, ST)
 
 
@@ -1070,6 +1060,25 @@ def _u_mul(a, b):
     return out
 
 
+def _u_at(u, p, q):
+    """sum u[i] p^i q^(n-i): the form at the integer point (p, q), by Horner."""
+    acc, qpow = 0, 1
+    for c in reversed(u):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc
+
+
+def _u_shift(u, a, b):
+    """b^n u(v + a/b) in v, for u of degree n: the Taylor shift by the
+    rational a/b, b > 0, whose entry e is sum_i u[i] C(i, e) a^(i-e) b^(n-i+e)."""
+    n = len(u) - 1
+    return [
+        sum(u[i] * comb(i, e) * a ** (i - e) * b ** (n - i + e) for i in range(e, n + 1))
+        for e in range(n + 1)
+    ]
+
+
 def _u_exact_div(a, b):
     """Quotient a / b in the integers, for a trimmed nonzero primitive b.
 
@@ -1218,12 +1227,8 @@ def _rational_roots(u):
             if gcd(p, q) > 1:
                 continue
             for den in (q, -q):
-                # den^n * u(p/den) = sum u_i p^i den^(n-i), by Horner in integers
-                acc, dpow = 0, 1
-                for c in reversed(u):
-                    acc = acc * p + c * dpow
-                    dpow *= den
-                if acc == 0:
+                # den^n * u(p/den)
+                if _u_at(u, p, den) == 0:
                     roots.append((p, den))
     return sorted(roots)
 

@@ -11,16 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 
 from .branch import BranchParam
 from .poly import (
     ST,
     MPoly,
     VariableSetMismatch,
+    _pack,
+    _u_at,
+    _u_mul,
+    _u_shift,
     binaryform_gcd,
     conic,
     digit_width,
-    form_at,
     laplace_minors,
     linear_factor_orders,
     primitive_ints,
@@ -52,9 +56,14 @@ class ZeroPullback(RationalError):
 
 
 class RationalParam:
-    """Coprime triple of equal-degree binary forms (phi0 : phi1 : phi2)."""
+    """Coprime triple of equal-degree binary forms (phi0 : phi1 : phi2).
 
-    __slots__ = ("phi", "degree")
+    ``phi`` is the triple as ``MPoly``s; ``dense`` holds the same three forms
+    as the lists the algorithms here work on, entry i the coefficient of
+    s^i t^(d-i).
+    """
+
+    __slots__ = ("phi", "degree", "dense")
 
     def __init__(self, phi0: MPoly, phi1: MPoly, phi2: MPoly):
         phi = (phi0, phi1, phi2)
@@ -79,7 +88,8 @@ class RationalParam:
         # zip stops at the end of each form's terms, so each takes its own ints
         ints = iter(primitive_ints([c for p in phi for c in p.terms.values()])[0])
         self.phi = tuple(MPoly._make(ST, dict(zip(p.terms, ints))) for p in phi)
-        self.degree = degs.pop()
+        self.degree = d = degs.pop()
+        self.dense = tuple([p.terms.get((i, d - i), 0) for i in range(d + 1)] for p in self.phi)
 
     def veronese(self):
         """The six degree-2 products, in ``CONIC_BASIS`` order."""
@@ -98,28 +108,24 @@ class RationalParam:
 
 
 def _derivative_rows(forms, order: int):
-    """Rows r = 0..order of the mixed partials d^order / ds^(order-r) dt^r."""
+    """Rows r = 0..order of the mixed partials d^order / ds^(order-r) dt^r
+    of dense forms of one degree n, as dense forms of degree n - order.
+
+    With k = order - r, the partial takes c s^i t^(n-i) to
+    c (i)_k (n-i)_r s^(i-k) t^(n-i-r), so row r keeps the entries i = k..n-r
+    of each form, scaled by those falling factorials.
+    """
+    n = len(forms[0]) - 1
     rows = []
-    current = list(forms)
-    for _ in range(order):
-        current = [f.partial("s") for f in current]
-    rows.append(current)
-    prev = list(forms)
-    for r in range(1, order + 1):
-        prev = [f.partial("t") for f in prev]
-        current = list(prev)
-        for _ in range(order - r):
-            current = [f.partial("s") for f in current]
-        rows.append(current)
+    for r in range(order + 1):
+        k = order - r
+        scale = [perm(i, k) * perm(n - i, r) for i in range(k, n - r + 1)]
+        rows.append([[c * m for c, m in zip(u[k:], scale)] for u in forms])
     return rows
 
 
-def _l1(f: MPoly):
-    return sum(map(abs, f.terms.values()))
-
-
 def _evaluated_rows(rows):
-    """(w, rows at (s, t) = (2^(8w), 1)) for k rows of integer binary forms.
+    """(w, rows at (s, t) = (2^(8w), 1)) for k rows of dense integer forms.
 
     A k x k minor of the rows is a sum of k! products of one entry per row,
     so every coefficient of one is at most k! times the product over the rows
@@ -127,12 +133,12 @@ def _evaluated_rows(rows):
     coefficients, fit a signed digit, so such a minor over the integers reads
     back with ``read_form``.
     """
-    norms = [max(map(_l1, row)) for row in rows]
+    norms = [max(sum(map(abs, u)) for u in row) for row in rows]
     bound = 1
     for k, n in enumerate(norms, 1):
         bound *= k * n
     w = digit_width(max(bound, *norms))
-    return w, [[form_at(f, w) for f in row] for row in rows]
+    return w, [[_pack(u, w) for u in row] for row in rows]
 
 
 def osculating_conic_family(param: RationalParam, at=None):
@@ -142,18 +148,23 @@ def osculating_conic_family(param: RationalParam, at=None):
     partials of the Veronese products.  Without ``at``, the result is those
     six minors, forms of degree 10d-20 in (s, t), in ``CONIC_BASIS`` order.
     With ``at``, the partials are evaluated first (evaluation commutes with
-    the determinant) and the minors are taken over the rationals; the conic is
-    returned in canonical primitive form.  Only when that conic is zero are
-    the symbolic minors built, to tell an identically zero family from one
-    that vanishes at the parameter.
+    the determinant) at integer coordinates (p, q) of the parameter, and the
+    minors are taken over the integers.  Every partial has degree 2d-4, so
+    scaling (p, q) scales the conic by a nonzero constant; it is returned in
+    canonical primitive form.  Only when that conic is zero are the symbolic
+    minors built, to tell an identically zero family from one that vanishes
+    at the parameter.
     """
     if param.degree < 3:
         raise RationalError(f"need degree >= 3, got {param.degree}")
-    rows = _derivative_rows(param.veronese(), 4)
     if at is not None:
         s0, t0 = Fraction(at[0]), Fraction(at[1])
-        values = [[f.eval((s0, t0)) for f in row] for row in rows]
-        osc = conic(laplace_minors(values))
+        if not s0 and not t0:
+            raise RationalError("(0, 0) is not a projective parameter")
+    rows = _derivative_rows(veronese(*param.dense, times=_u_mul), 4)
+    if at is not None:
+        p, q = projective_ints((s0, t0))
+        osc = conic(laplace_minors([[_u_at(u, p, q) for u in row] for row in rows]))
         if not osc.is_zero():
             return osc.canonical()
     w, ints = _evaluated_rows(rows)
@@ -199,7 +210,8 @@ def conic_wronskian(param: RationalParam) -> WeierstrassScan:
     """
     if param.degree < 3:
         raise RationalError(f"need degree >= 3, got {param.degree}")
-    w, (top, *rest) = _evaluated_rows(_derivative_rows(param.veronese(), 5))
+    rows = _derivative_rows(veronese(*param.dense, times=_u_mul), 5)
+    w, (top, *rest) = _evaluated_rows(rows)
     xi = read_form(sum(e * m for e, m in zip(top, laplace_minors(rest))), w, 12 * param.degree - 30)
     if xi.is_zero():
         raise DegenerateParam("Wronskian vanishes identically")
@@ -281,9 +293,9 @@ def pullback(G: MPoly, param: RationalParam) -> MPoly:
         rows.setdefault(a, {})[b] = c
         abs_rows.setdefault(a, {})[b] = abs(c)
     degree = G.degree()
-    norms = [_l1(p) for p in param.phi]
+    norms = [sum(map(abs, u)) for u in param.dense]
     w = digit_width(max(_horner(abs_rows, degree, *norms), *norms))
-    value = _horner(rows, degree, *[form_at(p, w) for p in param.phi])
+    value = _horner(rows, degree, *[_pack(u, w) for u in param.dense])
     pb = read_form(value, w, degree * param.degree)
     return pb if scale == 1 else pb * scale
 
@@ -306,18 +318,16 @@ def intersection_orders(G: MPoly, param: RationalParam, at_list) -> OrdersReport
 
 
 def local_branch_at(param: RationalParam, at, trunc: int) -> BranchParam:
-    """Expand the parametrization into a branch at the parameter (s0 : t0)."""
+    """Expand the parametrization into a branch at the parameter (s0 : t0):
+    phi(u + s0/t0, 1), a Taylor shift of the dense forms, or phi(1, u) at
+    (1 : 0)."""
     s0, t0 = Fraction(at[0]), Fraction(at[1])
     if not s0 and not t0:
         raise RationalError("(0, 0) is not a projective parameter")
-    u = MPoly.variable(("u",), "u")
     if t0:
-        imgs = (u + s0 / t0, MPoly.constant(("u",), 1))
+        a, b = (s0 / t0).as_integer_ratio()
+        den = b**param.degree
+        forms = [[Fraction(c, den) for c in _u_shift(u, a, b)] for u in param.dense]
     else:
-        imgs = (MPoly.constant(("u",), 1), u)
-    coords = []
-    for p in param.phi:
-        expanded = p.compose(imgs)
-        coeffs = {e[0]: c for e, c in expanded.terms.items() if e[0] < trunc}
-        coords.append(TruncSeries(coeffs, trunc))
-    return BranchParam(*coords)
+        forms = [u[::-1] for u in param.dense]
+    return BranchParam(*(TruncSeries(dict(enumerate(u[:trunc])), trunc) for u in forms))

@@ -10,19 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import _coeff_str, _norm, kronecker_product
-
-# A product of two series runs the plain double loop up to _LOOP_MAX_PAIRS
-# term pairs, or when the operands are too sparse for the kernel (more than
-# poly._SLOTS_PER_TERM dense slots per stored term); otherwise the exponents
-# are the slots of one ``poly.kronecker_product``.
-# Measured on CPython 3.11 (BENCH_7.json), loop time over packed time for
-# dense operands with numerators up to 3: with Fraction coefficients 0.7 at
-# 1x1 terms, 1.4 at 2x2, 3.1 at 4x4 and 50 at 40x40; with int coefficients
-# 0.16 at 2x2, 0.9 at 8x8 and 4.1 at 40x40.  Four pairs splits the two
-# crossovers.  Spread out, 40x40 int operands fall to 1.75 at a span of 4x
-# their term count and 0.9 at 8x, while the dense slots grow with the span.
-_LOOP_MAX_PAIRS = 4
+from .poly import _PACK_MIN_PAIRS, _PACK_MIN_TERMS, _coeff_str, _norm, kronecker_product
 
 
 class SeriesError(ValueError):
@@ -52,8 +40,9 @@ class TruncSeries:
 
     @classmethod
     def _make(cls, coeffs, trunc):
+        # fast path: the caller keeps only nonzero coefficients below trunc
         obj = object.__new__(cls)
-        obj.coeffs = {e: c for e, c in coeffs.items() if c}
+        obj.coeffs = coeffs
         obj.trunc = trunc
         return obj
 
@@ -66,11 +55,6 @@ class TruncSeries:
             raise SeriesError(f"coefficient of t^{e} is beyond the truncation {self.trunc}")
         return self.coeffs.get(e, 0)
 
-    def _val_bound(self) -> int:
-        # lower bound on the valuation, usable even when nothing is stored
-        v = self.valuation()
-        return self.trunc if v is None else v
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = TruncSeries._make({0: _norm(other)}, self.trunc)
@@ -79,7 +63,7 @@ class TruncSeries:
         for e, c in other.coeffs.items():
             if e < trunc:
                 out[e] = out.get(e, 0) + c
-        return TruncSeries._make(out, trunc)
+        return TruncSeries._make({e: c for e, c in out.items() if c}, trunc)
 
     __radd__ = __add__
 
@@ -99,21 +83,25 @@ class TruncSeries:
             return TruncSeries._make(
                 {e: _norm(k * c) for e, k in self.coeffs.items()}, self.trunc
             )
+        a, b = self.coeffs, other.coeffs
         # unknown tails limit the product: a tail times the other factor's
         # lowest term is the first coefficient we cannot determine
         trunc = min(
-            self.trunc + other._val_bound(),
-            other.trunc + self._val_bound(),
+            self.trunc + (min(b) if b else other.trunc),
+            other.trunc + (min(a) if a else self.trunc),
         )
-        a, b = self.coeffs, other.coeffs
-        out = kronecker_product(a, b, trunc) if len(a) * len(b) > _LOOP_MAX_PAIRS else None
+        out = None
+        if len(a) * len(b) >= _PACK_MIN_PAIRS and min(len(a), len(b)) >= _PACK_MIN_TERMS:
+            out = kronecker_product(a, b, trunc)
         if out is None:
-            out = {}
+            acc = {}
+            get = acc.get
             for e1, c1 in a.items():
                 for e2, c2 in b.items():
                     e = e1 + e2
                     if e < trunc:
-                        out[e] = out.get(e, 0) + c1 * c2
+                        acc[e] = get(e, 0) + c1 * c2
+            out = {e: _norm(c) for e, c in acc.items() if c}
         return TruncSeries._make(out, trunc)
 
     __rmul__ = __mul__

@@ -17,6 +17,11 @@ literals and variables at a time; ``TokenParser`` is the token-list
 recursive descent it replaced, which builds an ``MPoly`` for every atom.
 The ``parse_*_reference`` functions run it.
 
+The library works on a rational curve's forms as dense integer lists;
+``derivative_rows_reference`` is the ``MPoly.partial`` chain and
+``local_branch_at_reference`` the ``MPoly.compose`` expansion they
+replaced, and ``dense_form`` turns an ``MPoly`` binary form into such a list.
+
 The library reduces a branch's conic pullbacks to distinct valuations by
 fraction-free elimination on integer series; ``reduce_to_distinct_reference``
 is the exact rational elimination on ``TruncSeries`` it replaced, and the
@@ -29,7 +34,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from sextactic.branch import NonPrimitiveBranch, TruncationInsufficient, ValuationLadder
+from sextactic.branch import BranchParam, NonPrimitiveBranch, TruncationInsufficient, ValuationLadder
 from sextactic.differential import (
     VARIANTS,
     CovariantSet,
@@ -54,7 +59,8 @@ from sextactic.poly import (
     exact_div,
     veronese,
 )
-from sextactic.rational import RationalParam
+from sextactic.rational import RationalError, RationalParam
+from sextactic.series import TruncSeries
 
 
 def sym3(six) -> PolyMatrix:
@@ -139,6 +145,52 @@ def padded_product(a: TernaryForm, b: TernaryForm) -> TernaryForm:
     w = digit_width(bound * _triangle(min(a.degree, b.degree)))
     slots = _digits(_pack(u, w) * _pack(v, w), w, top * r + 1)
     return TernaryForm(top, [slots[i * r : (i + 1) * r - i] for i in range(r)])
+
+
+def dense_form(f: MPoly):
+    """The list u of a binary form with u[i] its coefficient of s^i t^(n-i),
+    up to its highest power of s; [] for the zero form."""
+    u = [0] * (max((e[0] + 1 for e in f.terms), default=0))
+    for e, c in f.terms.items():
+        u[e[0]] = c
+    return u
+
+
+def derivative_rows_reference(forms, order: int):
+    """Rows r = 0..order of the mixed partials d^order / ds^(order-r) dt^r
+    of ``MPoly`` binary forms, by repeated ``MPoly.partial``."""
+    rows = []
+    current = list(forms)
+    for _ in range(order):
+        current = [f.partial("s") for f in current]
+    rows.append(current)
+    prev = list(forms)
+    for r in range(1, order + 1):
+        prev = [f.partial("t") for f in prev]
+        current = list(prev)
+        for _ in range(order - r):
+            current = [f.partial("s") for f in current]
+        rows.append(current)
+    return rows
+
+
+def local_branch_at_reference(param: RationalParam, at, trunc: int) -> BranchParam:
+    """The branch at the parameter (s0 : t0) by composing each form with
+    (u + s0/t0, 1), or with (1, u) at (1 : 0)."""
+    s0, t0 = Fraction(at[0]), Fraction(at[1])
+    if not s0 and not t0:
+        raise RationalError("(0, 0) is not a projective parameter")
+    u = MPoly.variable(("u",), "u")
+    if t0:
+        imgs = (u + s0 / t0, MPoly.constant(("u",), 1))
+    else:
+        imgs = (MPoly.constant(("u",), 1), u)
+    coords = []
+    for p in param.phi:
+        expanded = p.compose(imgs)
+        coeffs = {e[0]: c for e, c in expanded.terms.items() if e[0] < trunc}
+        coords.append(TruncSeries(coeffs, trunc))
+    return BranchParam(*coords)
 
 
 class ReferenceBundle(NamedTuple):

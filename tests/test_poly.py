@@ -8,7 +8,7 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from poly_reference import det_bareiss, padded_product
+from poly_reference import dense_form, det_bareiss, padded_product
 from sextactic import poly
 from sextactic.poly import (
     CONIC_BASIS,
@@ -27,7 +27,6 @@ from sextactic.poly import (
     binaryform_gcd,
     digit_width,
     exact_div,
-    form_at,
     laplace_minors,
     linear_factor_orders,
     linear_root_form,
@@ -956,6 +955,11 @@ class TestCoprimeCertificate:
         assert binaryform_gcd(f, g) == h
         _, factors = squarefree_decomp(h**2 * (S - 3 * T))
         assert (h, 2) in factors and (S - 3 * T, 1) in factors
+
+
+def form_at(f, w):
+    """The integer f(2^(8w), 1), packed from f's dense list."""
+    return poly._pack(dense_form(f), w)
 
 
 class TestKroneckerEvaluation:

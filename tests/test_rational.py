@@ -7,7 +7,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from poly_reference import det_bareiss
+from poly_reference import (
+    dense_form,
+    derivative_rows_reference,
+    det_bareiss,
+    local_branch_at_reference,
+)
 from sextactic import cli, poly, rational
 from sextactic.branch import weight2
 from sextactic.differential import hessian, second_hessian
@@ -442,7 +447,7 @@ class TestEvaluateFirst:
     @given(data=st.data())
     def test_shared_minors_match_bareiss(self, d, data):
         param = data.draw(coprime_params(d))
-        rows = rational._derivative_rows(param.veronese(), 4)
+        rows = derivative_rows_reference(param.veronese(), 4)
         for j, minor in enumerate(laplace_minors(rows)):
             sub = [[row[k] for k in range(6) if k != j] for row in rows]
             want = det_bareiss(PolyMatrix(sub))
@@ -453,7 +458,7 @@ class TestEvaluateFirst:
     @given(data=st.data())
     def test_wronskian_det_matches_bareiss(self, d, data):
         param = data.draw(coprime_params(d))
-        m = PolyMatrix(rational._derivative_rows(param.veronese(), 5))
+        m = PolyMatrix(derivative_rows_reference(param.veronese(), 5))
         assert m.det() == det_bareiss(m)
 
 
@@ -499,8 +504,12 @@ class TestDeterminantPath:
 def integer_minors(rows, degree):
     """``laplace_minors`` of integer binary-form rows taken over the integers
     at s = 2^(8w) and read back, as ``osculating_conic_family`` does."""
-    w, ints = rational._evaluated_rows(rows)
+    w, ints = rational._evaluated_rows(dense_rows(rows))
     return [read_form(m, w, degree) for m in laplace_minors(ints)]
+
+
+def dense_rows(rows):
+    return [[dense_form(f) for f in row] for row in rows]
 
 
 @st.composite
@@ -518,7 +527,7 @@ class TestKroneckerEvaluation:
     @given(data=st.data())
     def test_family_matches_minors_of_polynomial_rows(self, d, data):
         param = data.draw(coprime_params(d))
-        want = tuple(laplace_minors(rational._derivative_rows(param.veronese(), 4)))
+        want = tuple(laplace_minors(derivative_rows_reference(param.veronese(), 4)))
         if not any(want):
             with pytest.raises(DegenerateParam):
                 osculating_conic_family(param)
@@ -530,7 +539,7 @@ class TestKroneckerEvaluation:
     @given(data=st.data())
     def test_wronskian_matches_polynomial_determinant(self, d, data):
         param = data.draw(coprime_params(d))
-        want = PolyMatrix(rational._derivative_rows(param.veronese(), 5)).det()
+        want = PolyMatrix(derivative_rows_reference(param.veronese(), 5)).det()
         if want.is_zero():
             with pytest.raises(DegenerateParam):
                 conic_wronskian(param)
@@ -566,7 +575,7 @@ class TestKroneckerEvaluation:
         # the bound 2! * 129 * 127 = 32766 is met by the minor without column
         # 2, 129 s * 127 s + 129 s * 127 s, one below the 2-byte limit
         rows = [[129 * S, 129 * S, T], [-127 * S, 127 * S, T]]
-        w, _ = rational._evaluated_rows(rows)
+        w, _ = rational._evaluated_rows(dense_rows(rows))
         assert w == 2
         got = integer_minors(rows, 2)
         assert got == laplace_minors(rows)
@@ -624,3 +633,89 @@ class TestKroneckerEvaluation:
         assert pullback(G, param) == want
         argv = ["orders", "--param", QUARTIC_PARAM, "--poly", "x*y - z^2", "--at", "(1:0)"]
         assert cli.main(argv) == 0
+
+
+# -- the dense lists against the MPoly chain they replaced --------------------
+
+
+@st.composite
+def params_with_zeros(draw, d):
+    """A coprime param of degree d whose components may be zero."""
+    coeffs = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+    lists = [draw(coeffs) for _ in range(3)]
+    for i in draw(st.sets(st.integers(0, 2), max_size=1)):
+        lists[i] = [0] * (d + 1)
+    forms = [MPoly(ST, {(i, d - i): c for i, c in enumerate(u)}) for u in lists]
+    try:
+        return RationalParam(*forms)
+    except RationalError:
+        assume(False)
+
+
+def padded(f: MPoly, n: int):
+    """The dense list of length n + 1 of a binary form of degree n, or zero."""
+    return [f.coefficient((i, n - i)) for i in range(n + 1)]
+
+
+rational_points = st.one_of(
+    st.sampled_from([(1, 0), (0, 1), (-3, 0), (0, Fraction(2, 5))]),
+    st.tuples(st.fractions(-5, 5, max_denominator=4), st.fractions(-5, 5, max_denominator=4)).filter(any),
+)
+
+
+class TestDenseForms:
+    @pytest.mark.parametrize("order", [4, 5])
+    @pytest.mark.parametrize("d", range(3, 9))
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_derivative_rows_match_partials(self, order, d, data):
+        param = data.draw(params_with_zeros(d))
+        assert param.dense == tuple(padded(p, d) for p in param.phi)
+        got = rational._derivative_rows(poly.veronese(*param.dense, times=poly._u_mul), order)
+        want = derivative_rows_reference(param.veronese(), order)
+        assert got == [[padded(f, 2 * d - order) for f in row] for row in want]
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_local_branch_matches_compose(self, d, data):
+        param = data.draw(params_with_zeros(d))
+        at = data.draw(rational_points)
+        trunc = data.draw(st.sampled_from([1, d, d + 1, d + 2, 3 * d]))
+        got = local_branch_at(param, at, trunc)
+        want = local_branch_at_reference(param, at, trunc)
+        for a, b in zip(got.coords, want.coords):
+            assert a.trunc == b.trunc == trunc
+            assert a.coeffs == b.coeffs
+            assert all(type(c) is int or c.denominator > 1 for c in a.coeffs.values())
+
+    def test_zero_parameter_refused_before_any_work(self, monkeypatch):
+        def no_rows(forms, order):
+            raise AssertionError("rows built")
+
+        monkeypatch.setattr(rational, "_derivative_rows", no_rows)
+        param = parse_param(NODAL_PARAM)
+        message = r"^\(0, 0\) is not a projective parameter$"
+        with pytest.raises(RationalError, match=message):
+            osculating_conic_family(param, at=(0, 0))
+        with pytest.raises(RationalError, match=message):
+            local_branch_at(param, (0, 0), 8)
+
+    def test_never_reaches_partial_or_compose(self, monkeypatch):
+        def refuse(name):
+            def method(self, *args):
+                raise AssertionError(f"MPoly.{name} reached")
+
+            return method
+
+        monkeypatch.setattr(MPoly, "partial", refuse("partial"))
+        monkeypatch.setattr(MPoly, "compose", refuse("compose"))
+        G = X * Y - Z**2
+        for text in (NODAL_PARAM, QUARTIC_PARAM, QUINTIC_PARAM, BINOMIAL_PARAM):
+            param = parse_param(text)
+            osculating_conic_family(param)
+            osculating_conic_family(param, at=(1, 2))
+            conic_wronskian(param)
+            pullback(G, param)
+            for at in ((1, 0), (0, 1), (Fraction(-1, 3), 1)):
+                local_branch_at(param, at, 4 * param.degree + 4)

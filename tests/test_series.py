@@ -186,3 +186,7 @@ class TestPackedProduct:
         prod = a * (2 * a)
         assert all(type(c) is int or c.denominator > 1 for c in prod.coeffs.values())
         assert prod.coeffs == {e: Fraction(e + 1, 2) for e in range(5)}
+        # 2 x 1 terms take the loop, whose sums of Fractions can be integral
+        prod = ts({0: Fraction(1, 2), 1: Fraction(1, 2)}, 4) * ts({0: 2}, 4)
+        assert prod.coeffs == {0: 1, 1: 1}
+        assert all(type(c) is int for c in prod.coeffs.values())
