@@ -60,15 +60,12 @@ _DENSE_MIN_TERMS = 4
 
 
 class _Chain(NamedTuple):
-    """The Hessian chain of F, as ``hessian`` computes it: f is lam * F, and
-    every other field is computed from f.  On the dense chain the forms are
-    ``TernaryForm``s and lam is the least common denominator of F's
-    coefficients; on the sparse chain f is F itself, the forms are
-    ``MPoly``s and lam is 1."""
+    """The Hessian chain of F, as ``hessian`` computes it: f is F, and every
+    other field is computed from f.  On the dense chain the forms are
+    ``TernaryForm``s, on the sparse chain ``MPoly``s."""
 
     f: object
     d: int
-    lam: int
     H: object
     hess_f: tuple
     hess_h: tuple
@@ -76,10 +73,10 @@ class _Chain(NamedTuple):
     grad_f: tuple
     grad_h: tuple
 
-    def mpoly(self, p, k):
-        """As an MPoly of F, a form p of degree k in f's coefficients, which
-        is lam^k times that of F."""
-        return p.mpoly(self.lam**k) if isinstance(p, TernaryForm) else p
+
+def _mpoly(p):
+    """A form of either chain as an MPoly."""
+    return p.mpoly() if isinstance(p, TernaryForm) else p
 
 
 class HessianBundle:
@@ -100,30 +97,30 @@ class HessianBundle:
 
     @cached_property
     def H(self) -> MPoly:
-        return self.chain.mpoly(self.chain.H, 3)
+        return _mpoly(self.chain.H)
 
     @cached_property
     def hess_f(self) -> tuple:
-        return self._read(self.chain.hess_f, 1)
+        return self._read(self.chain.hess_f)
 
     @cached_property
     def hess_h(self) -> tuple:
-        return self._read(self.chain.hess_h, 3)
+        return self._read(self.chain.hess_h)
 
     @cached_property
     def adj_f(self) -> tuple:
-        return self._read(self.chain.adj_f, 2)
+        return self._read(self.chain.adj_f)
 
     @cached_property
     def grad_f(self) -> tuple:
-        return self._read(self.chain.grad_f, 1)
+        return self._read(self.chain.grad_f)
 
     @cached_property
     def grad_h(self) -> tuple:
-        return self._read(self.chain.grad_h, 3)
+        return self._read(self.chain.grad_h)
 
-    def _read(self, forms, k):
-        return tuple(self.chain.mpoly(p, k) for p in forms)
+    def _read(self, forms):
+        return tuple(map(_mpoly, forms))
 
     def _fields(self):
         return (self.F, self.d, self.H, self.hess_f, self.hess_h, self.adj_f,
@@ -187,10 +184,9 @@ def hessian(F: MPoly) -> HessianBundle:
     """Hessian determinant and matrices of a form of degree >= 3.
 
     When F fills its triangle (``fills_triangles``), with at least
-    _DENSE_MIN_TERMS terms, the chain runs on dense ``TernaryForm``s of
-    lam * F, lam the least common denominator of F's coefficients, where
-    every sum of products is one ``TernaryForm.dot`` (``_dot``) and every
-    other sum a list operation.
+    _DENSE_MIN_TERMS terms, the chain runs on dense ``TernaryForm``s, each
+    over its own denominator, where every sum of products is one
+    ``TernaryForm.dot`` (``_dot``) and every other sum a list operation.
     Any other F keeps its ``MPoly`` terms, whose time and memory follow the
     stored terms: dense triangles of x^1000 + y^1000 + z^1000 would hold
     millions of zeros.
@@ -199,11 +195,10 @@ def hessian(F: MPoly) -> HessianBundle:
         raise DifferentialError(f"expected a polynomial in {XYZ}")
     d = F.homogeneous_degree()  # raises NotHomogeneous on mixed degrees
     if d is None or d < 3:
-        raise DegreeTooSmall(f"need a form of degree >= 3, got degree {d}")
-    f, lam = F, 1
-    if len(F.terms) >= _DENSE_MIN_TERMS and fills_triangles(len(F.terms), d):
-        lam = _denominator(F.terms.values())
-        f = TernaryForm.of(F.terms, d, lam)
+        got = "the zero polynomial" if d is None else f"degree {d}"
+        raise DegreeTooSmall(f"need a form of degree >= 3, got {got}")
+    dense = len(F.terms) >= _DENSE_MIN_TERMS and fills_triangles(len(F.terms), d)
+    f = TernaryForm.of(F.terms, d) if dense else F
     grad_f, hess_f = _derivatives(f)
     adj_f = _adjugate(hess_f)
     # expand det(hess_f) along its first row; the cofactors are the first
@@ -212,7 +207,7 @@ def hessian(F: MPoly) -> HessianBundle:
     A, _, _, _, Gq, Hq = adj_f
     H = _dot(((1, a, A), (1, h, Hq), (1, g, Gq)))
     grad_h, hess_h = _derivatives(H)
-    return HessianBundle(F, _Chain(f, d, lam, H, hess_f, hess_h, adj_f, grad_f, grad_h))
+    return HessianBundle(F, _Chain(f, d, H, hess_f, hess_h, adj_f, grad_f, grad_h))
 
 
 def _paired_trace(adj6, hess6):
@@ -240,12 +235,11 @@ def covariants(bundle: HessianBundle) -> CovariantSet:
     computed on the bundle's chain."""
     c = bundle.chain
     cov = _covariants(c.adj_f, c.hess_h, c.grad_h)
-    # adj_f is of degree 2 in F's coefficients, hess_h and grad_h of degree 3
     return CovariantSet(
-        c.mpoly(cov.trace_product, 5),
-        tuple(c.mpoly(p, 5) for p in cov.trace_grad_adj),
-        tuple(c.mpoly(p, 5) for p in cov.trace_grad_hess),
-        c.mpoly(cov.gradient_form, 8),
+        _mpoly(cov.trace_product),
+        tuple(map(_mpoly, cov.trace_grad_adj)),
+        tuple(map(_mpoly, cov.trace_grad_hess)),
+        _mpoly(cov.gradient_form),
     )
 
 
@@ -300,9 +294,7 @@ def second_hessian(F: MPoly, variant: str = "corrected") -> MPoly:
         cov.trace_grad_adj, cov.trace_grad_hess, cov.gradient_form.grad()
     )
     combined = (H * (alpha * ta + beta * th) - gamma * g for ta, th, g in rows)
-    jacobian = _dot([(1, c, r) for c, r in zip(cross, combined)])
-    # the formula is of degree 12 in F's coefficients
-    return chain.mpoly(jacobian, 12)
+    return _mpoly(_dot([(1, c, r) for c, r in zip(cross, combined)]))
 
 
 def osculating_conic(F: MPoly, p) -> MPoly:
@@ -313,11 +305,10 @@ def osculating_conic(F: MPoly, p) -> MPoly:
     matrices are evaluated first: the trace covariant is the paired trace
     of adj_f(p) and hess_H(p), and the gradient form is grad H(p) paired
     with adj_f(p).  ``covariants`` is never built here, and no form is
-    converted: the chain's forms, of lam * F, are evaluated at p taken over
-    the common denominator of its coordinates, which gives integers on the
-    dense chain.  The conic is homogeneous of degree 1 in lam and of degree
-    d - 2 in the point, so neither scale changes it once it is made
-    primitive.
+    converted: the chain's forms are evaluated at p taken over the common
+    denominator of its coordinates, which gives integers when F has integer
+    coefficients.  The conic is homogeneous of degree d - 2 in the point,
+    so that scale does not change it once it is made primitive.
     """
     try:
         point = tuple(Fraction(v) for v in p)

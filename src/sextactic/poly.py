@@ -324,9 +324,9 @@ def _packed_mul(a, b, n):
 
     A binary product is one ``kronecker_product``, with the slot of (i, j)
     its first exponent i.  A ternary product is one ``TernaryForm`` product
-    of the two operands' monomial cofactors over their common denominators,
-    when the triangles of the cofactors pass ``fills_triangles``.  Either
-    way the terms come in ascending order of their exponents.
+    of the two operands' monomial cofactors, when the triangles of the
+    cofactors pass ``fills_triangles``.  Either way the terms come in
+    ascending order of their exponents.
     """
     if n not in (2, 3):
         return None
@@ -345,9 +345,7 @@ def _packed_mul(a, b, n):
     da, db = da - sum(ma), db - sum(mb)
     if not fills_triangles(len(a) + len(b), da, db):
         return None
-    a, b = _cofactor(a, ma), _cofactor(b, mb)
-    den_a, den_b = _denominator(a.values()), _denominator(b.values())
-    out = (TernaryForm.of(a, da, den_a) * TernaryForm.of(b, db, den_b)).terms(den_a * den_b)
+    out = (TernaryForm.of(_cofactor(a, ma), da) * TernaryForm.of(_cofactor(b, mb), db)).terms()
     m = tuple(map(add, ma, mb))
     if any(m):
         out = {(i + m[0], j + m[1], k + m[2]): c for (i, j, k), c in out.items()}
@@ -844,11 +842,12 @@ def _row_kernel(pairs, top):
 
 
 class TernaryForm:
-    """Dense homogeneous form in (x, y, z) with integer coefficients.
+    """Dense homogeneous form in (x, y, z) with rational coefficients.
 
-    ``rows[i][j]`` is the coefficient of x^i y^j z^(degree - i - j), so row i
-    is a binary form in (y, z) with degree - i + 1 entries; a zero form keeps
-    its degree.  Sums, integer multiples and partials are list operations.
+    The form is rows / den, den a positive int: ``rows[i][j]`` is den times
+    the coefficient of x^i y^j z^(degree - i - j), so row i is a binary form
+    in (y, z) with degree - i + 1 entries; a zero form keeps its degree.
+    Sums, integer multiples and partials are list operations that keep den.
     Every product goes through ``dot``, which sums integer multiples of
     products of pairs of forms in one pass: the row kernel
     (``_row_kernel``) packs each row of each operand into one integer,
@@ -857,57 +856,59 @@ class TernaryForm:
     nonzero terms (``_LOOP_PAIRS_PER_SLOT``) loop over those pairs instead.
     """
 
-    __slots__ = ("degree", "rows")
+    __slots__ = ("degree", "rows", "den")
 
-    def __init__(self, degree, rows):
+    def __init__(self, degree, rows, den=1):
         self.degree = degree
         self.rows = rows
+        self.den = den
 
     @classmethod
-    def of(cls, terms, degree, scale=1):
-        """The form scale * sum(c * x^i y^j z^k) of a term dict whose exponents
-        all sum to ``degree``; ``scale`` must clear every denominator."""
+    def of(cls, terms, degree):
+        """The form sum(c * x^i y^j z^k), over the least common denominator of
+        the c, of a term dict whose exponents all sum to ``degree``."""
+        den = _denominator(terms.values())
         rows = [[0] * (degree + 1 - i) for i in range(degree + 1)]
         for (i, j, k), c in terms.items():
             if i + j + k != degree:
                 raise NotHomogeneous(f"a term of degree {i + j + k} in a form of degree {degree}")
-            rows[i][j] = c.numerator * (scale // c.denominator)
-        return cls(degree, rows)
+            rows[i][j] = c.numerator * (den // c.denominator)
+        return cls(degree, rows, den)
 
-    def terms(self, divisor=1):
-        """The term dict of self / divisor, in ascending order of exponents."""
-        d = self.degree
+    def terms(self):
+        """The term dict of the form, in ascending order of exponents."""
+        d, den = self.degree, self.den
         out = {}
         for i, row in enumerate(self.rows):
             for j, c in enumerate(row):
                 if c:
-                    if divisor != 1:
-                        c = c // divisor if c % divisor == 0 else Fraction(c, divisor)
+                    if den != 1:
+                        c = c // den if c % den == 0 else Fraction(c, den)
                     out[(i, j, d - i - j)] = c
         return out
 
-    def mpoly(self, divisor=1) -> MPoly:
-        """The MPoly self / divisor in (x, y, z), for a positive int divisor."""
-        return MPoly._make(XYZ, self.terms(divisor))
+    def mpoly(self) -> MPoly:
+        """The form as an MPoly in (x, y, z)."""
+        return MPoly._make(XYZ, self.terms())
 
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
 
     def __add__(self, other):
-        self._check_degree(other)
-        return TernaryForm(self.degree, [list(map(add, r, s)) for r, s in zip(self.rows, other.rows)])
+        return self._combine(add, other)
 
     def __sub__(self, other):
-        self._check_degree(other)
-        return TernaryForm(self.degree, [list(map(sub, r, s)) for r, s in zip(self.rows, other.rows)])
+        return self._combine(sub, other)
 
-    def _check_degree(self, other):
-        if not isinstance(other, TernaryForm) or other.degree != self.degree:
-            raise PolyError(f"cannot combine {other!r} with a ternary form of degree {self.degree}")
+    def _combine(self, op, other):
+        if not isinstance(other, TernaryForm) or (other.degree, other.den) != (self.degree, self.den):
+            raise PolyError(f"cannot combine {other!r} with a form of degree {self.degree} over {self.den}")
+        rows = [list(map(op, r, s)) for r, s in zip(self.rows, other.rows)]
+        return TernaryForm(self.degree, rows, self.den)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TernaryForm(self.degree, [[c * other for c in row] for row in self.rows])
+            return TernaryForm(self.degree, [[c * other for c in row] for row in self.rows], self.den)
         if not isinstance(other, TernaryForm):
             return NotImplemented
         return TernaryForm.dot(((1, self, other),))
@@ -917,17 +918,21 @@ class TernaryForm:
     @staticmethod
     def dot(pairs):
         """The form sum(c * a * b) over the (int c, form a, form b) of
-        ``pairs``, a nonempty sequence whose products share one degree.
+        ``pairs``, a nonempty sequence whose products share one degree and
+        one denominator, a.den * b.den, which is the result's.
 
         Pairs with c = 0 or a zero form drop out.  When the rest hold at most
         _LOOP_PAIRS_PER_SLOT pairs of nonzero terms per row product, a loop
         over those pairs adds them up; otherwise the row kernel does.
         """
-        top = pairs[0][1].degree + pairs[0][2].degree
+        _, a, b = pairs[0]
+        top, den = a.degree + b.degree, a.den * b.den
         live, work, rows = [], 0, 0
         for c, a, b in pairs:
             if a.degree + b.degree != top:
                 raise PolyError(f"cannot add products of degrees {a.degree + b.degree} and {top}")
+            if a.den * b.den != den:
+                raise PolyError(f"cannot add products over {a.den * b.den} and {den}")
             term_pairs = a._stored() * b._stored()
             if c and term_pairs:
                 live.append((c, a, b))
@@ -941,8 +946,8 @@ class TernaryForm:
                     x *= c
                     for k, l, y in others:
                         out[i + k][j + l] += x * y
-            return TernaryForm(top, out)
-        return TernaryForm(top, _row_kernel(live, top))
+            return TernaryForm(top, out, den)
+        return TernaryForm(top, _row_kernel(live, top), den)
 
     def _stored(self):
         """The number of nonzero coefficients."""
@@ -972,14 +977,14 @@ class TernaryForm:
             rows = [list(map(mul, range(d - i, 0, -1), row)) for i, row in enumerate(rows[:-1])]
         else:
             raise UnknownVariable(f"variable {var!r} not among {XYZ}")
-        return TernaryForm(d - 1, rows)
+        return TernaryForm(d - 1, rows, self.den)
 
     def grad(self):
         return tuple(self.partial(v) for v in XYZ)
 
     def eval(self, point):
-        """The value at an integer point (x, y, z): Horner in y and z along
-        each row, then in x over the rows."""
+        """The exact value at an integer point (x, y, z): Horner in y and z
+        along each row, then in x over the rows."""
         x, y, z = point
         d = self.degree
         zpow = [1]
@@ -992,7 +997,7 @@ class TernaryForm:
             for j in range(n, -1, -1):
                 acc = acc * y + row[j] * zpow[n - j]
             total = total * x + acc
-        return total
+        return total if self.den == 1 else _ratio(total, self.den)
 
     def __repr__(self):
         return f"TernaryForm({self.degree}: {self.mpoly()})"

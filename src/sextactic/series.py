@@ -63,7 +63,7 @@ class TruncSeries:
         for e, c in other.coeffs.items():
             if e < trunc:
                 out[e] = out.get(e, 0) + c
-        return TruncSeries._make({e: c for e, c in out.items() if c}, trunc)
+        return TruncSeries._make({e: _norm(c) for e, c in out.items() if c}, trunc)
 
     __radd__ = __add__
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sextactic.branch import closed_form_ladder
 from sextactic.census import (
     CensusError,
     CurveProfile,
@@ -70,6 +71,23 @@ class TestRecords:
         assert PointRecord("inflection", 1, 3).weight() == 1
         assert PointRecord("smooth", 1, 2, c=6).weight() == 1
         assert PointRecord("smooth", 1, 2, c=5).weight() == 0
+
+    def test_weight_is_the_ladder_sum_less_15(self):
+        # the census and the branch layer each carry the weight formula: the
+        # record's closed form must be the sum of the six conic orders - 15
+        checked = 0
+        for m in range(1, 6):
+            for l in range(m + 1, 3 * m + 3):
+                role = "cusp" if m > 1 else "smooth" if l == 2 else "inflection"
+                if l == 2 * m:
+                    cs = [c for c in range(2 * m + 1, 6 * m + 1) if c not in (3 * m, 4 * m)]
+                else:
+                    cs = [None]
+                for c in cs:
+                    assert PointRecord(role, m, l, c).weight() == sum(closed_form_ladder(m, l, c)) - 15
+                    checked += 1
+        # 2m + 1 records with l != 2m and 4m - 2 values of c for each m
+        assert checked == sum(6 * m - 1 for m in range(1, 6))
 
     def test_c_constraints(self):
         with pytest.raises(CensusError):

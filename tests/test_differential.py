@@ -251,9 +251,11 @@ class TestDenseChainAgainstMPoly:
         "f", [X**2 + Y * Z, MPoly.constant(XYZ, 5), MPoly.zero(XYZ), X - Y]
     )
     def test_degree_too_small(self, f):
+        got = "the zero polynomial" if f.is_zero() else f"degree {f.degree()}"
         for run in (hessian, second_hessian, lambda F: osculating_conic(F, (0, 0, 1))):
-            with pytest.raises(DegreeTooSmall):
+            with pytest.raises(DegreeTooSmall) as err:
                 run(f)
+            assert str(err.value) == f"need a form of degree >= 3, got {got}"
 
     @pytest.mark.parametrize("f", [X**3 + Y, X**4 - Fraction(1, 2) * Y**3 + Z])
     def test_not_homogeneous(self, f):
@@ -262,10 +264,44 @@ class TestDenseChainAgainstMPoly:
                 run(f)
 
     def test_fraction_coefficients_scale_out(self):
-        # F and lam * F share H2 up to lam^12
-        f = QUARTIC + Fraction(1, 3) * X * Y * Z**2
-        assert second_hessian(3 * f) == 3**12 * second_hessian(f)
-        assert hessian(3 * f).H == 27 * hessian(f).H
+        # each field is of one degree w in F's coefficients, its weight, so
+        # c * F scales it by c^w; the osculating conic stays put
+        rng = random.Random("scale-out")
+        dense = {
+            (i, j, 4 - i - j): Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            for i in range(5)
+            for j in range(5 - i)
+        }
+        # (0 : 0 : 1) is a smooth point of both curves, and not a flex
+        dense.update({(0, 0, 4): 0, (0, 1, 3): 1, (2, 0, 2): Fraction(1, 2)})
+        sparse = (
+            Y * Z**4 + Fraction(1, 2) * X**2 * Z**3 - Fraction(3, 7) * X**5
+            + Fraction(2, 5) * X * Y**4
+        )
+
+        def weighted_fields(f):
+            b = hessian(f)
+            cov = covariants(b)
+            return [
+                (3, [b.H]),
+                (1, b.hess_f + b.grad_f),
+                (2, b.adj_f),
+                (3, b.hess_h + b.grad_h),
+                (5, [cov.trace_product, *cov.trace_grad_adj, *cov.trace_grad_hess]),
+                (8, [cov.gradient_form]),
+                (12, [second_hessian(f, v) for v in VARIANTS]),
+            ]
+
+        for f, chain in ((MPoly(XYZ, dense), TernaryForm), (sparse, MPoly)):
+            assert isinstance(hessian(f).chain.f, chain)
+            want = weighted_fields(f)
+            conic = osculating_conic(f, (0, 0, 1))
+            for _ in range(3):
+                c = Fraction(rng.choice([-7, -3, -2, 2, 5, 9]), rng.randint(1, 8))
+                assert isinstance(hessian(c * f).chain.f, chain)
+                for (w, forms), (_, scaled) in zip(want, weighted_fields(c * f)):
+                    assert list(scaled) == [c**w * p for p in forms]
+                assert osculating_conic(c * f, (0, 0, 1)) == conic
 
 
 class TestDerivativeCount:

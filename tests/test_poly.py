@@ -405,9 +405,10 @@ class TestTernaryForm:
 
     def test_conversions(self):
         f = MPoly(XYZ, {(2, 0, 1): Fraction(1, 6), (0, 3, 0): Fraction(-3, 4), (0, 0, 3): 2})
-        a = TernaryForm.of(f.terms, 3, 12)
+        a = TernaryForm.of(f.terms, 3)
         assert a.rows == [[24, 0, 0, -9], [0, 0, 0], [2, 0], [0]]
-        assert a.mpoly(12) == f
+        assert a.den == 12
+        assert a.mpoly() == f
         assert list(a.terms()) == [(0, 0, 3), (0, 3, 0), (2, 0, 1)]
         with pytest.raises(poly.NotHomogeneous):
             TernaryForm.of({(1, 0, 0): 1}, 3)
@@ -421,6 +422,68 @@ class TestTernaryForm:
         x = TernaryForm.of({(1, 0, 0): 1}, 1)
         assert (zero * x).degree == 5 and (zero * x).is_zero()
         assert zero.mpoly().is_zero() and zero.eval((3, 4, 5)) == 0
+
+
+@st.composite
+def rational_ternary_forms(draw, max_degree=6):
+    """An MPoly form of degree 0..max_degree in (x, y, z) on any subset of
+    its monomials, with coefficients of mixed denominators."""
+    d = draw(st.integers(0, max_degree))
+    cells = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    return d, MPoly(XYZ, {e: draw(coeffs) for e in chosen})
+
+
+class TestTernaryFormDenominator:
+    """A TernaryForm is rows / den: conversions divide by den, products
+    multiply the denominators, and only forms of one den add up."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(rational_ternary_forms(), rational_ternary_forms(), st.integers(-5, 5))
+    def test_matches_mpoly(self, fd, gd, k):
+        (d, f), (e, g) = fd, gd
+        a, b = TernaryForm.of(f.terms, d), TernaryForm.of(g.terms, e)
+        assert a.den == poly._denominator(f.terms.values())
+        assert all(isinstance(c, int) for row in a.rows for c in row)
+        assert a.mpoly() == f and a.terms() == f.terms
+        for prod in (a * b, b * a, TernaryForm.dot([(2, a, b), (-1, b, a)])):
+            assert prod.den == a.den * b.den
+            assert prod.mpoly() == f * g
+        assert (a + a).mpoly() == 2 * f and (a + a).den == a.den
+        assert (a - k * a).mpoly() == (1 - k) * f and (k * a).den == a.den
+        if d:
+            for v in XYZ:
+                assert a.partial(v).den == a.den
+                assert a.partial(v).mpoly() == f.partial(v)
+        for point in ((2, -3, 5), (0, 0, 1), (1, 0, 0), (-7, 11, 0)):
+            assert a.eval(point) == f.eval(point)
+
+    def test_eval_is_exact(self):
+        a = TernaryForm.of({(1, 0, 0): Fraction(1, 2), (0, 0, 1): Fraction(1, 3)}, 1)
+        assert a.den == 6
+        assert a.eval((1, 0, 1)) == Fraction(5, 6)
+        value = a.eval((2, 0, 3))
+        assert value == 2 and type(value) is int
+        value = TernaryForm.of({(1, 0, 0): 3}, 1).eval((2, 5, 7))
+        assert value == 6 and type(value) is int
+
+    def test_mismatched_denominators_raise(self):
+        half = TernaryForm.of({(1, 0, 0): Fraction(1, 2)}, 1)
+        third = TernaryForm.of({(0, 1, 0): Fraction(1, 3)}, 1)
+        one = TernaryForm.of({(0, 0, 1): 1}, 1)
+        for a, b in ((half, third), (half, one), (one, third)):
+            with pytest.raises(PolyError):
+                a + b
+            with pytest.raises(PolyError):
+                a - b
+            with pytest.raises(PolyError):
+                TernaryForm.dot([(1, a, a), (1, b, b)])
+        # products of one den add up, whatever the factors
+        sixth = TernaryForm.of({(1, 0, 0): Fraction(1, 6)}, 1)
+        total = TernaryForm.dot([(1, half, third), (1, sixth, one)])
+        assert total.den == 6
+        assert total.mpoly() == half.mpoly() * third.mpoly() + sixth.mpoly() * one.mpoly()
 
 
 # -- the row kernel and fused sums against the padded multiply -----------------

@@ -80,6 +80,12 @@ class TestArithmetic:
         assert (a - a).coeffs == {}
         assert (-a).coeffs == {2: -1}
 
+    def test_integral_sums_come_out_as_int(self):
+        half = ts({0: Fraction(1, 2)}, 4)
+        for total in (half + half, ts({0: Fraction(3, 2)}, 4) - half, half + Fraction(1, 2)):
+            assert total.coeffs == {0: 1}
+            assert type(total.coeffs[0]) is int
+
     def test_cancellation_keeps_truncation(self):
         a = ts({1: 1, 3: 1}, 6)
         b = ts({1: 1}, 6)
