@@ -68,17 +68,6 @@ class BranchParam:
     def trunc(self) -> int:
         return min(c.trunc for c in self.coords)
 
-    def monomial_pullback(self, expo) -> TruncSeries:
-        """Pull x^i y^j z^k back along the branch."""
-        out = None
-        for coord, e in zip(self.coords, expo):
-            for _ in range(e):
-                out = coord if out is None else out * coord
-        if out is None:
-            t = self.trunc
-            return TruncSeries({0: 1}, t)
-        return out
-
     def _integer_coords(self):
         """The coordinates times D, the lcm of all their coefficient
         denominators, as integer series, computed once; (Dx : Dy : Dz) is

@@ -91,10 +91,6 @@ class RationalParam:
         self.degree = d = degs.pop()
         self.dense = tuple([p.terms.get((i, d - i), 0) for i in range(d + 1)] for p in self.phi)
 
-    def veronese(self):
-        """The six degree-2 products, in ``CONIC_BASIS`` order."""
-        return veronese(*self.phi)
-
     def eval_point(self, at):
         """Primitive integer coordinates of the curve point at (s0 : t0)."""
         s0, t0 = Fraction(at[0]), Fraction(at[1])

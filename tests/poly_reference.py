@@ -21,16 +21,23 @@ The library works on a rational curve's forms as dense integer lists;
 ``derivative_rows_reference`` is the ``MPoly.partial`` chain and
 ``local_branch_at_reference`` the ``MPoly.compose`` expansion they
 replaced, and ``dense_form`` turns an ``MPoly`` binary form into such a list.
+``param_veronese`` is the ``MPoly`` form of the six Veronese products.
+
+The library takes the gcd of binary forms modulo primes and checks it by
+exact division; ``prs_gcd`` is the primitive pseudo-remainder sequence in
+the integers it replaced.
 
 The library reduces a branch's conic pullbacks to distinct valuations by
 fraction-free elimination on integer series; ``reduce_to_distinct_reference``
 is the exact rational elimination on ``TruncSeries`` it replaced, and the
-``*_reference`` ladder and line orders run it.
+``*_reference`` ladder and line orders run it.  ``monomial_pullback`` pulls
+one monomial back along a branch by ``TruncSeries`` products.
 """
 
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from operator import add
 from typing import NamedTuple
 
@@ -55,8 +62,10 @@ from sextactic.poly import (
     _digits,
     _pack,
     _triangle,
+    _u_trim,
     digit_width,
     exact_div,
+    primitive_ints,
     veronese,
 )
 from sextactic.rational import RationalError, RationalParam
@@ -154,6 +163,37 @@ def dense_form(f: MPoly):
     for e, c in f.terms.items():
         u[e[0]] = c
     return u
+
+
+def param_veronese(param: RationalParam):
+    """The six degree-2 products of the param's ``MPoly`` forms, in
+    ``CONIC_BASIS`` order."""
+    return veronese(*param.phi)
+
+
+def prs_gcd(a, b):
+    """Primitive gcd, positive leading coefficient, of two trimmed dense lists.
+
+    Primitive pseudo-remainder sequence in the integers (Collins 1967): each
+    pseudo-remainder is reduced to its primitive part before the next step.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        n, lead = len(b) - 1, b[-1]
+        r = list(a)
+        for k in range(len(a) - 1 - n, -1, -1):
+            c = r.pop()
+            if c:
+                g = gcd(c, lead)
+                c, m = c // g, lead // g
+                if m != 1:
+                    r = [x * m for x in r]
+                for i in range(n):
+                    r[k + i] -= c * b[i]
+        r = _u_trim(r)
+        a, b = b, primitive_ints(r, r[-1])[0] if r[-1] else r
+    return [1] if b[0] else primitive_ints(a, a[-1])[0]
 
 
 def derivative_rows_reference(forms, order: int):
@@ -554,6 +594,17 @@ def valuation_ladder_reference(b) -> ValuationLadder:
     pivots = reduce_to_distinct_reference(veronese(*b.coords), b.trunc)
     orders = tuple(sorted(pivots))
     return ValuationLadder(orders, tuple(pivots[v][1] for v in orders))
+
+
+def monomial_pullback(b: BranchParam, expo) -> TruncSeries:
+    """Pull x^i y^j z^k back along the branch."""
+    out = None
+    for coord, e in zip(b.coords, expo):
+        for _ in range(e):
+            out = coord if out is None else out * coord
+    if out is None:
+        return TruncSeries({0: 1}, b.trunc)
+    return out
 
 
 def line_orders_reference(b):

@@ -1,12 +1,16 @@
 """End-to-end command-line runs: exit codes, determinism, goldens."""
 
 import json
+import os
+import subprocess
 import sys
 import time
+import zipfile
+from pathlib import Path
 
 import pytest
 
-from cli_child import run_cli
+from cli_child import SOURCE_DIR, run_cli
 from sextactic import cli, fixtures
 
 QUARTIC = "x^4 - x^3*y + y^3*z"
@@ -276,6 +280,29 @@ class TestFixtures:
         assert r.returncode == 0
         for name in fixtures.data_file_names():
             assert (tmp_path / name).exists()
+
+    def test_write_flag_from_a_zipped_package(self, tmp_path):
+        # the data files must be read through the import system: a zipped
+        # package has no directory beside fixtures.py
+        archive = tmp_path / "pkg.zip"
+        package = Path(SOURCE_DIR) / "sextactic"
+        with zipfile.ZipFile(archive, "w") as z:
+            for path in sorted(package.rglob("*")):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    z.write(path, path.relative_to(package.parent).as_posix())
+        out = tmp_path / "out"
+        r = subprocess.run(
+            [sys.executable, "-m", "sextactic", "examples", "--write", str(out)],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(archive)},
+        )
+        assert r.returncode == 0, r.stderr
+        names = fixtures.data_file_names()
+        assert len(names) == 7
+        for name in names:
+            assert (out / name).read_text(encoding="utf-8") == fixtures.read_data_file(name)
 
 
 class TestPerBranchCli:

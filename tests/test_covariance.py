@@ -6,6 +6,9 @@ F(A (x, y, z)):
 - H(F∘A) = det(A)^2 * H(F)∘A, since hess(F∘A) = A^T (hess F ∘ A) A;
 - H2(F∘A) = det(A)^9 * H2(F)∘A for both variants: H2 has degree 12 in F's
   coefficients and order 12d - 27, so its weight is (12d - (12d - 27)) / 3.
+- osculating_conic(F∘A, A^-1 p) = osculating_conic(F, p)∘A up to a scalar,
+  at a smooth non-inflection point p of V(F): A^-1 p lies on V(F∘A), and
+  contact orders do not change under a change of coordinates.
 
 Each law checks the chain against itself, not against a second
 implementation of the same formulas, so it would see a transposed index in
@@ -13,14 +16,22 @@ a helper that the library and the references share.  A sparse F has a dense
 F∘A, so its laws run the sparse ``MPoly`` chain on one side and the dense
 ``TernaryForm`` chain on the other.  Up to d = 4 both sides are compared as
 polynomials; above, where composing H2 takes seconds, at three random
-integer points, where one wrong value is a counterexample.
+integer points, where one wrong value is a counterexample.  A conic is
+cheap to compose at any d, so the conic law is always compared exactly.
 """
 
 import random
 
 import pytest
 
-from sextactic.differential import VARIANTS, hessian, second_hessian
+from sextactic.differential import (
+    VARIANTS,
+    InflectionPoint,
+    SingularPoint,
+    hessian,
+    osculating_conic,
+    second_hessian,
+)
 from sextactic.poly import XYZ, MPoly, TernaryForm
 
 X, Y, Z = (MPoly.variable(XYZ, v) for v in XYZ)
@@ -49,6 +60,16 @@ def random_map(rng):
         a = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
         if det3(a):
             return a
+
+
+def adjugate3(a):
+    """adj(A), so that A adj(A) = det(A) I; adj(A) p is A^-1 p projectively."""
+
+    def cofactor(i, j):
+        i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+        return a[i1][j1] * a[i2][j2] - a[i1][j2] * a[i2][j1]
+
+    return [[cofactor(j, i) for j in range(3)] for i in range(3)]
 
 
 def images(a):
@@ -119,3 +140,29 @@ def test_second_hessian_has_weight_nine(name, variant):
     left = second_hessian(f.compose(images(a)), variant)
     assert not left.is_zero()
     assert_covariant(left, second_hessian(f, variant), 9, a, d, random.Random(name + variant))
+
+
+def planted_points(f, d, rng, count):
+    """(F, p) pairs: f with its z^d coefficient moved so that V(F) passes
+    through p = (a : b : 1), a and b in [-1, 1], as the benchmark generator
+    plants its points; p is redrawn until it is smooth and not a flex."""
+    out = []
+    while len(out) < count:
+        p = (rng.randint(-1, 1), rng.randint(-1, 1), 1)
+        g = f - f.eval(p) * Z**d
+        try:
+            osculating_conic(g, p)
+        except (SingularPoint, InflectionPoint):
+            continue
+        out.append((g, p))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("dense")))
+def test_osculating_conic_is_covariant(name):
+    d, f, a = CASES[name]
+    for g, p in planted_points(f, d, random.Random(name), 3):
+        q = apply(adjugate3(a), p)
+        assert apply(a, q) == tuple(det3(a) * v for v in p)
+        want = osculating_conic(g, p).compose(images(a)).canonical()
+        assert osculating_conic(g.compose(images(a)), q) == want

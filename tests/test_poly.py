@@ -1,6 +1,7 @@
 """Core polynomial arithmetic: ring operations, determinants, binary forms."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from poly_reference import dense_form, det_bareiss, padded_product
+from poly_reference import dense_form, det_bareiss, padded_product, prs_gcd
 from sextactic import poly
 from sextactic.poly import (
     CONIC_BASIS,
@@ -941,16 +942,37 @@ def dense_list(f):
     return poly._dense(f)[0]
 
 
+def repeated_factor_row(n1, n2, bits):
+    """The ROADMAP Baseline's repeated-factor row: a of degree n1, then b of
+    degree n2, from a fresh ``Random(7)``, coefficients in [-2^bits, 2^bits]."""
+    rng = random.Random(7)
+    a, b = (
+        MPoly(ST, {(i, n - i): rng.randint(-(2**bits), 2**bits) for i in range(n + 1)})
+        for n in (n1, n2)
+    )
+    return a, b
+
+
+@st.composite
+def wide_lists(draw, low, high):
+    """A trimmed dense list of degree low..high with coefficients up to 2^100."""
+    n = draw(st.integers(low, high))
+    big = st.integers(-(2**100), 2**100)
+    return draw(st.lists(big, min_size=n, max_size=n)) + [draw(big.filter(bool))]
+
+
 class TestCoprimeCertificate:
-    """``_u_gcd`` answers coprime operands from a gcd modulo a prime and
-    leaves the rest to the primitive PRS, kept as ``_u_prs_gcd``."""
+    """``_u_gcd`` takes the gcd modulo the primes of ``_GCD_PRIMES`` in turn.
+    A constant gcd mod p certifies coprime operands; otherwise its residues
+    are read back and checked by exact division.  ``prs_gcd``, the primitive
+    PRS the modular gcd replaced, is the reference."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(binary_forms(), binary_forms())
     def test_matches_bare_prs(self, f, g):
         a, b = dense_list(f), dense_list(g)
-        assert poly._u_gcd(a, b) == poly._u_prs_gcd(a, b)
-        assert poly._u_gcd(b, a) == poly._u_prs_gcd(b, a)
+        assert poly._u_gcd(a, b) == prs_gcd(a, b)
+        assert poly._u_gcd(b, a) == prs_gcd(b, a)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(binary_forms())
@@ -958,66 +980,106 @@ class TestCoprimeCertificate:
         # Yun's first gcd: repeated factors make it nontrivial
         u = dense_list(f)
         d = poly._u_deriv(u)
-        assert poly._u_gcd(u, d) == poly._u_prs_gcd(u, d)
+        assert poly._u_gcd(u, d) == prs_gcd(u, d)
 
-    def test_repeated_factor_is_not_certified(self):
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(wide_lists(1, 3), wide_lists(0, 3), wide_lists(0, 3))
+    def test_matches_bare_prs_on_wide_shared_factors(self, h, c1, c2):
+        # h * lead(h)-sized residues outgrow 2^30 - 35, so a later prime of
+        # the list has to answer
+        a = poly._u_mul(poly._u_mul(h, h), c1)
+        b = poly._u_mul(h, c2)
+        assert poly._u_gcd(a, b) == prs_gcd(a, b)
+        assert poly._u_gcd(b, a) == prs_gcd(b, a)
+        d = poly._u_deriv(a)
+        assert poly._u_gcd(a, d) == prs_gcd(a, d)
+
+    def spy_primes(self, monkeypatch):
+        primes = []
+        mod_p = poly._u_gcd_mod_p
+
+        def spy(a, b, p):
+            primes.append(p)
+            return mod_p(a, b, p)
+
+        monkeypatch.setattr(poly, "_u_gcd_mod_p", spy)
+        return primes
+
+    def test_repeated_factor_is_not_certified(self, monkeypatch):
+        primes = self.spy_primes(monkeypatch)
         u = dense_list((S + 2 * T) ** 3 * (S - T))
-        assert not poly._u_coprime_mod_p(u, poly._u_deriv(u))
         assert poly._u_gcd(u, poly._u_deriv(u)) == dense_list((S + 2 * T) ** 2)
+        assert primes == [poly._GCD_PRIMES[0]]
 
     def test_constants_and_zero(self):
         assert poly._u_gcd([5], [0]) == [1]
         assert poly._u_gcd([0], [3, 1]) == [3, 1]
         assert poly._u_gcd([2, 4], [6]) == [1]
 
-    def spy_prs(self, monkeypatch):
-        calls = []
-        prs = poly._u_prs_gcd
-
-        def spy(a, b):
-            calls.append((a, b))
-            return prs(a, b)
-
-        monkeypatch.setattr(poly, "_u_prs_gcd", spy)
-        return calls
-
     def test_coprime_operands_skip_the_prs(self, monkeypatch):
-        calls = self.spy_prs(monkeypatch)
+        primes = self.spy_primes(monkeypatch)
         assert poly._u_gcd([1, 2, 3], [5, 0, 7]) == [1]
-        assert calls == []
+        assert primes == [poly._GCD_PRIMES[0]]
 
     def test_prime_dividing_one_leading_coefficient_uses_the_other(self, monkeypatch):
-        calls = self.spy_prs(monkeypatch)
+        primes = self.spy_primes(monkeypatch)
         p = poly._GCD_PRIMES[0]
         assert poly._u_gcd([1, 2, p], [3, 1]) == [1]
-        assert calls == []
+        assert primes == [p]
 
     def test_next_prime_when_the_first_divides_both(self, monkeypatch):
-        calls = self.spy_prs(monkeypatch)
+        primes = self.spy_primes(monkeypatch)
         p = poly._GCD_PRIMES[0]
         assert poly._u_gcd([1, 2, p], [3, 2 * p]) == [1]
-        assert calls == []
+        assert primes == [2**61 - 1]
 
     def test_fallback_when_every_prime_divides_both_leads(self, monkeypatch):
-        calls = self.spy_prs(monkeypatch)
-        lead = 1
-        for p in poly._GCD_PRIMES:
-            lead *= p
+        # every prime of the three-prime certificate the modular gcd replaced
+        # divides both leading coefficients; 2^61 - 1, its second prime, does
+        # not and answers
+        primes = self.spy_primes(monkeypatch)
+        lead = (2**30 - 35) * (2**30 - 41) * (2**30 - 83)
         a, b = [1, 0, lead], [3, lead]
-        assert not poly._u_coprime_mod_p(a, b)
         assert poly._u_gcd(a, b) == [1]
-        assert calls == [(a, b)]
+        assert primes == [2**61 - 1]
 
-    def test_prime_divides_the_leading_coefficient_of_a_common_factor(self):
+    def test_prime_divides_the_leading_coefficient_of_a_common_factor(self, monkeypatch):
         # modulo the first prime, (p*s + t) drops to t; both leading
-        # coefficients are multiples of p, so the certificate takes the next
-        # prime, sees the common factor there and leaves the gcd to the PRS
+        # coefficients are multiples of p, so the gcd skips that prime and
+        # reads the common factor back modulo the next
+        primes = self.spy_primes(monkeypatch)
         p = poly._GCD_PRIMES[0]
         h = p * S + T
         f, g = h * (S + 2 * T), h * (S - 3 * T) ** 2
         assert binaryform_gcd(f, g) == h
+        assert primes == [2**61 - 1]
         _, factors = squarefree_decomp(h**2 * (S - 3 * T))
         assert (h, 2) in factors and (S - 3 * T, 1) in factors
+
+    def test_the_first_two_primes_divide_the_common_factors_lead(self, monkeypatch):
+        # both primes divide l and are skipped; h's 91-bit leading coefficient
+        # does not fit the residues of 2^89 - 1, so 2^107 - 1 answers
+        primes = self.spy_primes(monkeypatch)
+        h = (2**30 - 35) * (2**61 - 1) * S - T
+        f, g = h * (S + 2 * T), h**2 * (S - 3 * T)
+        assert binaryform_gcd(f, g) == h
+        assert primes == [2**89 - 1, 2**107 - 1]
+
+    def test_no_prime_answers(self, monkeypatch):
+        monkeypatch.setattr(poly, "_GCD_PRIMES", poly._GCD_PRIMES[:1])
+        p = poly._GCD_PRIMES[0]
+        with pytest.raises(poly.IntegerTooLong):
+            poly._u_gcd([1, p], [2, p])
+
+    @pytest.mark.parametrize("n1,n2,bits", [(10, 40, 30), (20, 60, 60), (30, 100, 100)])
+    def test_baseline_repeated_factor_rows(self, n1, n2, bits):
+        # the primitive PRS took 0.27 / 6.5 / 97 s on these rows
+        a, b = repeated_factor_row(n1, n2, bits)
+        start = time.perf_counter()
+        _, factors = squarefree_decomp(a * a * b)
+        elapsed = time.perf_counter() - start
+        assert factors == [(a.canonical(), 2), (b.canonical(), 1)]
+        assert elapsed < 1.0
 
 
 def form_at(f, w):
