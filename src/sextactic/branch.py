@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
+from .census import check_multiplicity_sequence
 # CONIC_BASIS is re-exported: the ladder's witnesses are written in its order
 from .poly import CONIC_BASIS, MPoly, conic, veronese
 from .series import TruncSeries
@@ -251,18 +252,14 @@ def closed_form_ladder(m: int, l: int, c=None):
     return tuple(sorted({0, m, 2 * m, 3 * m, 4 * m, c}))
 
 
-def hyperosculating_conic_at_branch(b: BranchParam) -> MPoly:
-    """The distinguished conic of maximal special contact at the branch.
+def hyperosculating_conic_at_branch(b: BranchParam) -> tuple:
+    """(contact order, conic): the distinguished conic of maximal special
+    contact at the branch, with its order along it.
 
     For tangent-degenerate branches (l = 2m) this is a conic of contact
     order c, which is irreducible; otherwise it is the conic of maximal
     contact 2l (the doubled tangent line).
     """
-    return _hyperosculating(b)[1]
-
-
-def _hyperosculating(b: BranchParam):
-    """(contact order, conic) of `hyperosculating_conic_at_branch`."""
     ladder = valuation_ladder(b)
     m, l = line_orders(b)
     target = _special_order(ladder.orders, m) if l == 2 * m else ladder.orders[-1]
@@ -286,10 +283,7 @@ def cusp_contact_constraints(ms, d: int, l=None, c=None) -> ContactReport:
     feasible values are reported instead of checked.
     """
     ms = list(ms)
-    if not ms or any(not isinstance(v, int) or v < 1 for v in ms):
-        raise BranchError(f"malformed multiplicity sequence {ms!r}")
-    if any(a < b for a, b in zip(ms, ms[1:])):
-        raise BranchError(f"multiplicity sequence must be non-increasing: {ms!r}")
+    check_multiplicity_sequence(ms, BranchError)
     if not isinstance(d, int) or d < 3:
         raise BranchError(f"need an integer curve degree d >= 3, got {d!r}")
     m = ms[0]

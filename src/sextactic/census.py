@@ -19,6 +19,15 @@ class CensusError(ValueError):
 ROLES = ("cusp", "inflection", "smooth")
 
 
+def check_multiplicity_sequence(ms, error):
+    """Raise ``error`` unless ``ms`` is a nonempty, non-increasing sequence
+    of positive integers; the message shows ``ms`` by its own repr."""
+    if not ms or any(not isinstance(v, int) or v < 1 for v in ms):
+        raise error(f"malformed multiplicity sequence {ms!r}")
+    if any(a < b for a, b in zip(ms, ms[1:])):
+        raise error(f"multiplicity sequence must be non-increasing: {ms!r}")
+
+
 @dataclass(frozen=True)
 class PointRecord:
     """Local invariants of one branch: multiplicity, tangent and conic contact.
@@ -61,10 +70,7 @@ class PointRecord:
             raise CensusError(f"c given but l != 2m (l={self.l}, m={self.m})")
         if self.ms is not None:
             ms = tuple(self.ms)
-            if not ms or any(not isinstance(v, int) or v < 1 for v in ms):
-                raise CensusError(f"malformed multiplicity sequence {ms!r}")
-            if any(a < b for a, b in zip(ms, ms[1:])):
-                raise CensusError(f"multiplicity sequence must be non-increasing: {ms!r}")
+            check_multiplicity_sequence(ms, CensusError)
             if ms[0] != self.m:
                 raise CensusError(
                     f"multiplicity sequence starts with {ms[0]}, record has m={self.m}"

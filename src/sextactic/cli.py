@@ -19,8 +19,8 @@ from pathlib import Path
 from . import fixtures
 from .branch import (
     BranchError,
-    _hyperosculating,
     cusp_contact_constraints,
+    hyperosculating_conic_at_branch,
     valuation_ladder,
     weight2,
 )
@@ -301,7 +301,7 @@ def cmd_ladder(args, rep: Reporter):
 
 
 def cmd_osc_branch(args, rep: Reporter):
-    order, conic = _hyperosculating(_branch_from_file(args.branch))
+    order, conic = hyperosculating_conic_at_branch(_branch_from_file(args.branch))
     rep.kv("conic", conic)
     rep.kv("contact_order", order)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .poly import XYZ, MPoly, TernaryForm, _denominator, conic, fills_triangles
+from .poly import XYZ, MPoly, TernaryForm, conic, fills_triangles, projective_ints
 
 
 class DifferentialError(ValueError):
@@ -121,17 +121,6 @@ class HessianBundle:
 
     def _read(self, forms):
         return tuple(map(_mpoly, forms))
-
-    def _fields(self):
-        return (self.F, self.d, self.H, self.hess_f, self.hess_h, self.adj_f,
-                self.grad_f, self.grad_h)
-
-    def __eq__(self, other):
-        if not isinstance(other, HessianBundle):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -305,10 +294,10 @@ def osculating_conic(F: MPoly, p) -> MPoly:
     matrices are evaluated first: the trace covariant is the paired trace
     of adj_f(p) and hess_H(p), and the gradient form is grad H(p) paired
     with adj_f(p).  ``covariants`` is never built here, and no form is
-    converted: the chain's forms are evaluated at p taken over the common
-    denominator of its coordinates, which gives integers when F has integer
-    coefficients.  The conic is homogeneous of degree d - 2 in the point,
-    so that scale does not change it once it is made primitive.
+    converted: the chain's forms are evaluated at the coprime integer
+    coordinates of p (``projective_ints``), which gives integers when F has
+    integer coefficients.  The conic is homogeneous in the point, so that
+    scale and its sign go once the conic is made canonical.
     """
     try:
         point = tuple(Fraction(v) for v in p)
@@ -318,8 +307,7 @@ def osculating_conic(F: MPoly, p) -> MPoly:
         raise DifferentialError(f"need a projective point, got {p!r}")
     chain = hessian(F).chain
     shown = "(" + " : ".join(map(str, point)) + ")"
-    den = _denominator(point)
-    at = [v.numerator * (den // v.denominator) for v in point]
+    at = projective_ints(point)
     if chain.f.eval(at) != 0:
         raise PointNotOnCurve(f"F does not vanish at {shown}")
     grads = [g.eval(at) for g in chain.grad_f]

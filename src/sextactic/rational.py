@@ -92,12 +92,13 @@ class RationalParam:
         self.dense = tuple([p.terms.get((i, d - i), 0) for i in range(d + 1)] for p in self.phi)
 
     def eval_point(self, at):
-        """Primitive integer coordinates of the curve point at (s0 : t0)."""
+        """Primitive integer coordinates of the curve point at (s0 : t0); the
+        forms have no common zero, so only (0 : 0) gives none."""
         s0, t0 = Fraction(at[0]), Fraction(at[1])
-        vals = [p.eval((s0, t0)) for p in self.phi]
-        if not any(vals):
+        if not (s0 or t0):
             raise RationalError(f"parametrization vanishes at ({s0} : {t0})")
-        return projective_ints(vals)
+        p, q = projective_ints((s0, t0))
+        return projective_ints([_u_at(u, p, q) for u in self.dense])
 
     def __repr__(self):
         return f"RationalParam({self.phi[0]} : {self.phi[1]} : {self.phi[2]})"
@@ -197,6 +198,16 @@ class WeierstrassScan:
     total: int
 
 
+def _wronskian_form(dense):
+    """xi of three dense forms of one degree d, as they stand: the 6x6
+    determinant of the fifth-order partials of their Veronese products,
+    a binary form of degree 12d - 30."""
+    d = len(dense[0]) - 1
+    rows = _derivative_rows(veronese(*dense, times=_u_mul), 5)
+    w, (top, *rest) = _evaluated_rows(rows)
+    return read_form(sum(e * m for e, m in zip(top, laplace_minors(rest))), w, 12 * d - 30)
+
+
 def conic_wronskian(param: RationalParam) -> WeierstrassScan:
     """Wronskian of the Veronese products and its zero structure.
 
@@ -206,9 +217,7 @@ def conic_wronskian(param: RationalParam) -> WeierstrassScan:
     """
     if param.degree < 3:
         raise RationalError(f"need degree >= 3, got {param.degree}")
-    rows = _derivative_rows(veronese(*param.dense, times=_u_mul), 5)
-    w, (top, *rest) = _evaluated_rows(rows)
-    xi = read_form(sum(e * m for e, m in zip(top, laplace_minors(rest))), w, 12 * param.degree - 30)
+    xi = _wronskian_form(param.dense)
     if xi.is_zero():
         raise DegenerateParam("Wronskian vanishes identically")
     content, factors = squarefree_decomp(xi)

@@ -20,7 +20,9 @@ The ``parse_*_reference`` functions run it.
 The library works on a rational curve's forms as dense integer lists;
 ``derivative_rows_reference`` is the ``MPoly.partial`` chain and
 ``local_branch_at_reference`` the ``MPoly.compose`` expansion they
-replaced, and ``dense_form`` turns an ``MPoly`` binary form into such a list.
+replaced, ``eval_point_reference`` the ``MPoly.eval`` of the forms at a
+rational parameter, and ``dense_form`` turns an ``MPoly`` binary form into
+such a list.
 ``param_veronese`` is the ``MPoly`` form of the six Veronese products.
 
 The library takes the gcd of binary forms modulo primes and checks it by
@@ -66,6 +68,7 @@ from sextactic.poly import (
     digit_width,
     exact_div,
     primitive_ints,
+    projective_ints,
     veronese,
 )
 from sextactic.rational import RationalError, RationalParam
@@ -212,6 +215,16 @@ def derivative_rows_reference(forms, order: int):
             current = [f.partial("s") for f in current]
         rows.append(current)
     return rows
+
+
+def eval_point_reference(param: RationalParam, at):
+    """Primitive integer coordinates of the curve point at (s0 : t0), by
+    ``MPoly.eval`` of each form at the rational parameter."""
+    s0, t0 = Fraction(at[0]), Fraction(at[1])
+    vals = [p.eval((s0, t0)) for p in param.phi]
+    if not any(vals):
+        raise RationalError(f"parametrization vanishes at ({s0} : {t0})")
+    return projective_ints(vals)
 
 
 def local_branch_at_reference(param: RationalParam, at, trunc: int) -> BranchParam:

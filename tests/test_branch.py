@@ -293,15 +293,16 @@ class TestAgainstOracles:
 class TestHyperosculatingConic:
     def test_deep_smooth_contact(self):
         b = mk_branch({1: 1}, {2: 1, 6: 1}, {0: 1}, 12)
-        assert hyperosculating_conic_at_branch(b) == MPoly(
+        assert hyperosculating_conic_at_branch(b) == (6, MPoly(
             XYZ, {(2, 0, 0): 1, (0, 1, 1): -1}
-        )
+        ))
 
     def test_tail_at_triple_of_m(self):
         # b = 3m: the special conic needs the quadratic correction term and
         # meets the branch with order 5, strictly above the naive family
         b = mk_branch({1: 1}, {2: 1, 3: 1}, {0: 1}, 12)
-        conic = hyperosculating_conic_at_branch(b)
+        order, conic = hyperosculating_conic_at_branch(b)
+        assert order == 5
         assert conic == MPoly(
             XYZ, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): -1, (0, 1, 1): -1}
         )
@@ -315,14 +316,14 @@ class TestHyperosculatingConic:
 
     def test_inflection_doubles_the_tangent(self):
         b = mk_branch({1: 1}, {3: 1}, {0: 1}, 12)
-        assert hyperosculating_conic_at_branch(b) == MPoly(XYZ, {(0, 2, 0): 1})
+        assert hyperosculating_conic_at_branch(b) == (6, MPoly(XYZ, {(0, 2, 0): 1}))
 
     def test_irreducible_when_tangent_degenerate(self):
         b = mk_branch({2: 1}, {4: 1, 7: 1}, {0: 1}, 14)
-        conic = hyperosculating_conic_at_branch(b)
+        order, conic = hyperosculating_conic_at_branch(b)
         # contact order is the special one, not the ladder maximum
         rep = weight2(b)
-        assert rep.c == 7
+        assert rep.c == order == 7
         pull = None
         for expo, c in conic.terms.items():
             term = monomial_pullback(b, expo) * c
@@ -467,10 +468,10 @@ class TestFractionFreeLadder:
             mp.setattr(branch, "valuation_ladder", valuation_ladder_reference)
             mp.setattr(branch, "line_orders", line_orders_reference)
             want_report = _outcome(weight2, b)
-            want_conic = _outcome(branch._hyperosculating, b)
+            want_conic = _outcome(hyperosculating_conic_at_branch, b)
         report = _outcome(weight2, b)
         assert report == want_report
-        assert _outcome(branch._hyperosculating, b) == want_conic
+        assert _outcome(hyperosculating_conic_at_branch, b) == want_conic
         if planted and isinstance(report, branch.WeightReport):
             assert (report.m, report.l, report.c) == planted
 
@@ -488,3 +489,17 @@ class TestWitnessesWhenRead:
         assert cli.main([command, "--branch", str(path)]) == 0
         capsys.readouterr()
         assert len(calls) == built
+
+    def test_osc_branch_runs_the_public_conic_once(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(self.BRANCH))
+        assert cli.main(["osc-branch", "--branch", str(path)]) == 0
+        report = capsys.readouterr().out
+        calls = []
+        real = cli.hyperosculating_conic_at_branch
+        monkeypatch.setattr(cli, "hyperosculating_conic_at_branch", lambda b: calls.append(b) or real(b))
+        assert cli.main(["osc-branch", "--branch", str(path)]) == 0
+        assert capsys.readouterr().out == report
+        assert len(calls) == 1
+        order, conic = real(calls[0])
+        assert report == f"conic = {conic}\ncontact_order = {order}\n"

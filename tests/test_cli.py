@@ -373,6 +373,16 @@ class TestPerBranchCli:
         assert data["point_1_H_order"] == "29"
         assert data["point_2_H_order"] == "15"
 
+    def test_multiplicity_sequence_errors_keep_their_class_and_repr(self, tmp_path):
+        r = run_cli("check-lemma37", "--ms", "2,3", "--d", "5")
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "error: BranchError: multiplicity sequence must be non-increasing: [2, 3]\n"
+        profile = {"d": 5, "points": [{"role": "cusp", "m": 2, "l": 3, "multiplicity_sequence": [2, 3]}]}
+        (tmp_path / "p.json").write_text(json.dumps(profile))
+        r = run_cli("count", "--profile", "p.json", cwd=tmp_path)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "error: CensusError: multiplicity sequence must be non-increasing: (2, 3)\n"
+
     def test_osc_branch_fixture(self, tmp_path):
         fixtures.write_files(tmp_path)
         r = run_cli(

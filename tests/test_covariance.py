@@ -10,6 +10,23 @@ F(A (x, y, z)):
   at a smooth non-inflection point p of V(F): A^-1 p lies on V(F∘A), and
   contact orders do not change under a change of coordinates.
 
+For a parametrization phi of degree d, with A phi the triple A (phi0,
+phi1, phi2) and phi∘B the forms phi(B (s, t)):
+
+- xi(A phi) = det(A)^4 * xi(phi), since the Veronese products of A phi are
+  Sym^2(A) times those of phi, and det Sym^2(A) = det(A)^4;
+- xi(phi∘B) = det(B)^15 * xi(phi)∘B: xi is the Wronskian of six forms, and
+  its rows are the partials of order 0..5, so 0 + 1 + ... + 5 factors of
+  det(B) come out;
+- the osculating conic of A phi at (s0 : t0) is that of phi composed with
+  x -> adj(A) x, and the one of phi∘B at B^-1 (s0, t0) is that of phi at
+  (s0 : t0), each up to a scalar that ``canonical`` takes off.
+
+xi is read from ``_wronskian_form``, the determinant step of
+``conic_wronskian``, on the forms as they stand: ``RationalParam`` would
+take the content of A phi off, and ``conic_wronskian``'s root finding on a
+mapped param can run for minutes.
+
 Each law checks the chain against itself, not against a second
 implementation of the same formulas, so it would see a transposed index in
 a helper that the library and the references share.  A sparse F has a dense
@@ -32,7 +49,14 @@ from sextactic.differential import (
     osculating_conic,
     second_hessian,
 )
-from sextactic.poly import XYZ, MPoly, TernaryForm
+from sextactic.poly import ST, XYZ, MPoly, TernaryForm
+from sextactic.rational import (
+    DegenerateParam,
+    RationalError,
+    RationalParam,
+    _wronskian_form,
+    osculating_conic_family,
+)
 
 X, Y, Z = (MPoly.variable(XYZ, v) for v in XYZ)
 EXACT_MAX_DEGREE = 4
@@ -166,3 +190,104 @@ def test_osculating_conic_is_covariant(name):
         assert apply(a, q) == tuple(det3(a) * v for v in p)
         want = osculating_conic(g, p).compose(images(a)).canonical()
         assert osculating_conic(g.compose(images(a)), q) == want
+
+
+# the rational side: B (s, t) = (s + 2t, -s + t), det B = 3, and its inverse
+# up to that scalar, B^-1 (s0, t0) = (s0 - 2 t0, s0 + t0) / 3
+S, T = (MPoly.variable(ST, v) for v in ST)
+B_IMAGES = (S + 2 * T, -S + T)
+DET_B = 3
+
+
+def unmap_parameter(at):
+    s0, t0 = at
+    return (s0 - 2 * t0, s0 + t0)
+
+
+def as_forms(dense):
+    return tuple(MPoly(ST, {(i, len(u) - 1 - i): c for i, c in enumerate(u)}) for u in dense)
+
+
+def as_dense(forms, d):
+    return [[f.terms.get((i, d - i), 0) for i in range(d + 1)] for f in forms]
+
+
+def param_cases():
+    """(id, dense forms, A, parameters) from one Random(5) stream: three
+    params of each degree d = 4, 5, 6 with coefficients in [-3, 3], redrawn
+    until RationalParam accepts them, each followed by A and by three
+    parameters (randint(-5, 5) : randint(1, 5))."""
+    rng = random.Random(5)
+    out = []
+    for d in (4, 5, 6):
+        for k in range(3):
+            while True:
+                dense = [[rng.randint(-3, 3) for _ in range(d + 1)] for _ in range(3)]
+                try:
+                    RationalParam(*as_forms(dense))
+                except RationalError:
+                    continue
+                break
+            a = random_map(rng)
+            ats = [(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(3)]
+            out.append((f"param{d}_{k}", dense, a, ats))
+    return out
+
+
+PARAM_CASES = {name: (dense, a, ats) for name, dense, a, ats in param_cases()}
+
+
+def mapped_by_a(dense, a):
+    return [[sum(c * u[i] for c, u in zip(row, dense)) for i in range(len(dense[0]))] for row in a]
+
+
+def mapped_by_b(dense):
+    d = len(dense[0]) - 1
+    return as_dense([f.compose(B_IMAGES) for f in as_forms(dense)], d)
+
+
+def conic_at(dense, at):
+    try:
+        return osculating_conic_family(RationalParam(*as_forms(dense)), at)
+    except DegenerateParam:
+        return DegenerateParam
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_CASES))
+def test_wronskian_has_weight_four_under_a(name):
+    dense, a, _ = PARAM_CASES[name]
+    left = _wronskian_form(mapped_by_a(dense, a))
+    assert not left.is_zero()
+    assert left == det3(a) ** 4 * _wronskian_form(dense)
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_CASES))
+def test_wronskian_has_weight_fifteen_under_b(name):
+    dense, _, _ = PARAM_CASES[name]
+    left = _wronskian_form(mapped_by_b(dense))
+    assert not left.is_zero()
+    assert left == DET_B**15 * _wronskian_form(dense).compose(B_IMAGES)
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_CASES))
+def test_osculating_conic_family_is_covariant_under_a(name):
+    dense, a, ats = PARAM_CASES[name]
+    adj = images(adjugate3(a))
+    for at in ats:
+        want = conic_at(dense, at)
+        if want is not DegenerateParam:
+            want = want.compose(adj).canonical()
+        assert conic_at(mapped_by_a(dense, a), at) == want
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_CASES))
+def test_osculating_conic_family_is_invariant_under_b(name):
+    dense, _, ats = PARAM_CASES[name]
+    for at in ats:
+        assert conic_at(mapped_by_b(dense), unmap_parameter(at)) == conic_at(dense, at)
+
+
+def test_param_laws_meet_no_degenerate_parameter():
+    """The conic laws above compare conics, not two DegenerateParam raises."""
+    for dense, a, ats in PARAM_CASES.values():
+        assert all(conic_at(dense, at) is not DegenerateParam for at in ats)

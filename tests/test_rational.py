@@ -11,6 +11,7 @@ from poly_reference import (
     dense_form,
     derivative_rows_reference,
     det_bareiss,
+    eval_point_reference,
     local_branch_at_reference,
     param_veronese,
 )
@@ -701,6 +702,32 @@ class TestDenseForms:
             osculating_conic_family(param, at=(0, 0))
         with pytest.raises(RationalError, match=message):
             local_branch_at(param, (0, 0), 8)
+        with pytest.raises(RationalError, match=r"^parametrization vanishes at \(0 : 0\)$"):
+            param.eval_point((0, 0))
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_eval_point_matches_mpoly_eval(self, d, data):
+        param = data.draw(params_with_zeros(d))
+        drawn = data.draw(rational_points)
+        for at in ((1, 0), (0, 1), (Fraction(-2, 3), Fraction(5, 4)), drawn):
+            assert param.eval_point(at) == eval_point_reference(param, at)
+
+    def test_eval_point_and_weights_never_reach_mpoly_eval(self, monkeypatch):
+        params = [parse_param(t) for t in (NODAL_PARAM, QUARTIC_PARAM, QUINTIC_PARAM, BINOMIAL_PARAM)]
+        scans = [conic_wronskian(param) for param in params]
+        ats = ((1, 0), (0, 1), (Fraction(-1, 3), 1), (Fraction(7, 2), Fraction(-5, 3)))
+        want = [[eval_point_reference(param, at) for at in ats] for param in params]
+        weights = [weights_from_xi(scan, param) for scan, param in zip(scans, params)]
+
+        def no_eval(self, point):
+            raise AssertionError("MPoly.eval reached")
+
+        monkeypatch.setattr(MPoly, "eval", no_eval)
+        assert [[param.eval_point(at) for at in ats] for param in params] == want
+        assert [weights_from_xi(scan, param) for scan, param in zip(scans, params)] == weights
+        assert any(e.point is not None for entries in weights for e in entries)
 
     def test_never_reaches_partial_or_compose(self, monkeypatch):
         def refuse(name):
