@@ -99,6 +99,11 @@ class PointRecord:
         return 4 * self.m + 4 * self.l - 15
 
 
+def _shared_labels(points):
+    labels = [p.label for p in points if p.label is not None]
+    return frozenset(v for v in labels if labels.count(v) > 1)
+
+
 @dataclass(frozen=True)
 class CurveProfile:
     d: int
@@ -113,13 +118,16 @@ class CurveProfile:
 
     def multibranch_labels(self):
         """Labels carried by more than one record: multibranch singular points."""
-        labels = [p.label for p in self.points if p.label is not None]
-        return frozenset(v for v in labels if labels.count(v) > 1)
+        return _shared_labels(self.points)
 
-    def _counts_toward_weight_sums(self, p, shared) -> bool:
-        # inflection points and cusps always; a record sharing a label is a
-        # branch of a multibranch singular point and counts whatever its shape
-        return p.role in ("inflection", "cusp") or p.label in shared
+    def _weighted(self):
+        """The records that enter the weight sums: inflection points and
+        cusps always; a record sharing a label is a branch of a multibranch
+        singular point and counts whatever its shape."""
+        shared = self.multibranch_labels()
+        return tuple(
+            p for p in self.points if p.role in ("inflection", "cusp") or p.label in shared
+        )
 
     @classmethod
     def build(cls, d, points, g=None, per_branch=False):
@@ -131,9 +139,7 @@ class CurveProfile:
         require both ``per_branch`` and an explicit genus.
         """
         points = tuple(points)
-        labels = [p.label for p in points if p.label is not None]
-        multibranch = len(labels) != len(set(labels))
-        if multibranch and not per_branch:
+        if _shared_labels(points) and not per_branch:
             raise CensusError(
                 "records share point labels; rerun in per-branch mode"
             )
@@ -165,20 +171,11 @@ class CurveProfile:
 
     def set_I(self):
         """Inflections, cusps, and singular-point branches with l != 2m."""
-        shared = self.multibranch_labels()
-        return tuple(
-            p for p in self.points
-            if self._counts_toward_weight_sums(p, shared)
-            and not p.tangent_degenerate
-        )
+        return tuple(p for p in self._weighted() if not p.tangent_degenerate)
 
     def set_J(self):
         """Cusps and singular-point branches with l = 2m."""
-        shared = self.multibranch_labels()
-        return tuple(
-            p for p in self.points
-            if self._counts_toward_weight_sums(p, shared) and p.tangent_degenerate
-        )
+        return tuple(p for p in self._weighted() if p.tangent_degenerate)
 
     def cusps(self):
         return tuple(p for p in self.points if p.role == "cusp")
@@ -205,8 +202,7 @@ def sextactic_count(profile: CurveProfile, per_branch: bool = False) -> CensusRe
     Subtracts the weight of every inflection and cusp branch from the total
     weight budget; what remains sits at smooth non-inflection points.
     """
-    labels = [p.label for p in profile.points if p.label is not None]
-    if len(labels) != len(set(labels)) and not per_branch:
+    if profile.multibranch_labels() and not per_branch:
         raise CensusError("records share point labels; rerun in per-branch mode")
     total = brill_segre_total(profile.d, profile.g)
     sum_I = sum(p.weight() for p in profile.set_I())
@@ -257,7 +253,7 @@ def intersection_identities(profile: CurveProfile, s: int) -> IdentityReport:
     and that plus its predicted Hessian order from the first; a cusp without
     delta is a ``CensusError``.
     """
-    points = profile.set_I() + profile.set_J()
+    points = profile._weighted()
     d = profile.d
     lhs2 = d * (12 * d - 27)
     rhs2 = s + sum(map(predicted_hessian2_order, points))

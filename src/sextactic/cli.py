@@ -44,7 +44,7 @@ from .parse import (
     parse_poly,
     parse_profile,
 )
-from .poly import CONIC_BASIS, XYZ, MPoly, PolyError, _coeff_str, _int_str
+from .poly import CONIC_BASIS, XYZ, MPoly, PolyError, _coeff_str, _int_str, _point_str
 from .rational import (
     RationalError,
     conic_wronskian,
@@ -134,10 +134,6 @@ def _factored_str(value) -> str:
         if rest > 1:
             parts.append(f"{_int_str(rest)}{mark}")
     return sign + (" * ".join(parts) if parts else "1")
-
-
-def _point_str(coords) -> str:
-    return "(" + " : ".join(_frac_str(c) for c in coords) + ")"
 
 
 # The tokenizer's rule for integers: ASCII digits only, since int() alone

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .poly import XYZ, MPoly, TernaryForm, conic, fills_triangles, projective_ints
+from .poly import XYZ, MPoly, TernaryForm, _point_str, conic, fills_triangles, projective_ints
 
 
 class DifferentialError(ValueError):
@@ -306,7 +306,7 @@ def osculating_conic(F: MPoly, p) -> MPoly:
     if len(point) != 3 or not any(point):
         raise DifferentialError(f"need a projective point, got {p!r}")
     chain = hessian(F).chain
-    shown = "(" + " : ".join(map(str, point)) + ")"
+    shown = _point_str(point)
     at = projective_ints(point)
     if chain.f.eval(at) != 0:
         raise PointNotOnCurve(f"F does not vanish at {shown}")

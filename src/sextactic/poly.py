@@ -129,6 +129,32 @@ def _coeff_str(c) -> str:
     return _int_str(int(c))
 
 
+def _terms_str(pairs) -> str:
+    """Text of a sum of terms, from (nonzero rational c, monomial text)
+    pairs in printing order: "c*m", "m" when |c| = 1, and "c" for an empty
+    monomial.  The first term carries only a "-"; later ones are joined by
+    "+ " or "- ".  No pairs give the empty string."""
+    parts = []
+    for c, mono in pairs:
+        mag = abs(c)
+        if not mono:
+            body = _coeff_str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{_coeff_str(mag)}*{mono}"
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts)
+
+
+def _point_str(coords) -> str:
+    """Text of a projective point of rational coordinates: (a : b : c)."""
+    return "(" + " : ".join(_coeff_str(Fraction(c)) for c in coords) + ")"
+
+
 # signed memoryview and array formats of the machine's 1-, 2-, 4- and 8-byte
 # words, keyed by size; the packed fields are little-endian, so they are read
 # through these only on a little-endian machine
@@ -660,27 +686,11 @@ class MPoly:
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for expo, c in self.sorted_terms():
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.variables, expo)
-                if e
-            )
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{_coeff_str(mag)}*{mono}"
-            else:
-                body = _coeff_str(mag)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        names = self.variables
+        return _terms_str(
+            (c, "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(names, expo) if e]))
+            for expo, c in self.sorted_terms()
+        ) or "0"
 
     def __repr__(self):
         return f"MPoly({'/'.join(self.variables)}: {self})"
@@ -841,6 +851,30 @@ def _row_kernel(pairs, top):
     return rows
 
 
+def _rows_at(rows, degree, x, y, z):
+    """sum rows[a][b] x^a y^b z^(degree - a - b), a ternary form held as
+    rows, at (x, y, z): Horner in y along each row, then in x over the rows,
+    with the powers of z computed once.  A zero entry costs one product by
+    y; a row may stop short, its missing entries zero."""
+    zs = [1]
+    for _ in range(degree):
+        zs.append(zs[-1] * z)
+    total = 0
+    m = degree - len(rows)
+    for row in reversed(rows):
+        m += 1  # degree - a, the power of z of entry 0 of row a
+        if row:
+            k = m - len(row)
+            acc = 0
+            for c in reversed(row):
+                k += 1
+                acc = acc * y + c * zs[k] if c else acc * y
+            total = total * x + acc
+        else:
+            total *= x
+    return total
+
+
 class TernaryForm:
     """Dense homogeneous form in (x, y, z) with rational coefficients.
 
@@ -983,20 +1017,8 @@ class TernaryForm:
         return tuple(self.partial(v) for v in XYZ)
 
     def eval(self, point):
-        """The exact value at an integer point (x, y, z): Horner in y and z
-        along each row, then in x over the rows."""
-        x, y, z = point
-        d = self.degree
-        zpow = [1]
-        for _ in range(d):
-            zpow.append(zpow[-1] * z)
-        total = 0
-        for i in range(d, -1, -1):
-            row, n = self.rows[i], d - i
-            acc = 0
-            for j in range(n, -1, -1):
-                acc = acc * y + row[j] * zpow[n - j]
-            total = total * x + acc
+        """The exact value at an integer point (x, y, z)."""
+        total = _rows_at(self.rows, self.degree, *point)
         return total if self.den == 1 else _ratio(total, self.den)
 
     def __repr__(self):
@@ -1128,13 +1150,13 @@ def _u_gcd_mod_p(a, b, p):
     if len(a) < len(b):
         a, b = b, a
     while b[-1]:
-        # a <- a mod b over F_p, with b made monic, then swap
+        # a <- a mod b over F_p, each quotient digit scaled by 1 / lead b,
+        # then swap
         n = len(b) - 1
         inv = pow(b[-1], -1, p)
-        b = [c * inv % p for c in b]
         r = list(a)
         for k in range(len(a) - 1 - n, -1, -1):
-            c = r.pop()
+            c = r.pop() * inv % p
             if c:
                 r[k:] = [(x - c * y) % p for x, y in zip(r[k:], b)]
         a, b = b, _u_trim(r or [0])

@@ -19,6 +19,8 @@ from .poly import (
     MPoly,
     VariableSetMismatch,
     _pack,
+    _point_str,
+    _rows_at,
     _u_at,
     _u_mul,
     _u_shift,
@@ -96,7 +98,7 @@ class RationalParam:
         forms have no common zero, so only (0 : 0) gives none."""
         s0, t0 = Fraction(at[0]), Fraction(at[1])
         if not (s0 or t0):
-            raise RationalError(f"parametrization vanishes at ({s0} : {t0})")
+            raise RationalError(f"parametrization vanishes at {_point_str((s0, t0))}")
         p, q = projective_ints((s0, t0))
         return projective_ints([_u_at(u, p, q) for u in self.dense])
 
@@ -170,7 +172,7 @@ def osculating_conic_family(param: RationalParam, at=None):
     if not any(minors):
         raise DegenerateParam("conic family is identically zero")
     if at is not None:
-        raise DegenerateParam(f"conic family vanishes at ({s0} : {t0})")
+        raise DegenerateParam(f"conic family vanishes at {_point_str((s0, t0))}")
     return minors
 
 
@@ -257,26 +259,6 @@ def weights_from_xi(scan: WeierstrassScan, param: RationalParam):
     return tuple(out)
 
 
-def _horner(rows, degree, x, y, z):
-    """G(x, y, z) for the ternary form G of the given degree whose
-    coefficient of x^a y^b z^(degree-a-b) is rows[a][b]: Horner in x over
-    the rows, and in y within a row, with the powers of z cached."""
-    zs = [1]
-    for _ in range(degree):
-        zs.append(zs[-1] * z)
-    acc = 0
-    for a in range(degree, -1, -1):
-        row = rows.get(a)
-        inner = 0
-        if row:
-            m = degree - a
-            for b in range(max(row), -1, -1):
-                c = row.get(b)
-                inner = inner * y + c * zs[m - b] if c else inner * y
-        acc = acc * x + inner
-    return acc
-
-
 def pullback(G: MPoly, param: RationalParam) -> MPoly:
     """Restriction G(phi0, phi1, phi2); zero when the curve divides G.
 
@@ -293,14 +275,21 @@ def pullback(G: MPoly, param: RationalParam) -> MPoly:
     if not G.terms:
         return MPoly.zero(ST)
     ints, scale = primitive_ints(G.terms.values())
-    rows, abs_rows = {}, {}
-    for (a, b, _), c in zip(G.terms, ints):
-        rows.setdefault(a, {})[b] = c
-        abs_rows.setdefault(a, {})[b] = abs(c)
     degree = G.degree()
+    # row a of G, and of its |c|, runs up to its largest power of y
+    rows = [[] for _ in range(degree + 1)]
+    abs_rows = [[] for _ in range(degree + 1)]
+    for (a, b, _), c in zip(G.terms, ints):
+        row = rows[a]
+        if len(row) <= b:
+            pad = [0] * (b + 1 - len(row))
+            row += pad
+            abs_rows[a] += pad
+        row[b] = c
+        abs_rows[a][b] = abs(c)
     norms = [sum(map(abs, u)) for u in param.dense]
-    w = digit_width(max(_horner(abs_rows, degree, *norms), *norms))
-    value = _horner(rows, degree, *[_pack(u, w) for u in param.dense])
+    w = digit_width(max(_rows_at(abs_rows, degree, *norms), *norms))
+    value = _rows_at(rows, degree, *[_pack(u, w) for u in param.dense])
     pb = read_form(value, w, degree * param.degree)
     return pb if scale == 1 else pb * scale
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import _PACK_MIN_PAIRS, _PACK_MIN_TERMS, _coeff_str, _norm, kronecker_product
+from .poly import _PACK_MIN_PAIRS, _PACK_MIN_TERMS, _norm, _terms_str, kronecker_product
 
 
 class SeriesError(ValueError):
@@ -114,22 +114,11 @@ class TruncSeries:
     __hash__ = None
 
     def __str__(self):
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            mono = "1" if e == 0 else ("t" if e == 1 else f"t^{e}")
-            if e == 0:
-                body = _coeff_str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{_coeff_str(abs(c))}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        parts.append(f"+ O(t^{self.trunc})" if parts else f"O(t^{self.trunc})")
-        return " ".join(parts)
+        terms = _terms_str(
+            (self.coeffs[e], "" if e == 0 else "t" if e == 1 else f"t^{e}")
+            for e in sorted(self.coeffs)
+        )
+        return f"{terms} + O(t^{self.trunc})" if terms else f"O(t^{self.trunc})"
 
     def __repr__(self):
         return f"TruncSeries({self})"

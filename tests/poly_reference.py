@@ -34,6 +34,10 @@ fraction-free elimination on integer series; ``reduce_to_distinct_reference``
 is the exact rational elimination on ``TruncSeries`` it replaced, and the
 ``*_reference`` ladder and line orders run it.  ``monomial_pullback`` pulls
 one monomial back along a branch by ``TruncSeries`` products.
+
+The library prints every sum of terms through one writer, ``_terms_str``;
+``mpoly_str_reference`` and ``series_str_reference`` are the two printers,
+one per type, that it replaced.
 """
 
 import re
@@ -61,6 +65,7 @@ from sextactic.poly import (
     PolyError,
     PolyMatrix,
     TernaryForm,
+    _coeff_str,
     _digits,
     _pack,
     _triangle,
@@ -625,3 +630,46 @@ def line_orders_reference(b):
     if v0 != 0:
         raise NonPrimitiveBranch("no linear form is a unit along the branch")
     return m, l
+
+
+def mpoly_str_reference(f: MPoly) -> str:
+    if not f.terms:
+        return "0"
+    parts = []
+    for expo, c in f.sorted_terms():
+        mono = "*".join(
+            v if e == 1 else f"{v}^{e}"
+            for v, e in zip(f.variables, expo)
+            if e
+        )
+        mag = abs(c)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{_coeff_str(mag)}*{mono}"
+        else:
+            body = _coeff_str(mag)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def series_str_reference(a: TruncSeries) -> str:
+    parts = []
+    for e in sorted(a.coeffs):
+        c = a.coeffs[e]
+        mono = "1" if e == 0 else ("t" if e == 1 else f"t^{e}")
+        if e == 0:
+            body = _coeff_str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{_coeff_str(abs(c))}*{mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    parts.append(f"+ O(t^{a.trunc})" if parts else f"O(t^{a.trunc})")
+    return " ".join(parts)

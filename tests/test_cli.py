@@ -61,6 +61,11 @@ class TestExitCodes:
         assert r.returncode == 1
         assert r.stderr == "error: InflectionPoint: the Hessian vanishes at (1 : -1 : 0)\n"
 
+    def test_point_not_on_curve_shows_a_fraction(self):
+        r = run_cli("osculate", "--implicit", "x^3 + y^3 + z^3", "--point", "(1/2:1:0)")
+        assert r.returncode == 1
+        assert r.stderr == "error: PointNotOnCurve: F does not vanish at (1/2 : 1 : 0)\n"
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -22,6 +22,14 @@ phi1, phi2) and phi∘B the forms phi(B (s, t)):
   x -> adj(A) x, and the one of phi∘B at B^-1 (s0, t0) is that of phi at
   (s0 : t0), each up to a scalar that ``canonical`` takes off.
 
+For a ternary form G of degree k:
+
+- pullback(G∘A, phi) = c^k * pullback(G, A phi), where A phi comes in as
+  a ``RationalParam``, which divides the triple by its content c;
+- the orders of G along phi∘B at B^-1 (s0 : t0) are those along phi at
+  (s0 : t0), and so are the pullback's degree and the residual, since
+  pullback(G, phi∘B) = pullback(G, phi)∘B.
+
 xi is read from ``_wronskian_form``, the determinant step of
 ``conic_wronskian``, on the forms as they stand: ``RationalParam`` would
 take the content of A phi off, and ``conic_wronskian``'s root finding on a
@@ -38,6 +46,7 @@ cheap to compose at any d, so the conic law is always compared exactly.
 """
 
 import random
+from math import gcd
 
 import pytest
 
@@ -55,7 +64,9 @@ from sextactic.rational import (
     RationalError,
     RationalParam,
     _wronskian_form,
+    intersection_orders,
     osculating_conic_family,
+    pullback,
 )
 
 X, Y, Z = (MPoly.variable(XYZ, v) for v in XYZ)
@@ -291,3 +302,82 @@ def test_param_laws_meet_no_degenerate_parameter():
     """The conic laws above compare conics, not two DegenerateParam raises."""
     for dense, a, ats in PARAM_CASES.values():
         assert all(conic_at(dense, at) is not DegenerateParam for at in ats)
+
+
+def ternary_form(rng, k):
+    """Every monomial of degree k, coefficients in [-3, 3], i outer, j inner."""
+    return MPoly(
+        XYZ,
+        {(i, j, k - i - j): rng.randint(-3, 3) for i in range(k + 1) for j in range(k + 1 - i)},
+    )
+
+
+def planted(g, k, point):
+    """g moved to pass through the integer point: a multiple of g less a
+    multiple of v^k, for the first coordinate v that is nonzero there."""
+    i = next(i for i, c in enumerate(point) if c)
+    return point[i] ** k * g - g.eval(point) * MPoly.variable(XYZ, XYZ[i]) ** k
+
+
+def pullback_cases():
+    """(id, param, A, G, parameters) from one Random(5) stream: two params
+    of each degree d = 3, 4, 5 with coefficients in [-3, 3], redrawn until
+    RationalParam accepts them, each followed by A, by two parameters
+    (randint(-5, 5) : randint(1, 5)), and by one G of each degree k = 1..4,
+    redrawn until its pullback is nonzero.  Every other G (by d + k + the
+    param's index) is planted through the curve point at the first
+    parameter, so that its order there is positive."""
+    rng = random.Random(5)
+    out = []
+    for d in (3, 4, 5):
+        for n in range(2):
+            while True:
+                dense = [[rng.randint(-3, 3) for _ in range(d + 1)] for _ in range(3)]
+                try:
+                    param = RationalParam(*as_forms(dense))
+                except RationalError:
+                    continue
+                break
+            a = random_map(rng)
+            ats = [(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(2)]
+            for k in range(1, 5):
+                while True:
+                    g = ternary_form(rng, k)
+                    if (d + k + n) % 2 == 0:
+                        g = planted(g, k, param.eval_point(ats[0]))
+                    if not pullback(g, param).is_zero():
+                        break
+                out.append((f"param{d}_{n}_G{k}", param, a, g, ats))
+    return out
+
+
+PULLBACK_CASES = {name: rest for name, *rest in pullback_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(PULLBACK_CASES))
+def test_pullback_of_composed_form(name):
+    param, a, g, _ = PULLBACK_CASES[name]
+    mapped = mapped_by_a(param.dense, a)
+    content = gcd(*(c for u in mapped for c in u))
+    k = g.homogeneous_degree()
+    left = pullback(g.compose(images(a)), param)
+    assert not left.is_zero()
+    assert left == pullback(g, RationalParam(*as_forms(mapped))) * content**k
+
+
+@pytest.mark.parametrize("name", sorted(PULLBACK_CASES))
+def test_intersection_orders_under_b(name):
+    param, _, g, ats = PULLBACK_CASES[name]
+    want = intersection_orders(g, param, ats)
+    moved = RationalParam(*as_forms(mapped_by_b(param.dense)))
+    got = intersection_orders(g, moved, [unmap_parameter(at) for at in ats])
+    assert (got.orders, got.degree, got.residual) == (want.orders, want.degree, want.residual)
+
+
+def test_pullback_laws_meet_positive_orders():
+    """Half the forms are planted, so the B law compares positive orders."""
+    planted_orders = [
+        intersection_orders(g, param, ats[:1]).orders[0]
+        for param, _, g, ats in PULLBACK_CASES.values()
+    ]
+    assert sum(1 for v in planted_orders if v > 0) >= len(planted_orders) // 2

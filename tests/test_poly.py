@@ -9,7 +9,14 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from poly_reference import dense_form, det_bareiss, padded_product, prs_gcd
+from poly_reference import (
+    dense_form,
+    det_bareiss,
+    mpoly_str_reference,
+    padded_product,
+    prs_gcd,
+    series_str_reference,
+)
 from sextactic import poly
 from sextactic.poly import (
     CONIC_BASIS,
@@ -38,6 +45,7 @@ from sextactic.poly import (
     squarefree_decomp,
     veronese,
 )
+from sextactic.series import TruncSeries
 
 
 def var(vs, name):
@@ -666,6 +674,123 @@ class TestEval:
         assert MPoly.zero(XYZ).eval((1, 2, 3)) == 0
         with pytest.raises(VariableSetMismatch):
             f.eval((1, 2))
+
+
+# -- one Horner for ternary forms and one writer for sums of terms -------------
+
+# integer point coordinates, zero often among them
+HORNER_COORDS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**64), 2**64))
+HORNER_POINTS = st.tuples(HORNER_COORDS, HORNER_COORDS, HORNER_COORDS)
+
+
+@st.composite
+def sparse_rows(draw):
+    """(degree, rows, form): up to 8 terms of a form of degree 0..40 as
+    degree + 1 rows, each running up to its largest power of y and empty
+    without terms, as ``pullback`` builds them; or, when ``full`` is drawn,
+    each padded with zeros to its whole length, so a row without terms is
+    all zeros."""
+    d = draw(st.integers(0, 40))
+    cell = st.integers(0, d).flatmap(lambda a: st.tuples(st.just(a), st.integers(0, d - a)))
+    terms = draw(st.dictionaries(cell, TERNARY_COEFFS.filter(bool), max_size=8))
+    full = draw(st.booleans())
+    rows = [[0] * (d + 1 - a) if full else [] for a in range(d + 1)]
+    for (a, b), c in terms.items():
+        row = rows[a]
+        row.extend([0] * (b + 1 - len(row)))
+        row[b] = c
+    return d, rows, MPoly(XYZ, {(a, b, d - a - b): c for (a, b), c in terms.items()})
+
+
+class TestRowsAt:
+    """``_rows_at`` is the one Horner of a ternary form held as rows; the
+    reference is ``MPoly.eval``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(ternary_forms(), HORNER_POINTS)
+    def test_dense_rows(self, a, point):
+        want = a.mpoly().eval(point)
+        assert poly._rows_at(a.rows, a.degree, *point) == want
+        assert a.eval(point) == want
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rational_ternary_forms(), HORNER_POINTS)
+    def test_form_over_its_denominator(self, fd, point):
+        d, f = fd
+        a = TernaryForm.of(f.terms, d)
+        got, want = a.eval(point), f.eval(point)
+        assert got == want
+        assert type(got) is type(want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(sparse_rows(), HORNER_POINTS)
+    def test_short_rows_from_sparse_terms(self, case, point):
+        d, rows, f = case
+        assert poly._rows_at(rows, d, *point) == f.eval(point)
+
+    def test_zero_rows_and_coordinates(self):
+        assert poly._rows_at([[], [], []], 2, 3, 4, 5) == 0
+        assert poly._rows_at([[0, 0, 0], [0, 0], [0]], 2, 3, 4, 5) == 0
+        # x^2 + y z + z^2 with the zero entries of rows 0 and 1 left out
+        rows = [[1, 1], [], [1]]
+        assert poly._rows_at(rows, 2, 2, 3, 5) == 4 + 15 + 25
+        assert poly._rows_at(rows, 2, 2, 3, 0) == 4
+        assert poly._rows_at(rows, 2, 0, 0, 5) == 25
+        assert poly._rows_at(rows, 2, 0, 0, 0) == 0
+
+
+def print_coeffs():
+    """Rational coefficients: ints, Fractions, and many +-1 and +-1/n."""
+    return st.one_of(
+        st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 3)]),
+        st.integers(-(2**70), 2**70),
+        st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    )
+
+
+@st.composite
+def printable_polys(draw):
+    """An MPoly in one to three variables, possibly zero, with a constant
+    term, and with its leading term made negative when ``negate`` is drawn."""
+    variables = draw(st.sampled_from([XYZ, ST, ("x",)]))
+    expo = st.tuples(*[st.integers(0, 5)] * len(variables))
+    terms = draw(st.dictionaries(expo, print_coeffs(), max_size=8))
+    if draw(st.booleans()):
+        terms[(0,) * len(variables)] = draw(print_coeffs())
+    f = MPoly(variables, terms)
+    if f.terms and draw(st.booleans()) and f.lead()[1] > 0:
+        f = -f
+    return f
+
+
+@st.composite
+def printable_series(draw):
+    trunc = draw(st.integers(1, 12))
+    return TruncSeries(draw(st.dictionaries(st.integers(0, trunc - 1), print_coeffs())), trunc)
+
+
+class TestTermsStr:
+    """``_terms_str`` writes every sum of terms; the printers it replaced,
+    one for ``MPoly`` and one for ``TruncSeries``, are the references."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(printable_polys())
+    def test_mpoly_text(self, f):
+        assert str(f) == mpoly_str_reference(f)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(printable_series())
+    def test_series_text(self, a):
+        assert str(a) == series_str_reference(a)
+
+    def test_edge_cases(self):
+        assert str(MPoly.zero(XYZ)) == "0"
+        assert str(MPoly.constant(XYZ, -1)) == "-1"
+        assert str(-X**2 + Fraction(1, 2) * Y - 1) == "-x^2 + 1/2*y - 1"
+        assert str(TruncSeries({}, 4)) == "O(t^4)"
+        assert str(TruncSeries({0: -1, 1: 1, 3: Fraction(-2, 3)}, 5)) == "-1 + t - 2/3*t^3 + O(t^5)"
+        assert poly._terms_str([]) == ""
+        assert poly._point_str((1, Fraction(-1, 2), 0)) == "(1 : -1/2 : 0)"
 
 
 class TestPartial:

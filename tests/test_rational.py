@@ -556,6 +556,13 @@ class TestKroneckerEvaluation:
         param = data.draw(coprime_params(data.draw(st.integers(3, 6))))
         assert pullback(G, param) == G.compose(param.phi)
 
+    def test_pullback_of_a_sparse_two_hessian(self):
+        # H2 of degree 69 has 46 terms: most of its rows hold one term, so
+        # they stop short, and some are empty
+        h2 = second_hessian(parse_poly("x^7*y + y^7*z + z^7*x"))
+        param = parse_param(QUARTIC_PARAM)
+        assert pullback(h2, param) == h2.compose(param.phi)
+
     def test_zero_minor_and_a_cancelling_slot(self):
         # columns 0 and 1 agree, so every minor keeping both is zero
         rows = [[S + T, S + T, T, S], [S - T, S - T, S, T], [S, S, T, 2 * S]]
