@@ -14,6 +14,7 @@ import functools
 import re
 import sys
 from fractions import Fraction
+from gettext import gettext
 from pathlib import Path
 
 from . import fixtures
@@ -32,7 +33,13 @@ from .census import (
     predicted_hessian_order,
     sextactic_count,
 )
-from .differential import DifferentialError, hessian, osculating_conic, second_hessian
+from .differential import (
+    DifferentialError,
+    hessian,
+    osculating_conic,
+    second_hessian,
+    second_hessian_form,
+)
 from .parse import (
     ParseError,
     _over_limit_message,
@@ -165,29 +172,35 @@ def _read_file(path: str) -> str:
 # -- subcommand implementations ----------------------------------------------
 
 
+# H and H2 print as the Hessian chain computed them: a ``TernaryForm`` on the
+# dense chain, an ``MPoly`` on the sparse one.  A nonzero H has degree
+# 3(d - 2) and a nonzero H2 degree 12d - 27, since both are homogeneous.
+
+
 def cmd_hessian(args, rep: Reporter):
     F = parse_poly(args.implicit, "xyz")
     bundle = hessian(F)
-    H = bundle.H
+    H = bundle.chain.H
     if args.normalize and not H.is_zero():
         H, scale = H.canonical_with_scale()
         rep.kv("content", _frac_str(scale))
     rep.kv("d", bundle.d)
-    rep.kv("H_degree", H.degree() if not H.is_zero() else "undefined")
+    rep.kv("H_degree", 3 * (bundle.d - 2) if not H.is_zero() else "undefined")
     rep.kv("H", H)
 
 
 def cmd_hessian2(args, rep: Reporter):
     F = parse_poly(args.implicit, "xyz")
-    h2 = second_hessian(F, args.variant)
+    h2 = second_hessian_form(F, args.variant)
+    d = F.homogeneous_degree()
     rep.kv("variant", args.variant)
-    rep.kv("d", F.homogeneous_degree())
+    rep.kv("d", d)
     if args.normalize and not h2.is_zero():
         h2, scale = h2.canonical_with_scale()
         rep.kv("content", _frac_str(scale))
         if not rep.machine:
             rep.kv("content_factored", _factored_str(scale))
-    rep.kv("H2_degree", h2.degree() if not h2.is_zero() else "undefined")
+    rep.kv("H2_degree", 12 * d - 27 if not h2.is_zero() else "undefined")
     rep.kv("H2", h2)
 
 
@@ -495,14 +508,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parsing leaves no state in the parser, so one serves every call
-    return build_parser()
+def _parser():
+    """The parser and its subcommand parsers by name; parsing leaves no
+    state in a parser, so one serves every call."""
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser, commands
+
+
+def _parse(argv):
+    """``build_parser().parse_args(argv)``.  A known subcommand first is
+    parsed by its own parser, as argparse would, with the leftover arguments
+    refused by the top-level parser; anything else goes to the whole parser."""
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser, parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return parser, args
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    parser, args = _parse(argv)
     args.parser = parser
     rep = Reporter(args.format)
     try:

@@ -256,6 +256,14 @@ def second_hessian(F: MPoly, variant: str = "corrected") -> MPoly:
     corrected form, 40 for the classical 1865 one.  The exact integer output
     of the defining formula is returned, content included.
     """
+    return _mpoly(second_hessian_form(F, variant))
+
+
+def second_hessian_form(F: MPoly, variant: str = "corrected"):
+    """``second_hessian`` as the Hessian chain computed it: a
+    ``TernaryForm`` on the dense chain, an ``MPoly`` on the sparse one.
+    Both answer ``is_zero``, ``canonical_with_scale`` and ``str`` alike, so
+    a caller that only normalises and prints needs no conversion."""
     if variant not in VARIANTS:
         raise DifferentialError(f"variant must be one of {VARIANTS}")
     kappa = 20 if variant == "corrected" else 40
@@ -283,7 +291,7 @@ def second_hessian(F: MPoly, variant: str = "corrected") -> MPoly:
         cov.trace_grad_adj, cov.trace_grad_hess, cov.gradient_form.grad()
     )
     combined = (H * (alpha * ta + beta * th) - gamma * g for ta, th, g in rows)
-    return _mpoly(_dot([(1, c, r) for c, r in zip(cross, combined)]))
+    return _dot([(1, c, r) for c, r in zip(cross, combined)])
 
 
 def osculating_conic(F: MPoly, p) -> MPoly:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import comb, gcd, lcm
 from operator import add, mul, sub
 
@@ -137,12 +137,11 @@ def _terms_str(pairs) -> str:
     parts = []
     for c, mono in pairs:
         mag = abs(c)
-        if not mono:
-            body = _coeff_str(mag)
-        elif mag == 1:
+        if mono and mag == 1:
             body = mono
         else:
-            body = f"{_coeff_str(mag)}*{mono}"
+            num = _int_str(mag) if type(mag) is int else _coeff_str(mag)
+            body = f"{num}*{mono}" if mono else num
         if parts:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
         else:
@@ -1021,8 +1020,37 @@ class TernaryForm:
         total = _rows_at(self.rows, self.degree, *point)
         return total if self.den == 1 else _ratio(total, self.den)
 
+    def canonical_with_scale(self):
+        """(canonical, scale) with self = scale * canonical, as
+        ``MPoly.canonical_with_scale`` gives them for ``self.mpoly()``: the
+        canonical form has coprime integer rows and a positive graded-lex
+        leading entry, the last nonzero entry of the last nonzero row."""
+        g = gcd(*chain.from_iterable(self.rows))
+        if not g:
+            return self, Fraction(0)
+        if next(c for row in reversed(self.rows) for c in reversed(row) if c) < 0:
+            g = -g
+        rows = [[c // g for c in row] for row in self.rows]
+        scale = g // self.den if g % self.den == 0 else Fraction(g, self.den)
+        return TernaryForm(self.degree, rows), scale
+
+    def __str__(self):
+        """The text of ``self.mpoly()``: rows from x^degree down, each from
+        its highest power of y down, is the graded-lex order."""
+        d, den = self.degree, self.den
+        # "v^e*" for e >= 1 and "" for e = 0; a monomial's text is the
+        # concatenation of its three powers less the last "*"
+        xs, ys, zs = ([""] + [f"{v}*" if e == 1 else f"{v}^{e}*" for e in range(1, d + 1)] for v in XYZ)
+        pairs = (
+            (c if den == 1 else _ratio(c, den), (xs[i] + ys[j] + zs[d - i - j])[:-1])
+            for i in range(d, -1, -1)
+            for j, c in zip(range(d - i, -1, -1), reversed(self.rows[i]))
+            if c
+        )
+        return _terms_str(pairs) or "0"
+
     def __repr__(self):
-        return f"TernaryForm({self.degree}: {self.mpoly()})"
+        return f"TernaryForm({self.degree}: {self})"
 
 
 # -- binary forms in (s, t) -------------------------------------------------

@@ -37,7 +37,9 @@ one monomial back along a branch by ``TruncSeries`` products.
 
 The library prints every sum of terms through one writer, ``_terms_str``;
 ``mpoly_str_reference`` and ``series_str_reference`` are the two printers,
-one per type, that it replaced.
+one per type, that it replaced.  ``terms_str_reference`` is that writer
+before its path for int coefficients, every coefficient through
+``_coeff_str``.
 """
 
 import re
@@ -653,6 +655,23 @@ def mpoly_str_reference(f: MPoly) -> str:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def terms_str_reference(pairs) -> str:
+    parts = []
+    for c, mono in pairs:
+        mag = abs(c)
+        if not mono:
+            body = _coeff_str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{_coeff_str(mag)}*{mono}"
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
     return " ".join(parts)
 
 

@@ -2,16 +2,20 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import zipfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cli_child import SOURCE_DIR, run_cli
 from sextactic import cli, fixtures
+from sextactic.differential import hessian, second_hessian
+from sextactic.poly import XYZ, MPoly, _coeff_str
 
 QUARTIC = "x^4 - x^3*y + y^3*z"
 NODAL_CUBIC = "y^2*z - x^3 - x^2*z"
@@ -487,6 +491,123 @@ class TestInProcessSequence:
         assert got == want
 
 
+def dense_curve(rng, d, rational):
+    """A form of degree d with every coefficient nonzero, so ``hessian``
+    takes the dense ``TernaryForm`` chain."""
+    terms = {}
+    for i in range(d + 1):
+        for j in range(d + 1 - i):
+            c = rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
+            terms[(i, j, d - i - j)] = Fraction(c, rng.randint(1, 6)) if rational else c
+    return MPoly(XYZ, terms)
+
+
+def public_api_lines(F, command, variant, normalize, machine):
+    """The report of ``hessian`` or ``hessian2``, rendered from the public
+    ``MPoly`` results of ``hessian`` and ``second_hessian``."""
+    d = F.homogeneous_degree()
+    if command == "hessian":
+        lines, key, form = [], "H", hessian(F).H
+    else:
+        lines, key, form = [f"variant = {variant}", f"d = {d}"], "H2", second_hessian(F, variant)
+    if normalize and not form.is_zero():
+        form, scale = form.canonical_with_scale()
+        lines.append(f"content = {_coeff_str(Fraction(scale))}")
+        if command == "hessian2" and not machine:
+            lines.append(f"content_factored = {cli._factored_str(scale)}")
+    if command == "hessian":
+        lines.append(f"d = {d}")
+    lines.append(f"{key}_degree = {form.degree() if not form.is_zero() else 'undefined'}")
+    lines.append(f"{key} = {form}")
+    return "".join(f"{line}\n" for line in lines)
+
+
+class TestDenseChainReports:
+    """``hessian`` and ``hessian2`` normalise and print the dense chain's
+    ``TernaryForm``s; each report must equal the one rendered from the
+    public ``MPoly`` API.  The text grammar takes integer literals only, so a
+    curve with rational coefficients enters through a patched ``parse_poly``."""
+
+    CURVES = [(d, rational) for d in range(3, 8) for rational in (False, True)]
+
+    @pytest.mark.parametrize("d, rational", CURVES)
+    def test_reports_match_the_public_api(self, d, rational, capsys, monkeypatch):
+        F = dense_curve(random.Random(100 * d + rational), d, rational)
+        text = "<rational curve>" if rational else str(F)
+        if rational:
+            monkeypatch.setattr(cli, "parse_poly", lambda given, _: F if given == text else None)
+        runs = [("hessian", "corrected")] + [("hessian2", v) for v in ("corrected", "cayley1865")]
+        for command, variant in runs:
+            for normalize in (False, True):
+                for fmt in ("text", "machine"):
+                    argv = [command, "--implicit", text, "--format", fmt]
+                    argv += ["--variant", variant] if command == "hessian2" else []
+                    argv += ["--normalize"] if normalize else []
+                    assert cli.main(argv) == 0
+                    out, err = capsys.readouterr()
+                    assert err == ""
+                    assert out == public_api_lines(F, command, variant, normalize, fmt == "machine")
+
+    @pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+    def test_vanishing_hessian_on_the_dense_chain(self, normalize, capsys):
+        cone = "(x + y + z)^3"  # ten terms
+        assert cli.main(["hessian", "--implicit", cone, "--format", "machine", *normalize]) == 0
+        data = machine_dict(capsys.readouterr().out)
+        assert (data["H"], data["H_degree"]) == ("0", "undefined")
+        assert cli.main(["hessian2", "--implicit", cone, *normalize]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: HessianVanishes: ")
+
+
+class TestSubcommandParsing:
+    """``main`` parses a known subcommand with that subcommand's parser;
+    every outcome must be what the whole parser gives."""
+
+    VALID = {
+        "hessian": ["--implicit", "x^3"],
+        "hessian2": ["--implicit", "x^3"],
+        "osculate": ["--implicit", "x^3", "--point", "(0:0:1)"],
+        "wronski": ["--param", "(s:t:s)"],
+        "orders": ["--param", "(s:t:s)", "--poly", "x", "--at", "(1:0)"],
+        "weight": ["--branch", "b.json"],
+        "ladder": ["--branch", "b.json"],
+        "osc-branch": ["--branch", "b.json"],
+        "check-lemma37": ["--ms", "3,2", "--d", "5"],
+        "count": ["--profile", "p.json"],
+        "predict39": ["--profile", "p.json"],
+        "examples": [],
+    }
+
+    CASES = (
+        [[name, *args] for name, args in VALID.items()]
+        + [[name, *args, "--bogus"] for name, args in VALID.items()]
+        + [[name, *args, "stray", "--bogus=1"] for name, args in VALID.items()]
+        + [
+            [], ["-h"], ["--help"], ["--bogus"], ["nonsense"], ["nonsense", "--implicit", "x"],
+            ["hessian"], ["orders", "--param", "(s:t:s)"], ["hessian", "-h"], ["count", "--help"],
+            ["hessian", "--implicit"], ["hessian2", "--implicit", "x^3", "--variant", "nope"],
+            ["hessian", "--implicit", "x^3", "--format", "xml"], ["hessian", "--imp", "x^3"],
+            ["hessian", "--implicit", "x^3", "--", "y"], ["check-lemma37", "--ms", "3", "--d", "x"],
+        ]
+    )
+
+    def test_every_subcommand_is_in_the_table(self):
+        assert set(cli._parser()[1]) == set(self.VALID)
+
+    @pytest.mark.parametrize("argv", CASES, ids=" ".join)
+    def test_same_outcome_as_the_whole_parser(self, argv, capsys):
+        def outcome(parse):
+            try:
+                result = vars(parse(list(argv)))
+            except SystemExit as e:
+                result = e.code
+            return result, capsys.readouterr()
+
+        want = outcome(cli.build_parser().parse_args)
+        assert outcome(lambda a: cli._parse(a)[1]) == want
+
+
 class TestIntegerPrintLimit:
     """Python refuses str() of an integer over sys.get_int_max_str_digits()."""
 
@@ -503,6 +624,16 @@ class TestIntegerPrintLimit:
         limit = sys.get_int_max_str_digits()
         assert err.startswith("error: IntegerTooLong: a computed integer of ")
         assert err.endswith(f" bits is over the limit of {limit} digits for printing\n")
+
+    def test_dense_chain_printer_refuses_the_coefficient(self, capsys):
+        # four terms, so the dense chain, whose form prints H straight from
+        # its rows; H's leading coefficient, -6 * 10^4500, is over the limit
+        start = time.perf_counter()
+        assert cli.main(["hessian", "--implicit", self.BIG_CUBE + " + x*y*z"]) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: IntegerTooLong: a computed integer of ")
 
     def test_error_after_first_line_leaves_stdout_empty(self, capsys):
         # d and H_degree are known before H fails to print

@@ -16,6 +16,7 @@ from poly_reference import (
     padded_product,
     prs_gcd,
     series_str_reference,
+    terms_str_reference,
 )
 from sextactic import poly
 from sextactic.poly import (
@@ -495,6 +496,68 @@ class TestTernaryFormDenominator:
         assert total.mpoly() == half.mpoly() * third.mpoly() + sixth.mpoly() * one.mpoly()
 
 
+FORM_TEXT_COEFFS = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-9, 9),
+    st.integers(-(2**200), 2**200),
+)
+
+
+@st.composite
+def printable_forms(draw):
+    """A TernaryForm of degree 0..12 over den 1 or a den > 1, with rows all
+    zero, all nonzero or mixed (so possibly the zero form), a common factor
+    that may share primes with den, and a negative leading entry on about
+    half the forms that have one."""
+    d = draw(st.integers(0, 12))
+    factor = draw(st.sampled_from([1, 1, 2, 6, 2**64]))
+    rows = []
+    for i in range(d + 1):
+        kind = draw(st.sampled_from(["zero", "full", "holes"]))
+        if kind == "zero":
+            rows.append([0] * (d + 1 - i))
+        else:
+            coeff = FORM_TEXT_COEFFS.filter(bool) if kind == "full" else FORM_TEXT_COEFFS
+            row = draw(st.lists(coeff, min_size=d + 1 - i, max_size=d + 1 - i))
+            rows.append([factor * c for c in row])
+    form = TernaryForm(d, rows, draw(st.sampled_from([1, 1, 2, 3, 12, 2**64])))
+    lead = next((c for row in reversed(rows) for c in reversed(row) if c), 0)
+    if draw(st.booleans()) and lead > 0:
+        form = form * -1
+    return form
+
+
+class TestTernaryFormText:
+    """A form prints and normalises straight from its rows, as its
+    ``mpoly()`` does through ``MPoly``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(printable_forms())
+    def test_matches_mpoly(self, t):
+        f = t.mpoly()
+        assert str(t) == str(f)
+        assert repr(t) == f"TernaryForm({t.degree}: {f})"
+        (canon, scale), (want, want_scale) = t.canonical_with_scale(), f.canonical_with_scale()
+        assert canon.mpoly() == want
+        assert scale == want_scale and type(scale) is type(want_scale)
+
+    def test_zero_form(self):
+        zero = TernaryForm(2, [[0, 0, 0], [0, 0], [0]], 3)
+        assert str(zero) == "0"
+        assert zero.canonical_with_scale() == (zero, Fraction(0))
+
+    def test_scale_types(self):
+        # 6x^2 - 4y^2 over 2, 4x over 6 and -x^2 over 1
+        cases = [
+            (TernaryForm(2, [[0, 0, -4], [0, 0], [6]], 2), 1, "3*x^2 - 2*y^2"),
+            (TernaryForm(1, [[0, 0], [4]], 6), Fraction(2, 3), "x"),
+            (TernaryForm(2, [[0, 0, 0], [0, 0], [-1]]), -1, "x^2"),
+        ]
+        for form, scale, text in cases:
+            canon, got = form.canonical_with_scale()
+            assert (got, type(got), str(canon), canon.den) == (scale, type(scale), text, 1)
+
+
 # -- the row kernel and fused sums against the padded multiply -----------------
 
 
@@ -782,6 +845,16 @@ class TestTermsStr:
     @given(printable_series())
     def test_series_text(self, a):
         assert str(a) == series_str_reference(a)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(print_coeffs(), st.sampled_from(["", "x", "x^2*y", "t^3"]))))
+    def test_int_and_fraction_pairs(self, pairs):
+        pairs = [(c, mono) for c, mono in pairs if c]
+        assert poly._terms_str(pairs) == terms_str_reference(pairs)
+
+    def test_int_over_the_digit_limit(self):
+        with pytest.raises(poly.IntegerTooLong):
+            poly._terms_str([(1, "x"), (-(10**5000), "y")])
 
     def test_edge_cases(self):
         assert str(MPoly.zero(XYZ)) == "0"
