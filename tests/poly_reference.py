@@ -27,7 +27,9 @@ such a list.
 
 The library takes the gcd of binary forms modulo primes and checks it by
 exact division; ``prs_gcd`` is the primitive pseudo-remainder sequence in
-the integers it replaced.
+the integers it replaced.  The library finds rational roots modulo a small
+prime and lifts them p-adically; ``rational_roots_by_division`` is the
+trial division over the divisors of the end coefficients it replaced.
 
 The library reduces a branch's conic pullbacks to distinct valuations by
 fraction-free elimination on integer series; ``reduce_to_distinct_reference``
@@ -71,6 +73,7 @@ from sextactic.poly import (
     _digits,
     _pack,
     _triangle,
+    _u_at,
     _u_trim,
     digit_width,
     exact_div,
@@ -204,6 +207,38 @@ def prs_gcd(a, b):
         r = _u_trim(r)
         a, b = b, primitive_ints(r, r[-1])[0] if r[-1] else r
     return [1] if b[0] else primitive_ints(a, a[-1])[0]
+
+
+def divisors(n: int):
+    """The positive divisors of n > 0, ascending, by trial division up to
+    sqrt(n)."""
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            if i != n // i:
+                out.append(n // i)
+        i += 1
+    return sorted(out)
+
+
+def rational_roots_by_division(u):
+    """Roots of a squarefree primitive dense list u with u[0] != 0, sorted, as
+    ``projective_ints`` pairs (p, q), p > 0: every p/q with p dividing the
+    constant and |q| the leading coefficient is tried by Horner."""
+    if len(u) == 2:
+        return [projective_ints((-u[0], u[1]))]
+    roots = []
+    for p in divisors(abs(u[0])):
+        for q in divisors(abs(u[-1])):
+            if gcd(p, q) > 1:
+                continue
+            for den in (q, -q):
+                # den^n * u(p/den)
+                if _u_at(u, p, den) == 0:
+                    roots.append((p, den))
+    return sorted(roots)
 
 
 def derivative_rows_reference(forms, order: int):

@@ -21,6 +21,10 @@ phi1, phi2) and phi∘B the forms phi(B (s, t)):
 - the osculating conic of A phi at (s0 : t0) is that of phi composed with
   x -> adj(A) x, and the one of phi∘B at B^-1 (s0, t0) is that of phi at
   (s0 : t0), each up to a scalar that ``canonical`` takes off.
+- the zero classes of xi, which ``conic_wronskian`` splits off, are the
+  same for A phi as for phi, since the two xi differ by a scalar; for
+  phi∘B each class keeps its degree and multiplicity, and a rational class
+  at (s0 : t0) moves to B^-1 (s0 : t0).
 
 For a ternary form G of degree k:
 
@@ -32,8 +36,7 @@ For a ternary form G of degree k:
 
 xi is read from ``_wronskian_form``, the determinant step of
 ``conic_wronskian``, on the forms as they stand: ``RationalParam`` would
-take the content of A phi off, and ``conic_wronskian``'s root finding on a
-mapped param can run for minutes.
+take the content of A phi off.
 
 Each law checks the chain against itself, not against a second
 implementation of the same formulas, so it would see a transposed index in
@@ -58,12 +61,14 @@ from sextactic.differential import (
     osculating_conic,
     second_hessian,
 )
-from sextactic.poly import ST, XYZ, MPoly, TernaryForm
+from sextactic.parse import parse_param
+from sextactic.poly import ST, XYZ, MPoly, TernaryForm, projective_ints
 from sextactic.rational import (
     DegenerateParam,
     RationalError,
     RationalParam,
     _wronskian_form,
+    conic_wronskian,
     intersection_orders,
     osculating_conic_family,
     pullback,
@@ -302,6 +307,61 @@ def test_param_laws_meet_no_degenerate_parameter():
     """The conic laws above compare conics, not two DegenerateParam raises."""
     for dense, a, ats in PARAM_CASES.values():
         assert all(conic_at(dense, at) is not DegenerateParam for at in ats)
+
+
+# the cuspidal params of the paper's examples: their zero classes have
+# multiplicities up to 17, where the random params above have simple zeros
+CUSPIDAL_PARAMS = {
+    "quartic_cusp": "(s*t^3 : t^4 : s^3*t - s^4)",
+    "quintic_two_cusps": "(s^5 : s^3*t^2 : s*t^4 + t^5)",
+    "quintic_binomial": "(s^5 : s^3*t^2 : t^5)",
+}
+
+
+def scan_cases():
+    """The params of PARAM_CASES with their A, and the cuspidal params, each
+    with an A from one Random(5) stream."""
+    rng = random.Random(5)
+    out = {name: (dense, a) for name, (dense, a, _) in PARAM_CASES.items()}
+    for name, text in sorted(CUSPIDAL_PARAMS.items()):
+        out[name] = (list(parse_param(text).dense), random_map(rng))
+    return out
+
+
+SCAN_CASES = scan_cases()
+
+
+def scan_classes(dense):
+    return conic_wronskian(RationalParam(*as_forms(dense))).classes
+
+
+def class_records(classes, move=lambda at: at):
+    """(multiplicity, degree, points, parameter moved) of each class, sorted;
+    the irrational classes last among equals."""
+    return sorted(
+        (z.multiplicity, z.factor.degree(), z.points, z.parameter is None, move(z.parameter) if z.parameter else ())
+        for z in classes
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_wronskian_classes_are_invariant_under_a(name):
+    dense, a = SCAN_CASES[name]
+    assert scan_classes(mapped_by_a(dense, a)) == scan_classes(dense)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_wronskian_classes_move_with_b(name):
+    dense, _ = SCAN_CASES[name]
+    want = class_records(scan_classes(dense), lambda at: projective_ints(unmap_parameter(at)))
+    assert class_records(scan_classes(mapped_by_b(dense))) == want
+
+
+def test_scan_laws_meet_rational_and_multiple_zeros():
+    """The class laws above see rational parameters and multiplicities > 1."""
+    classes = [z for dense, _ in SCAN_CASES.values() for z in scan_classes(dense)]
+    assert sum(1 for z in classes if z.parameter is not None) >= 6
+    assert {z.multiplicity for z in classes} >= {1, 10, 13, 17}
 
 
 def ternary_form(rng, k):

@@ -1,12 +1,13 @@
 """Core polynomial arithmetic: ring operations, determinants, binary forms."""
 
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from poly_reference import (
@@ -15,6 +16,7 @@ from poly_reference import (
     mpoly_str_reference,
     padded_product,
     prs_gcd,
+    rational_roots_by_division,
     series_str_reference,
     terms_str_reference,
 )
@@ -1277,6 +1279,154 @@ class TestCoprimeCertificate:
         _, factors = squarefree_decomp(a * a * b)
         elapsed = time.perf_counter() - start
         assert factors == [(a.canonical(), 2), (b.canonical(), 1)]
+        assert elapsed < 1.0
+
+
+# the product of the first three primes of ``_ROOT_PRIMES``: roots that differ
+# by a multiple of it agree modulo each of them
+FIRST_PRIMES = 11 * 13 * 17
+
+
+def product(lists):
+    u = [1]
+    for v in lists:
+        u = poly._u_mul(u, v)
+    return u
+
+
+@st.composite
+def root_lists(draw):
+    """(u, roots): a squarefree primitive dense list with u[0] != 0 and end
+    coefficients below 2^24, the product of linear factors q*x - p and of
+    root-free quadratics, and its rational roots in ``projective_ints`` form.
+
+    Denominators are multiples of 1, 11, 13 or 143, so they share factors
+    with the lead, and the first primes of ``_ROOT_PRIMES`` divide some
+    leads.  A root may be an earlier one moved by a multiple of 11, 143 or
+    11 * 13 * 17, so that the two agree modulo those primes, and a quadratic
+    (b*x - a)^2 + m*e with 11 | m is a square modulo 11: both leave u with a
+    repeated factor modulo the first primes.
+    """
+    roots, factors = set(), []
+    for _ in range(draw(st.integers(0, 3))):
+        if roots and draw(st.booleans()):
+            a, b = draw(st.sampled_from(sorted(roots)))
+            m = draw(st.sampled_from([11, 143, FIRST_PRIMES]))
+            a += m * b * draw(st.integers(-2, 2).filter(bool))
+        else:
+            a = draw(st.integers(-40, 40).filter(bool))
+            b = draw(st.integers(1, 9)) * draw(st.sampled_from([1, 11, 13, 143]))
+        root = projective_ints((a, b))
+        if a and root not in roots:
+            roots.add(root)
+            factors.append([-root[0], root[1]])
+    quadratics = set()
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(-9, 9)), draw(st.integers(1, 9))
+            m = draw(st.sampled_from([1, 11, 143])) * draw(st.integers(1, 5))
+            q = [a * a + m, -2 * a * b, b * b]
+        else:
+            q = [draw(st.integers(-30, 30).filter(bool)) for _ in range(3)]
+        disc = q[1] ** 2 - 4 * q[0] * q[2]
+        if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+            continue
+        q = tuple(primitive_ints(q, q[-1])[0])
+        if q not in quadratics:
+            quadratics.add(q)
+            factors.append(list(q))
+    assume(factors)
+    u = product(factors)
+    assume(abs(u[0]) < 2**24 and abs(u[-1]) < 2**24)
+    return u, sorted(roots)
+
+
+def spy_root_primes(mp):
+    """Record (p, degree of gcd(u, u') mod p) for each prime that
+    ``_rational_roots`` tries."""
+    seen = []
+    mod_p = poly._u_gcd_mod_p
+
+    def spy(a, b, p):
+        h = mod_p(a, b, p)
+        seen.append((p, len(h) - 1))
+        return h
+
+    mp.setattr(poly, "_u_gcd_mod_p", spy)
+    return seen
+
+
+def assert_first_good_prime(u, seen):
+    """The primes tried are those of the list up to the one that answered,
+    less those that divide the lead; u has a repeated factor modulo each of
+    them but the last."""
+    last = seen[-1][0]
+    listed = poly._ROOT_PRIMES[: poly._ROOT_PRIMES.index(last) + 1]
+    assert [p for p, _ in seen] == [p for p in listed if u[-1] % p]
+    assert all(k > 0 for _, k in seen[:-1])
+    assert seen[-1][1] == 0
+
+
+class TestRationalRoots:
+    """``_rational_roots`` finds the roots of u modulo the first good prime of
+    ``_ROOT_PRIMES`` and lifts them p-adically; ``rational_roots_by_division``,
+    the trial division it replaced, is the reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(root_lists())
+    def test_matches_trial_division(self, case):
+        u, roots = case
+        with pytest.MonkeyPatch.context() as mp:
+            seen = spy_root_primes(mp)
+            got = poly._rational_roots(u)
+        assert got == roots == rational_roots_by_division(u)
+        if len(u) > 2:
+            assert_first_good_prime(u, seen)
+
+    def test_skips_primes_that_divide_the_lead_or_merge_roots(self, monkeypatch):
+        # lead 121: 11 is not tried; 1/11 and 1574/11 differ by 143 and
+        # agree modulo 13, which is refused; 17 answers
+        seen = spy_root_primes(monkeypatch)
+        u = product([[-1, 11], [-1574, 11]])
+        assert poly._rational_roots(u) == [(1, 11), (1574, 11)]
+        assert seen == [(13, 1), (17, 0)]
+
+    def test_skips_primes_modulo_which_a_quadratic_is_a_square(self, monkeypatch):
+        # s^2 + 143 t^2 is s^2 modulo 11 and 13
+        seen = spy_root_primes(monkeypatch)
+        u = product([[143, 0, 1], [2, 1]])
+        assert poly._rational_roots(u) == [(2, -1)]
+        assert seen == [(11, 1), (13, 1), (17, 0)]
+
+    def test_no_root_modulo_p_checks_no_candidate(self, monkeypatch):
+        # -1 is not a square modulo 11
+        def no_check(u, p, q):
+            raise AssertionError("a candidate was checked")
+
+        monkeypatch.setattr(poly, "_u_at", no_check)
+        assert poly._rational_roots([1, 0, 1]) == []
+        assert poly._rational_roots(product([[1, 0, 1], [5, 0, 3]])) == []
+
+    def test_no_prime_answers(self, monkeypatch):
+        monkeypatch.setattr(poly, "_ROOT_PRIMES", (11, 13))
+        with pytest.raises(poly.IntegerTooLong):
+            poly._rational_roots(product([[143, 0, 1], [2, 1]]))
+
+    def test_roots_above_2_to_the_100(self):
+        # trial division would walk the divisors of end coefficients of
+        # about 400 bits
+        rng = random.Random(29)
+        roots = []
+        while len(roots) < 3:
+            a = rng.choice([-1, 1]) * rng.randint(2**100, 2**101)
+            root = projective_ints((a, rng.randint(2**100, 2**101)))
+            if root not in roots:
+                roots.append(root)
+        u = product([[-a, b] for a, b in roots] + [[2**100 + 7, 3, 2**101 + 5]])
+        start = time.perf_counter()
+        got = poly._rational_roots(u)
+        elapsed = time.perf_counter() - start
+        assert got == sorted(roots)
         assert elapsed < 1.0
 
 

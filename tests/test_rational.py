@@ -1,6 +1,7 @@
 """Parametrized curves: conic family, Wronskian, pullbacks, local branches."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -162,7 +163,26 @@ class TestConicFamily:
             assert osculating_conic_family(param, at=at) == want
 
 
+def random_param_text(seed, d, h):
+    """The ROADMAP's "Random params" generator, as ``--param`` text: from
+    ``Random(seed)``, randint(-h, h) for the coefficient of s^i t^(d-i),
+    i = 0..d, form by form."""
+    rng = random.Random(seed)
+    forms = [MPoly(ST, {(i, d - i): rng.randint(-h, h) for i in range(d + 1)}) for _ in range(3)]
+    return "(" + " : ".join(map(str, forms)) + ")"
+
+
 class TestWronskian:
+    def test_height_thirty_param_in_bounded_time(self, capsys):
+        # xi's squarefree class has degree 18 and 53-bit end coefficients,
+        # whose divisors the trial-division root finder searched for minutes
+        argv = ["wronski", "--param", random_param_text(1, 4, 30)]
+        start = time.perf_counter()
+        assert cli.main(argv) == 0
+        elapsed = time.perf_counter() - start
+        assert "total_weight = 18" in capsys.readouterr().out.splitlines()
+        assert elapsed < 1.0
+
     def test_binomial_quintic_golden(self):
         scan = conic_wronskian(parse_param(BINOMIAL_PARAM))
         assert scan.xi == MPoly(ST, {(17, 13): -(2**25) * 3**13 * 5**5 * 7**5})
