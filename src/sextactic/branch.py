@@ -9,12 +9,14 @@ weight of the point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, compress, count
 from math import gcd, lcm
 
 from .census import check_multiplicity_sequence
 # CONIC_BASIS is re-exported: the ladder's witnesses are written in its order
-from .poly import CONIC_BASIS, MPoly, conic, veronese
+from .poly import _SLOTS_PER_TERM, CONIC_BASIS, MPoly, _digits, _pack, conic, digit_width, veronese
 from .series import TruncSeries
 
 
@@ -70,15 +72,28 @@ class BranchParam:
         return min(c.trunc for c in self.coords)
 
     def _integer_coords(self):
-        """The coordinates times D, the lcm of all their coefficient
-        denominators, as integer series, computed once; (Dx : Dy : Dz) is
-        the same projective branch."""
+        """(dense, coords): the coordinates times D, the lcm of all their
+        coefficient denominators, computed once; (Dx : Dy : Dz) is the same
+        projective branch.
+
+        When ``_is_dense`` takes the branch, each coordinate is a dense int
+        list whose entry e is its coefficient of t^e below its truncation;
+        otherwise each is an integer ``TruncSeries``.
+        """
         if self._cleared is None:
-            d = lcm(*[c.denominator for s in self.coords for c in s.coeffs.values()])
-            self._cleared = [
-                TruncSeries._make({e: c.numerator * (d // c.denominator) for e, c in s.coeffs.items()}, s.trunc)
-                for s in self.coords
-            ]
+            coords = self.coords
+            d = lcm(*[c.denominator for s in coords for c in s.coeffs.values()])
+            dense = _is_dense(coords)
+            cleared = []
+            for s in coords:
+                if dense:
+                    u = [0] * s.trunc
+                    for e, c in s.coeffs.items():
+                        u[e] = c.numerator * (d // c.denominator)
+                else:
+                    u = TruncSeries._make({e: c.numerator * (d // c.denominator) for e, c in s.coeffs.items()}, s.trunc)
+                cleared.append(u)
+            self._cleared = dense, cleared
         return self._cleared
 
     def __repr__(self):
@@ -137,29 +152,65 @@ class WeightReport:
     sextactic_order: "int | None"
 
 
-def _reduce_to_distinct(items, branch_trunc: int):
-    """Gaussian elimination by leading exponent on a list of integer series;
-    returns {valuation: vector} with distinct valuations, where the vector
-    holds the integer coefficients of the reduced series in the input items.
+def _is_dense(coords) -> bool:
+    """Whether the coordinates hold at least one stored term per
+    _SLOTS_PER_TERM slots below their truncations, the rule of
+    ``poly.kronecker_product`` counted over all three (z is often the
+    constant 1), so that their dense lists stay linear in the input."""
+    return sum(s.trunc for s in coords) <= _SLOTS_PER_TERM * sum(len(s.coeffs) for s in coords)
+
+
+def _veronese_lists(coords):
+    """The six Veronese products of dense int lists as (int list,
+    truncation) items, from one packed integer per list.
+
+    Kronecker substitution (Fateman 2005), as in ``poly.kronecker_product``:
+    a slot of a product sums at most (longest list) products of two entries,
+    so one digit width serves all six.  The product of a and b is read up to
+    min(t_a + v_b, t_b + v_a), the ``TruncSeries`` rule, with the valuation
+    v of an all-zero list taken as its truncation t.
+    """
+    w = digit_width(max(map(abs, chain(*coords))) ** 2 * max(map(len, coords)))
+    cuts = [(len(u), next(compress(count(), u), len(u))) for u in coords]
+    ends = veronese(*cuts, times=lambda a, b: min(a[0] + b[1], b[0] + a[1]))
+    products = veronese(*[_pack(u, w) for u in coords])
+    return [(_digits(p, w, end), end) for p, end in zip(products, ends)]
+
+
+def _on_exponents(series):
+    """(items, at): integer ``TruncSeries`` as (int list, truncation) items
+    over ``at``, the sorted union of their exponents; entry i of an item is
+    its coefficient of t^at[i], for each at[i] below its truncation."""
+    at = sorted(set().union(*[s.coeffs for s in series]))
+    items = [([s.coeffs.get(e, 0) for e in at[: bisect_left(at, s.trunc)]], s.trunc) for s in series]
+    return items, at
+
+
+def _reduce_to_distinct(items, at, branch_trunc: int):
+    """Gaussian elimination by leading exponent on (int list, truncation)
+    items, entry i of a list the coefficient of t^at[i] (``at`` is
+    ``range(n)`` for dense lists); returns {valuation: vector} with distinct
+    valuations, where the vector holds the integer coefficients of the
+    reduced series in the input items.
 
     Fraction-free (Bareiss 1968): a series that meets a pivot at its
     valuation v becomes a * series - b * pivot, with a = pivot[v] and
-    b = series[v] over their gcd, and its vector takes the same step.  Each
-    series and vector is a nonzero multiple of the one exact rational
-    elimination (series - (b/a) * pivot) builds, so the valuations, the
-    truncations and the witnesses are the same.
+    b = series[v] over their gcd, and its vector takes the same step; the
+    shorter list, the lower truncation, bounds the result.  Each series and
+    vector is a nonzero multiple of the one exact rational elimination
+    (series - (b/a) * pivot) builds, so the valuations, the truncations and
+    the witnesses are the same.
     """
     n = len(items)
     pivots = {}
     vectors = {}
-    for i, item in enumerate(items):
-        series, trunc = item.coeffs, item.trunc
+    for i, (series, trunc) in enumerate(items):
         vec = [0] * n
         vec[i] = 1
         while True:
-            if not series:
+            v = next(compress(count(), series), None)
+            if v is None:
                 raise TruncationInsufficient(branch_trunc + 1, trunc)
-            v = min(series)
             hit = pivots.get(v)
             if hit is None:
                 pivots[v] = (series, trunc)
@@ -170,19 +221,20 @@ def _reduce_to_distinct(items, branch_trunc: int):
             g = gcd(a, b)
             a, b = a // g, b // g
             trunc = min(trunc, ptrunc)
-            out = {e: a * c for e, c in series.items() if e < trunc}
-            get = out.get
-            for e, c in ps.items():
-                if e < trunc:
-                    out[e] = get(e, 0) - b * c
-            series = {e: c for e, c in out.items() if c}
+            series = [a * x - b * y for x, y in zip(series, ps)]
             vec = [a * x - b * y for x, y in zip(vec, vectors[v])]
-    return vectors
+    return {at[v]: vec for v, vec in vectors.items()}
 
 
 def valuation_ladder(b: BranchParam) -> ValuationLadder:
     """The six conic contact orders attainable at the branch, with witnesses."""
-    vectors = _reduce_to_distinct(veronese(*b._integer_coords()), b.trunc)
+    dense, coords = b._integer_coords()
+    if dense:
+        items = _veronese_lists(coords)
+        at = range(max(t for _, t in items))
+    else:
+        items, at = _on_exponents(veronese(*coords))
+    vectors = _reduce_to_distinct(items, at, b.trunc)
     orders = tuple(sorted(vectors))
     return ValuationLadder(orders, tuple(vectors[v] for v in orders))
 
@@ -192,7 +244,12 @@ def line_orders(b: BranchParam):
 
     These are the two nonzero valuations attainable by linear forms.
     """
-    v0, m, l = sorted(_reduce_to_distinct(b._integer_coords(), b.trunc))
+    dense, coords = b._integer_coords()
+    if dense:
+        items, at = [(u, len(u)) for u in coords], range(max(map(len, coords)))
+    else:
+        items, at = _on_exponents(coords)
+    v0, m, l = sorted(_reduce_to_distinct(items, at, b.trunc))
     if v0 != 0:
         raise NonPrimitiveBranch("no linear form is a unit along the branch")
     return m, l

@@ -445,35 +445,83 @@ def _outcome(fn, b):
         return (type(e).__name__, str(e))
 
 
+def _assert_matches_reference(b):
+    """The ladder, the line orders, weight2 and the maximal-contact conic of
+    b against the rational elimination's; returns weight2's outcome."""
+    ladder = _outcome(valuation_ladder, b)
+    want = _outcome(valuation_ladder_reference, b)
+    assert ladder == want
+    if isinstance(ladder, branch.ValuationLadder):
+        assert ladder.orders == want.orders
+        assert ladder.witnesses == want.witnesses
+        assert [ladder.witness_for(v) for v in ladder.orders] == list(want.witnesses)
+    assert _outcome(line_orders, b) == _outcome(line_orders_reference, b)
+    # weight2 and the maximal-contact conic, run once more with the
+    # rational ladder and line orders in their place
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(branch, "valuation_ladder", valuation_ladder_reference)
+        mp.setattr(branch, "line_orders", line_orders_reference)
+        want_report = _outcome(weight2, b)
+        want_conic = _outcome(hyperosculating_conic_at_branch, b)
+    report = _outcome(weight2, b)
+    assert report == want_report
+    assert _outcome(hyperosculating_conic_at_branch, b) == want_conic
+    return report
+
+
+def _spy_on_density(mp):
+    """Record each dense-or-sparse choice of the branch ladder."""
+    choices = []
+    real = branch._is_dense
+
+    def spy(coords):
+        choices.append(real(coords))
+        return choices[-1]
+
+    mp.setattr(branch, "_is_dense", spy)
+    return choices
+
+
 class TestFractionFreeLadder:
-    """The integer elimination against the exact rational one it replaced."""
+    """The integer elimination, on dense int lists and on sparse integer
+    series, against the exact rational one it replaced."""
+
+    def test_matches_the_rational_elimination(self):
+        with pytest.MonkeyPatch.context() as mp:
+            choices = _spy_on_density(mp)
+            self._cross_check()
+        assert True in choices and False in choices
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(case=_branches())
-    def test_matches_the_rational_elimination(self, case):
+    def _cross_check(self, case):
         b, planted = case
         if b is None:
             return
-        ladder = _outcome(valuation_ladder, b)
-        want = _outcome(valuation_ladder_reference, b)
-        assert ladder == want
-        if isinstance(ladder, branch.ValuationLadder):
-            assert ladder.orders == want.orders
-            assert ladder.witnesses == want.witnesses
-            assert [ladder.witness_for(v) for v in ladder.orders] == list(want.witnesses)
-        assert _outcome(line_orders, b) == _outcome(line_orders_reference, b)
-        # weight2 and the maximal-contact conic, run once more with the
-        # rational ladder and line orders in their place
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(branch, "valuation_ladder", valuation_ladder_reference)
-            mp.setattr(branch, "line_orders", line_orders_reference)
-            want_report = _outcome(weight2, b)
-            want_conic = _outcome(hyperosculating_conic_at_branch, b)
-        report = _outcome(weight2, b)
-        assert report == want_report
-        assert _outcome(hyperosculating_conic_at_branch, b) == want_conic
+        report = _assert_matches_reference(b)
         if planted and isinstance(report, branch.WeightReport):
             assert (report.m, report.l, report.c) == planted
+
+    # (x, y, z, truncations): six stored terms under exactly _SLOTS_PER_TERM
+    # slots per term; z's truncation grows by ``past`` slots
+    EDGES = {
+        "equal": ({1: 1, 3: 2}, {2: 1, 5: -1}, {0: 1, 4: 3}, (8, 8, 8)),
+        "unequal": ({1: Fraction(1, 2), 4: 3}, {2: 1, 3: Fraction(-2, 3)}, {0: 2, 1: 1}, (10, 7, 7)),
+        "zero_x": ({}, {1: 1, 2: 1, 3: 2}, {0: 1, 2: -1, 5: 1}, (6, 9, 9)),
+        "cusp": ({2: 1, 5: 3}, {3: 1, 4: -2}, {0: 1, 1: Fraction(1, 5)}, (8, 8, 8)),
+    }
+
+    @pytest.mark.parametrize("past", [0, 1])
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_density_edge(self, edge, past):
+        x, y, z, truncs = self.EDGES[edge]
+        assert sum(truncs) == branch._SLOTS_PER_TERM * (len(x) + len(y) + len(z))
+        truncs = truncs[:2] + (truncs[2] + past,)
+        b = BranchParam(*(TruncSeries(c, t) for c, t in zip((x, y, z), truncs)))
+        with pytest.MonkeyPatch.context() as mp:
+            choices = _spy_on_density(mp)
+            _assert_matches_reference(b)
+        assert choices == [past == 0]
 
 
 class TestWitnessesWhenRead:

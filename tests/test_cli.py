@@ -452,6 +452,22 @@ class TestSparseBranch:
         out = machine_dict(capsys.readouterr().out)
         assert {k: out[k] for k in want} == want
 
+    # x^2 - y*z vanishes along (t : t^2 : 1), so the ladder stalls at the
+    # truncation order, which a dense list would have to hold
+    STALL = {"truncation": 10**9, "x": [[1, 1, 1]], "y": [[1, 1, 2]], "z": [[1, 1, 0]]}
+
+    @pytest.mark.parametrize("command", ["weight", "ladder", "osc-branch"])
+    def test_stalls_fast_on_a_conic(self, tmp_path, capsys, command):
+        path = tmp_path / "stall.json"
+        path.write_text(json.dumps(self.STALL))
+        start = time.perf_counter()
+        assert cli.main([command, "--branch", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: TruncationInsufficient: series data exhausted at order 1000000000; "
+            "re-supply the branch with truncation >= 1000000001\n"
+        )
+
 
 class TestInProcessSequence:
     """One process runs many ``main`` calls; each must print what a fresh
