@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import zipfile
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,9 @@ import pytest
 
 from cli_child import SOURCE_DIR, run_cli
 from sextactic import cli, fixtures
+from sextactic.branch import weight2
 from sextactic.differential import hessian, second_hessian
+from sextactic.parse import parse_branch
 from sextactic.poly import XYZ, MPoly, _coeff_str
 
 QUARTIC = "x^4 - x^3*y + y^3*z"
@@ -467,6 +470,17 @@ class TestSparseBranch:
             "error: TruncationInsufficient: series data exhausted at order 1000000000; "
             "re-supply the branch with truncation >= 1000000001\n"
         )
+
+    def test_parse_and_weight_stay_small(self):
+        text = json.dumps(self.BRANCH)
+        tracemalloc.start()
+        try:
+            report = weight2(parse_branch(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.w2 == 10
+        assert peak < 2**20
 
 
 class TestInProcessSequence:

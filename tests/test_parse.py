@@ -610,6 +610,69 @@ class TestBranchFiles:
         with pytest.raises(ParseError):
             parse_branch(json.dumps(data))
 
+    @staticmethod
+    def _error(changes):
+        """The ParseError text for BRANCH_OK with the changes; a value of
+        ``...`` drops the key."""
+        data = {k: v for k, v in {**BRANCH_OK, **changes}.items() if v is not ...}
+        with pytest.raises(ParseError) as e:
+            parse_branch(json.dumps(data))
+        return str(e.value)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"x": {"3": [1, 1]}}, "coordinate 'x' must be a list of [num, den, exp] triples"),
+            ({"z": "1"}, "coordinate 'z' must be a list of [num, den, exp] triples"),
+            ({"y": [5]}, "bad entry 5 in coordinate 'y'"),
+            ({"y": [[True, 1, 5]]}, "bad entry [True, 1, 5] in coordinate 'y'"),
+            ({"y": [[1, 1, False]]}, "bad entry [1, 1, False] in coordinate 'y'"),
+            ({"y": [[1, 1.0, 5]]}, "bad entry [1, 1.0, 5] in coordinate 'y'"),
+            ({"y": [[1, 1]]}, "bad entry [1, 1] in coordinate 'y'"),
+            ({"y": [[1, 1, 5, 0]]}, "bad entry [1, 1, 5, 0] in coordinate 'y'"),
+            ({"x": [[1, 0, 3]]}, "denominator must be positive in [1, 0, 3] ('x')"),
+            ({"x": [[1, -2, 3]]}, "denominator must be positive in [1, -2, 3] ('x')"),
+            ({"x": [[1, 1, -1]]}, "negative exponent in [1, 1, -1] ('x')"),
+            ({"x": [[1, 1, 11]]}, "exponent 11 in coordinate 'x' is not below the truncation 11"),
+            ({"x": [[1, 1, 3], [0, 1, 3]]}, "duplicate exponent 3 in coordinate 'x'"),
+            ({"y": ...}, "missing coordinate 'y'"),
+            ({"w": []}, "unknown branch file keys ['w']"),
+            ({"truncation": 0}, "'truncation' must be a positive integer, got 0"),
+            ({"truncation": True}, "'truncation' must be a positive integer, got True"),
+            ({"truncation": 11.0}, "'truncation' must be a positive integer, got 11.0"),
+            ({"truncation": ...}, "'truncation' must be a positive integer, got None"),
+        ],
+    )
+    def test_error_text(self, changes, message):
+        assert self._error(changes) == message
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            # a later entry's error, and a later coordinate's, come second
+            ({"x": [[1, 1, 3], [1, 0, 4]], "y": [[1, 1, 11]]}, "denominator must be positive in [1, 0, 4] ('x')"),
+            ({"x": [[1, 1, 12], [1, 0, 4]]}, "exponent 12 in coordinate 'x' is not below the truncation 11"),
+            ({"x": [[1, 1, 3], [1, 1, 3], [True, 1, 4]]}, "duplicate exponent 3 in coordinate 'x'"),
+            ({"y": [[2, 1, 5], [1, 1, 5]], "z": [[1, 0, 0]]}, "duplicate exponent 5 in coordinate 'y'"),
+            # inside an entry: the shape, the denominator, then the exponent
+            ({"x": [[1, 0, -1]]}, "denominator must be positive in [1, 0, -1] ('x')"),
+            ({"x": [[1, 1, -1, 0]]}, "bad entry [1, 1, -1, 0] in coordinate 'x'"),
+            # the file's keys and its truncation before any coordinate
+            ({"truncation": 0, "w": 1}, "unknown branch file keys ['w']"),
+            ({"truncation": 0, "y": ...}, "'truncation' must be a positive integer, got 0"),
+            ({"x": "no", "y": ...}, "coordinate 'x' must be a list of [num, den, exp] triples"),
+            ({"y": ..., "z": [[1, 0, 0]]}, "missing coordinate 'y'"),
+        ],
+    )
+    def test_first_error_in_reading_order(self, changes, message):
+        assert self._error(changes) == message
+
+    def test_zero_numerators_make_no_unit(self):
+        data = dict(BRANCH_OK, z=[[0, 1, 0], [0, 7, 2]])
+        with pytest.raises(NonPrimitiveBranch) as e:
+            parse_branch(json.dumps(data))
+        assert str(e.value) == "no coordinate is a unit: the branch is not primitive at t=0"
+
 
 PROFILE_OK = {
     "d": 5,
