@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, compress, count
 from math import gcd, lcm
 
 from .census import check_multiplicity_sequence
 # CONIC_BASIS is re-exported: the ladder's witnesses are written in its order
-from .poly import _SLOTS_PER_TERM, CONIC_BASIS, MPoly, _digits, _pack, conic, digit_width, veronese
+from .poly import _SLOTS_PER_TERM, CONIC_BASIS, MPoly, _digits, _is_int, _pack, conic, digit_width, veronese
 from .series import TruncSeries
 
 
@@ -46,22 +47,74 @@ class TruncationInsufficient(BranchError):
 
 
 class BranchParam:
-    """Primitive branch (x(t) : y(t) : z(t)) with a common usable truncation.
+    """Primitive branch (x(t) : y(t) : z(t)), each coordinate known below its
+    own truncation.
 
-    Immutable by convention: its integer coordinates are computed once.
+    Stored as what the ladder reads: ``den``, the least positive integer D
+    that makes D x, D y and D z integral; ``truncs``, the three truncations;
+    and ``ints``, D times each coordinate, which is the same projective
+    branch.  When ``_is_dense`` takes the branch, each of ``ints`` is a dense
+    int list whose entry e is the coefficient of t^e below that coordinate's
+    truncation; otherwise each is an integer ``TruncSeries``.  ``x``, ``y``
+    and ``z`` are rational ``TruncSeries`` views, built when read.
     """
 
-    __slots__ = ("x", "y", "z", "_cleared")
+    __slots__ = ("den", "truncs", "ints")
 
     def __init__(self, x: TruncSeries, y: TruncSeries, z: TruncSeries):
-        if not any(c.valuation() == 0 for c in (x, y, z)):
+        coords = (x, y, z)
+        den = lcm(*[c.denominator for s in coords for c in s.coeffs.values()])
+        terms = [[(c.numerator, c.denominator, e) for e, c in s.coeffs.items()] for s in coords]
+        self._store(den, tuple(s.trunc for s in coords), terms)
+
+    @classmethod
+    def _from_terms(cls, den: int, truncs: tuple, terms):
+        """The branch from D, the three truncations and, per coordinate, its
+        nonzero terms as (num, den_i, exponent) triples, each the coefficient
+        num/den_i of t^exponent, with den_i dividing D."""
+        b = object.__new__(cls)
+        b._store(den, truncs, terms)
+        return b
+
+    def _store(self, den, truncs, terms):
+        # dense or sparse from the counts alone, so that no list is
+        # allocated for a sparse branch with a long truncation
+        dense = _is_dense(truncs, [len(triples) for triples in terms])
+        ints = []
+        for t, triples in zip(truncs, terms):
+            if dense:
+                u = [0] * t
+                for num, d, e in triples:
+                    u[e] = num * (den // d)
+            else:
+                u = TruncSeries._make({e: num * (den // d) for num, d, e in triples}, t)
+            ints.append(u)
+        if not any(u[0] if dense else 0 in u.coeffs for u in ints):
             raise NonPrimitiveBranch(
                 "no coordinate is a unit: the branch is not primitive at t=0"
             )
-        self.x = x
-        self.y = y
-        self.z = z
-        self._cleared = None
+        self.den = den
+        self.truncs = truncs
+        self.ints = ints
+
+    def _view(self, i: int) -> TruncSeries:
+        u, den = self.ints[i], self.den
+        terms = enumerate(u) if type(u) is list else u.coeffs.items()
+        return TruncSeries._make(
+            {e: c // den if c % den == 0 else Fraction(c, den) for e, c in terms if c}, self.truncs[i]
+        )
+
+    @property
+    def x(self) -> TruncSeries:
+        return self._view(0)
+
+    @property
+    def y(self) -> TruncSeries:
+        return self._view(1)
+
+    @property
+    def z(self) -> TruncSeries:
+        return self._view(2)
 
     @property
     def coords(self):
@@ -69,32 +122,7 @@ class BranchParam:
 
     @property
     def trunc(self) -> int:
-        return min(c.trunc for c in self.coords)
-
-    def _integer_coords(self):
-        """(dense, coords): the coordinates times D, the lcm of all their
-        coefficient denominators, computed once; (Dx : Dy : Dz) is the same
-        projective branch.
-
-        When ``_is_dense`` takes the branch, each coordinate is a dense int
-        list whose entry e is its coefficient of t^e below its truncation;
-        otherwise each is an integer ``TruncSeries``.
-        """
-        if self._cleared is None:
-            coords = self.coords
-            d = lcm(*[c.denominator for s in coords for c in s.coeffs.values()])
-            dense = _is_dense(coords)
-            cleared = []
-            for s in coords:
-                if dense:
-                    u = [0] * s.trunc
-                    for e, c in s.coeffs.items():
-                        u[e] = c.numerator * (d // c.denominator)
-                else:
-                    u = TruncSeries._make({e: c.numerator * (d // c.denominator) for e, c in s.coeffs.items()}, s.trunc)
-                cleared.append(u)
-            self._cleared = dense, cleared
-        return self._cleared
+        return min(self.truncs)
 
     def __repr__(self):
         return f"BranchParam(x={self.x}, y={self.y}, z={self.z})"
@@ -152,12 +180,13 @@ class WeightReport:
     sextactic_order: "int | None"
 
 
-def _is_dense(coords) -> bool:
-    """Whether the coordinates hold at least one stored term per
-    _SLOTS_PER_TERM slots below their truncations, the rule of
-    ``poly.kronecker_product`` counted over all three (z is often the
-    constant 1), so that their dense lists stay linear in the input."""
-    return sum(s.trunc for s in coords) <= _SLOTS_PER_TERM * sum(len(s.coeffs) for s in coords)
+def _is_dense(truncs, counts) -> bool:
+    """Whether coordinates of these truncations and numbers of stored terms
+    hold at least one term per _SLOTS_PER_TERM slots below their
+    truncations, the rule of ``poly.kronecker_product`` counted over all
+    three (z is often the constant 1), so that their dense lists stay linear
+    in the input."""
+    return sum(truncs) <= _SLOTS_PER_TERM * sum(counts)
 
 
 def _veronese_lists(coords):
@@ -228,8 +257,8 @@ def _reduce_to_distinct(items, at, branch_trunc: int):
 
 def valuation_ladder(b: BranchParam) -> ValuationLadder:
     """The six conic contact orders attainable at the branch, with witnesses."""
-    dense, coords = b._integer_coords()
-    if dense:
+    coords = b.ints
+    if type(coords[0]) is list:
         items = _veronese_lists(coords)
         at = range(max(t for _, t in items))
     else:
@@ -244,8 +273,8 @@ def line_orders(b: BranchParam):
 
     These are the two nonzero valuations attainable by linear forms.
     """
-    dense, coords = b._integer_coords()
-    if dense:
+    coords = b.ints
+    if type(coords[0]) is list:
         items, at = [(u, len(u)) for u in coords], range(max(map(len, coords)))
     else:
         items, at = _on_exponents(coords)
@@ -294,7 +323,7 @@ def closed_form_ladder(m: int, l: int, c=None):
     {0, m, 2m, 3m, 4m, c} and c must satisfy c > 2m, c not in {3m, 4m}.
     Returned sorted ascending.
     """
-    if not (isinstance(m, int) and isinstance(l, int) and m >= 1 and l > m):
+    if not (_is_int(m) and _is_int(l) and m >= 1 and l > m):
         raise BranchError(f"need integers l > m >= 1, got m={m!r}, l={l!r}")
     if l != 2 * m:
         if c is not None:
@@ -302,7 +331,7 @@ def closed_form_ladder(m: int, l: int, c=None):
         return tuple(sorted({0, m, l, 2 * m, m + l, 2 * l}))
     if c is None:
         raise BranchError("l = 2m requires the conic contact order c")
-    if not (isinstance(c, int) and c > 2 * m and c not in (3 * m, 4 * m)):
+    if not (_is_int(c) and c > 2 * m and c not in (3 * m, 4 * m)):
         raise BranchError(
             f"c must satisfy c > {2*m} and c != {3*m}, {4*m}; got {c!r}"
         )

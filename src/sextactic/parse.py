@@ -16,13 +16,13 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
 from .branch import BranchParam
 from .census import CurveProfile, PointRecord
-from .poly import ST, XYZ, MPoly
+from .poly import ST, XYZ, MPoly, _is_int
 from .rational import RationalParam
-from .series import TruncSeries
 
 ALPHABETS = {"xyz": XYZ, "st": ST}
 
@@ -373,10 +373,16 @@ def _load_json(text: str, what: str):
     return data
 
 
-def _series_from_entries(entries, trunc: int, key: str) -> TruncSeries:
+def _coordinate_terms(entries, trunc: int, key: str):
+    """(terms, den): the nonzero [num, den, exp] triples of a coordinate,
+    each num/den in lowest terms, and the lcm of their denominators.  Every
+    entry is checked in order, so the first error in the file is the one
+    raised."""
     if not isinstance(entries, list):
         raise ParseError(f"coordinate {key!r} must be a list of [num, den, exp] triples")
-    coeffs = {}
+    terms = []
+    seen = set()
+    dens = set()
     for item in entries:
         # ``type(v) is int`` refuses JSON's true and false, loaded as bool
         if not (
@@ -397,14 +403,22 @@ def _series_from_entries(entries, trunc: int, key: str) -> TruncSeries:
                 f"exponent {exp} in coordinate {key!r} is not below the "
                 f"truncation {trunc}"
             )
-        if exp in coeffs:
+        if exp in seen:
             raise ParseError(f"duplicate exponent {exp} in coordinate {key!r}")
-        coeffs[exp] = num // den if num % den == 0 else Fraction(num, den)
-    return TruncSeries._make({e: c for e, c in coeffs.items() if c}, trunc)
+        seen.add(exp)
+        if num:
+            if den != 1:
+                g = gcd(num, den)
+                if g != 1:
+                    item = (num // g, den // g, exp)
+                dens.add(item[1])
+            terms.append(item)
+    return terms, lcm(*dens)
 
 
 def parse_branch(text: str) -> BranchParam:
-    """Parse a branch file: keys truncation, x, y, z."""
+    """Parse a branch file: keys truncation, x, y, z.  The branch is built
+    straight from the [num, den, exp] triples, with no Fraction."""
     data = _load_json(text, "branch")
     extra = set(data) - {"truncation", "x", "y", "z"}
     if extra:
@@ -413,11 +427,14 @@ def parse_branch(text: str) -> BranchParam:
     if not _is_int(trunc) or trunc < 1:
         raise ParseError(f"'truncation' must be a positive integer, got {trunc!r}")
     coords = []
+    den = 1
     for key in ("x", "y", "z"):
         if key not in data:
             raise ParseError(f"missing coordinate {key!r}")
-        coords.append(_series_from_entries(data[key], trunc, key))
-    return BranchParam(*coords)
+        terms, d = _coordinate_terms(data[key], trunc, key)
+        coords.append(terms)
+        den = lcm(den, d)
+    return BranchParam._from_terms(den, (trunc,) * 3, coords)
 
 
 _ROLE_MAP = {
@@ -426,11 +443,6 @@ _ROLE_MAP = {
     "smooth_sextactic_candidate": "smooth",
     "smooth": "smooth",
 }
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which is a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_profile(text: str, per_branch: bool = False) -> CurveProfile:

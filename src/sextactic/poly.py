@@ -81,6 +81,11 @@ def _norm(c):
     raise TypeError(f"bad coefficient type {type(c).__name__}")
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, and JSON true/false load as bool
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def primitive_ints(values, sign=1):
     """Split rationals, not all zero, as scale * ints with the ints coprime.
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
+from itertools import chain
+from math import gcd, perm
 
 from .branch import BranchParam
 from .poly import (
@@ -36,7 +37,6 @@ from .poly import (
     squarefree_decomp,
     veronese,
 )
-from .series import TruncSeries
 
 
 class RationalError(ValueError):
@@ -321,7 +321,13 @@ def local_branch_at(param: RationalParam, at, trunc: int) -> BranchParam:
     if t0:
         a, b = (s0 / t0).as_integer_ratio()
         den = b**param.degree
-        forms = [[Fraction(c, den) for c in _u_shift(u, a, b)] for u in param.dense]
+        forms = [_u_shift(u, a, b)[:trunc] for u in param.dense]
     else:
-        forms = [u[::-1] for u in param.dense]
-    return BranchParam(*(TruncSeries(dict(enumerate(u[:trunc])), trunc) for u in forms))
+        den = 1
+        forms = [u[::-1][:trunc] for u in param.dense]
+    # the coordinates are the forms over den; g, the gcd of den and all
+    # their coefficients, cancels to leave the least D
+    g = gcd(den, *chain(*forms))
+    den //= g
+    terms = [[(c // g, den, e) for e, c in enumerate(u) if c] for u in forms]
+    return BranchParam._from_terms(den, (trunc,) * 3, terms)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import _PACK_MIN_PAIRS, _PACK_MIN_TERMS, _norm, _terms_str, kronecker_product
+from .poly import _PACK_MIN_PAIRS, _PACK_MIN_TERMS, _is_int, _norm, _terms_str, kronecker_product
 
 
 class SeriesError(ValueError):
@@ -25,7 +25,8 @@ class TruncSeries:
             raise SeriesError(f"truncation order must be a positive integer, got {trunc!r}")
         clean = {}
         for e, c in (coeffs or {}).items():
-            e = int(e)
+            if not _is_int(e):
+                raise SeriesError(f"exponent must be an integer, got {e!r}")
             if e < 0:
                 raise SeriesError(f"negative exponent {e}")
             if e >= trunc:

@@ -37,6 +37,10 @@ is the exact rational elimination on ``TruncSeries`` it replaced, and the
 ``*_reference`` ladder and line orders run it.  ``monomial_pullback`` pulls
 one monomial back along a branch by ``TruncSeries`` products.
 
+The library stores a branch as D times each coordinate, built straight
+from its triples; ``integer_coords_reference`` is the clearing of the
+rational ``TruncSeries`` coordinates it replaced.
+
 The library prints every sum of terms through one writer, ``_terms_str``;
 ``mpoly_str_reference`` and ``series_str_reference`` are the two printers,
 one per type, that it replaced.  ``terms_str_reference`` is that writer
@@ -47,7 +51,7 @@ before its path for int coefficients, every coefficient through
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add
 from typing import NamedTuple
 
@@ -61,6 +65,7 @@ from sextactic.differential import (
 )
 from sextactic.parse import ALPHABETS, ParseError, SourceSpan
 from sextactic.poly import (
+    _SLOTS_PER_TERM,
     CONIC_BASIS,
     ST,
     XYZ,
@@ -667,6 +672,28 @@ def line_orders_reference(b):
     if v0 != 0:
         raise NonPrimitiveBranch("no linear form is a unit along the branch")
     return m, l
+
+
+def integer_coords_reference(b):
+    """(D, coords): D the lcm of the coefficient denominators of the branch's
+    rational coordinates ``b.coords``, and each coordinate times D; a dense
+    int list, entry e the coefficient of t^e below the coordinate's
+    truncation, when the three hold at least one stored term per
+    _SLOTS_PER_TERM slots below their truncations, else an integer
+    ``TruncSeries``."""
+    coords = b.coords
+    d = lcm(*[c.denominator for s in coords for c in s.coeffs.values()])
+    dense = sum(s.trunc for s in coords) <= _SLOTS_PER_TERM * sum(len(s.coeffs) for s in coords)
+    cleared = []
+    for s in coords:
+        if dense:
+            u = [0] * s.trunc
+            for e, c in s.coeffs.items():
+                u[e] = c.numerator * (d // c.denominator)
+        else:
+            u = TruncSeries({e: c.numerator * (d // c.denominator) for e, c in s.coeffs.items()}, s.trunc)
+        cleared.append(u)
+    return d, cleared
 
 
 def mpoly_str_reference(f: MPoly) -> str:

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poly_reference import line_orders_reference, monomial_pullback, valuation_ladder_reference
+from poly_reference import (
+    integer_coords_reference,
+    line_orders_reference,
+    monomial_pullback,
+    valuation_ladder_reference,
+)
 from sextactic import branch, cli
 from sextactic.branch import (
     BranchError,
@@ -24,6 +29,7 @@ from sextactic.branch import (
     valuation_ladder,
     weight2,
 )
+from sextactic.parse import parse_branch
 from sextactic.poly import XYZ, MPoly, veronese
 from sextactic.series import TruncSeries
 
@@ -245,6 +251,12 @@ class TestClosedForm:
         with pytest.raises(BranchError):
             closed_form_ladder(m, l, c)
 
+    # bool is an int subclass; True would read as 1
+    @pytest.mark.parametrize("m,l,c", [(True, 3, None), (True, 2, 3), (1, True, None), (2, 4, True)])
+    def test_refuses_bools(self, m, l, c):
+        with pytest.raises(BranchError):
+            closed_form_ladder(m, l, c)
+
     def test_c_forbidden_when_generic(self):
         with pytest.raises(BranchError):
             closed_form_ladder(2, 5, 7)
@@ -380,15 +392,15 @@ _COEFF = st.builds(
 
 
 @st.composite
-def _branches(draw):
-    """(branch or None, (m, l, c) when the branch must show them).
+def _branch_coords(draw):
+    """(coordinates, (m, l, c) when the branch must show them).
 
     The branch is (x : y : z) with x = a t^m + ..., y = b t^l + ... and
     z = z0 + ...; for l = 2m, z is the constant z0 and y agrees with x^2 / z0
     below t^c, which plants the conic order c.  Then each coordinate is cut
     at its own truncation, one may be set to zero, one may gain an integer
-    multiple of another, and the three are shuffled.  None when no
-    coordinate is a unit.
+    multiple of another, and the three are shuffled.  No coordinate may be
+    a unit.
     """
     m = draw(st.integers(1, 5))
     l = draw(st.one_of(st.just(2 * m), st.integers(m + 1, 3 * m + 2)))
@@ -428,12 +440,21 @@ def _branches(draw):
     if draw(st.booleans()):
         i, j = draw(st.permutations(range(3)))[:2]
         coords[i] = coords[i] + coords[j] * draw(st.sampled_from([-2, -1, 1, 3]))
-    coords = draw(st.permutations(coords))
+    return draw(st.permutations(coords)), None if zeroed else (m, l, c)
+
+
+def _built(case):
+    coords, planted = case
     try:
-        b = BranchParam(*coords)
+        return BranchParam(*coords), planted
     except NonPrimitiveBranch:
         return None, None
-    return b, None if zeroed else (m, l, c)
+
+
+def _branches():
+    """(branch or None, (m, l, c) when the branch must show them) from
+    ``_branch_coords``; None when no coordinate is a unit."""
+    return _branch_coords().map(_built)
 
 
 def _outcome(fn, b):
@@ -474,8 +495,8 @@ def _spy_on_density(mp):
     choices = []
     real = branch._is_dense
 
-    def spy(coords):
-        choices.append(real(coords))
+    def spy(truncs, counts):
+        choices.append(real(truncs, counts))
         return choices[-1]
 
     mp.setattr(branch, "_is_dense", spy)
@@ -517,11 +538,177 @@ class TestFractionFreeLadder:
         x, y, z, truncs = self.EDGES[edge]
         assert sum(truncs) == branch._SLOTS_PER_TERM * (len(x) + len(y) + len(z))
         truncs = truncs[:2] + (truncs[2] + past,)
-        b = BranchParam(*(TruncSeries(c, t) for c, t in zip((x, y, z), truncs)))
         with pytest.MonkeyPatch.context() as mp:
             choices = _spy_on_density(mp)
+            # a branch chooses when it is built
+            b = BranchParam(*(TruncSeries(c, t) for c, t in zip((x, y, z), truncs)))
             _assert_matches_reference(b)
         assert choices == [past == 0]
+
+
+class TestIntegerStorage:
+    """D and the integer coordinates a branch stores, built from TruncSeries
+    and from a branch file, against the Fraction clearing they replaced."""
+
+    def test_matches_the_fraction_clearing(self):
+        with pytest.MonkeyPatch.context() as mp:
+            choices = _spy_on_density(mp)
+            self._cross_check()
+        assert True in choices and False in choices
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=_branch_coords(), data=st.data())
+    def _cross_check(self, case, data):
+        coords = tuple(case[0])
+        b = _built(case)[0]
+        if b is None:
+            return
+        assert b.coords == coords
+        assert b.truncs == tuple(s.trunc for s in coords)
+        assert (b.den, b.ints) == integer_coords_reference(b)
+        # the branch cut at its least truncation, as a file of triples not
+        # in lowest terms, shuffled, with zero entries at free exponents
+        trunc = b.trunc
+        cut = tuple(TruncSeries({e: c for e, c in s.coeffs.items() if e < trunc}, trunc) for s in coords)
+        text = {"truncation": trunc}
+        for key, s in zip("xyz", cut):
+            entries = []
+            for e, c in s.coeffs.items():
+                k = data.draw(st.integers(1, 4))
+                entries.append([Fraction(c).numerator * k, Fraction(c).denominator * k, e])
+            for e in data.draw(st.lists(st.integers(0, trunc - 1), max_size=3, unique=True)):
+                if e not in s.coeffs:
+                    entries.append([0, data.draw(st.integers(1, 9)), e])
+            text[key] = data.draw(st.permutations(entries))
+        parsed = parse_branch(json.dumps(text))
+        assert parsed.coords == cut
+        assert (parsed.den, parsed.ints) == integer_coords_reference(parsed)
+        want = BranchParam(*cut)
+        assert (parsed.den, parsed.truncs, parsed.ints) == (want.den, want.truncs, want.ints)
+
+    def test_branch_file_to_conic_builds_no_fraction(self, monkeypatch):
+        text = json.dumps(
+            {
+                "truncation": 16,
+                "x": [[1, 2, 2], [-3, 5, 7]],
+                "y": [[1, 4, 4], [2, 3, 5], [7, 9, 9]],
+                "z": [[3, 2, 0], [1, 6, 3]],
+            }
+        )
+        made = []
+        real = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            made.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        b = parse_branch(text)
+        report = weight2(b)
+        ladder = valuation_ladder(b)
+        order, conic = hyperosculating_conic_at_branch(b)
+        assert ladder.witnesses and str(conic)
+        assert made == []
+        assert (report.m, report.l, report.c, order) == (2, 4, 5, 5)
+        # the rational views are where Fractions are made
+        assert b.x.coefficient(2) == Fraction(1, 2)
+        assert made
+
+
+def _image(coords, a):
+    """The coordinates of the branch a (x, y, z)^T, a an integer matrix."""
+    return [row[0] * coords[0] + row[1] * coords[1] + row[2] * coords[2] for row in a]
+
+
+def _det3(a):
+    return sum(
+        a[0][i] * (a[1][(i + 1) % 3] * a[2][(i + 2) % 3] - a[1][(i + 2) % 3] * a[2][(i + 1) % 3])
+        for i in range(3)
+    )
+
+
+_MATRICES = (
+    st.lists(st.integers(-3, 3), min_size=9, max_size=9)
+    .map(lambda v: (v[0:3], v[3:6], v[6:9]))
+    .filter(lambda a: _det3(a) != 0)
+)
+
+
+def _invariants(b):
+    """The ladder orders, (m, l), c, w2 and classification of the branch,
+    or the outcome of its failure."""
+    r = _outcome(weight2, b)
+    if isinstance(r, branch.WeightReport):
+        return r.ladder.orders, r.m, r.l, r.c, r.w2, r.classification, r.sextactic_order
+    return r
+
+
+class TestBranchLaws:
+    """Projective and reparametrization invariance of the branch invariants,
+    on dense and on sparse storage."""
+
+    def test_under_a_linear_change_of_coordinates(self):
+        self.compared = []
+        with pytest.MonkeyPatch.context() as mp:
+            choices = _spy_on_density(mp)
+            self._linear_change()
+        assert True in choices and False in choices
+        # most pairs resolve on both sides, so the law is not vacuous
+        assert sum(self.compared) >= 100
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=_branch_coords(), a=_MATRICES)
+    def _linear_change(self, case, a):
+        # each coordinate as a polynomial known far past its degree, which
+        # the moved branch, whose coordinates are all units, needs
+        coords = case[0]
+        top = 3 * max(s.trunc for s in coords)
+        b = _built(([TruncSeries(s.coeffs, top) for s in coords], None))[0]
+        if b is None:
+            return
+        moved = BranchParam(*_image(b.coords, a))
+        want, got = _invariants(b), _invariants(moved)
+        both = type(want) is tuple and type(got) is tuple and "stall" not in (want[0], got[0])
+        self.compared.append(both)
+        if not both:
+            return
+        assert got == want
+        # a witness for the moved branch, composed with a, has its order
+        # along the branch itself
+        x, y, z = (MPoly.variable(XYZ, v) for v in XYZ)
+        forms = [r[0] * x + r[1] * y + r[2] * z for r in a]
+        ladder = valuation_ladder(moved)
+        for order, witness in zip(ladder.orders, ladder.witnesses):
+            q = witness.compose(forms)
+            pulled = None
+            for expo, c in q.terms.items():
+                term = monomial_pullback(b, expo) * c
+                pulled = term if pulled is None else pulled + term
+            assert pulled.trunc > order
+            assert pulled.valuation() == order
+
+    def test_under_rescaling_the_parameter(self):
+        with pytest.MonkeyPatch.context() as mp:
+            choices = _spy_on_density(mp)
+            self._rescaled()
+        assert True in choices and False in choices
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        case=_branch_coords(),
+        lam=st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+    )
+    def _rescaled(self, case, lam):
+        b = _built(case)[0]
+        if b is None:
+            return
+        # t -> lam t scales the coefficient of t^e by lam^e, so every step
+        # of the elimination, stalls and witnesses included, is the same
+        scaled = BranchParam(
+            *(TruncSeries({e: c * lam**e for e, c in s.coeffs.items()}, s.trunc) for s in b.coords)
+        )
+        for fn in (weight2, valuation_ladder, line_orders, hyperosculating_conic_at_branch):
+            assert _outcome(fn, scaled) == _outcome(fn, b)
 
 
 class TestWitnessesWhenRead:

@@ -1,5 +1,6 @@
 """Parametrized curves: conic family, Wronskian, pullbacks, local branches."""
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -19,7 +20,7 @@ from poly_reference import (
 from sextactic import cli, poly, rational
 from sextactic.branch import weight2
 from sextactic.differential import hessian, second_hessian
-from sextactic.parse import parse_param, parse_poly
+from sextactic.parse import parse_branch, parse_param, parse_poly
 from sextactic.poly import (
     CONIC_BASIS,
     ST,
@@ -717,6 +718,20 @@ class TestDenseForms:
             assert a.trunc == b.trunc == trunc
             assert a.coeffs == b.coeffs
             assert all(type(c) is int or c.denominator > 1 for c in a.coeffs.values())
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_local_branch_stores_what_its_file_does(self, d, data):
+        param = data.draw(params_with_zeros(d))
+        at = data.draw(rational_points)
+        trunc = data.draw(st.sampled_from([1, d, d + 1, d + 2, 3 * d]))
+        b = local_branch_at(param, at, trunc)
+        text = {"truncation": trunc}
+        for key, s in zip("xyz", local_branch_at_reference(param, at, trunc).coords):
+            text[key] = [[Fraction(c).numerator, Fraction(c).denominator, e] for e, c in s.coeffs.items()]
+        parsed = parse_branch(json.dumps(text))
+        assert (b.den, b.truncs, b.ints) == (parsed.den, parsed.truncs, parsed.ints)
 
     def test_zero_parameter_refused_before_any_work(self, monkeypatch):
         def no_rows(forms, order):

@@ -23,6 +23,11 @@ class TestConstruction:
         with pytest.raises(SeriesError):
             ts({-1: 1}, 5)
 
+    @pytest.mark.parametrize("e", [1.5, 2.0, "2", True, False, None])
+    def test_rejects_exponents_that_are_not_ints(self, e):
+        with pytest.raises(SeriesError, match=r"^exponent must be an integer, got "):
+            ts({e: 1}, 4)
+
     def test_drops_zero_coefficients(self):
         assert ts({2: 0, 3: 1}, 5).coeffs == {3: 1}
 
