@@ -69,8 +69,9 @@ class BranchParam:
 
     @classmethod
     def _from_terms(cls, den: int, truncs: tuple, terms):
-        """The branch from D, the three truncations and, per coordinate, its
-        nonzero terms as (num, den_i, exponent) triples, each the coefficient
+        """The branch from D, the least common denominator of its
+        coefficients, the three truncations and, per coordinate, its nonzero
+        terms as (num, den_i, exponent) triples, each the coefficient
         num/den_i of t^exponent, with den_i dividing D."""
         b = object.__new__(cls)
         b._store(den, truncs, terms)
