@@ -305,13 +305,6 @@ def _fields(raw, w):
     return out
 
 
-def read_form(n, w, degree):
-    """The binary form in (s, t) of the given degree whose value at
-    (2^(8w), 1) is n, for coefficients below 2^(8w - 1) in magnitude: the
-    inverse of ``_pack`` on the form's dense list."""
-    return _form(_digits(n, w, degree + 1), 0, 0, ST)
-
-
 def kronecker_product(a, b, end=None):
     """Nonzero coefficients of the product of two nonempty slot -> coefficient
     dicts, keyed by slot in ascending order and only below ``end`` (above
@@ -1060,30 +1053,31 @@ class TernaryForm:
 
 # -- binary forms in (s, t) -------------------------------------------------
 #
-# The algorithms below see one representation of a form s^a * t^b * h: the
-# dense int list u with u[i] the coefficient of s^i t^(n-i) in h, where
-# neither s nor t divides h.  The ``_u_*`` helpers work in the integers; the
-# public functions convert once on the way in (``_dense``) and out (``_form``).
+# A binary form of degree d is its dense list, entry i the coefficient of
+# s^i t^(d-i).  The algorithms below see it ``_split``; the ``_u_*`` helpers
+# work on the primitive int core.  Only functions that take or give an
+# ``MPoly`` convert, on the way in (``_dense``) and out (``_form``).
+
+
+def _split(u):
+    """(core, scale, a, b) with the nonzero dense list u of a form equal to
+    scale * s^a * t^b * sum core[i] s^i t^(n-i): neither s nor t divides the
+    core, which is primitive with core[-1] > 0, so the scale carries the sign."""
+    nonzero = [i for i, c in enumerate(u) if c]
+    a, e = nonzero[0], nonzero[-1]
+    core, scale = primitive_ints(u[a : e + 1], u[e])
+    return core, scale, a, len(u) - 1 - e
 
 
 def _dense(f: MPoly):
-    """(u, scale, a, b) with f = scale * s^a * t^b * sum u[i] s^i t^(n-i).
-
-    u is primitive with u[-1] > 0, so the rational scale carries the sign.
-    Raises unless f is a nonzero homogeneous binary form.
-    """
+    """``_split`` of f's dense list; raises unless f is a nonzero
+    homogeneous binary form."""
     if f.is_zero():
         raise ZeroFormError("zero form")
     d = f.homogeneous_degree()
     if len(f.variables) != 2:
         raise VariableSetMismatch(f"expected a binary form, got {f.variables}")
-    a = min(e[0] for e in f.terms)
-    b = min(e[1] for e in f.terms)
-    u = [0] * (d - a - b + 1)
-    for (es, _et), c in f.terms.items():
-        u[es - a] = c
-    u, scale = primitive_ints(u, u[-1])
-    return u, scale, a, b
+    return _split([f.terms.get((i, d - i), 0) for i in range(d + 1)])
 
 
 def _form(u, a, b, variables) -> MPoly:
@@ -1321,11 +1315,22 @@ def _rational_roots(u):
     return sorted(roots)
 
 
-def binaryform_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """Gcd of two nonzero binary forms, primitive with positive leading term."""
-    uf, _, af, bf = _dense(f)
-    ug, _, ag, bg = _dense(g)
-    return _form(_u_gcd(uf, ug), min(af, ag), min(bf, bg), f.variables)
+def binaryform_gcd(f, g):
+    """Gcd of two ``_split`` forms, as a ``_split`` form of scale 1."""
+    return _u_gcd(f[0], g[0]), 1, min(f[2], g[2]), min(f[3], g[3])
+
+
+def _squarefree(u):
+    """``_u_squarefree`` of a primitive u with u[-1] > 0, none when u is
+    constant.  Raises AssertionError if the factors do not rebuild u."""
+    split = _u_squarefree(u) if len(u) > 1 else []
+    prod = [1]
+    for p, m in split:
+        for _ in range(m):
+            prod = _u_mul(prod, p)
+    if prod != u:
+        raise AssertionError("squarefree factors do not rebuild the form")
+    return split
 
 
 def squarefree_decomp(f: MPoly):
@@ -1337,44 +1342,27 @@ def squarefree_decomp(f: MPoly):
     if the factors do not rebuild the form exactly.
     """
     u, content, a, b = _dense(f)
-    variables = f.variables
-    factors = []
-    if a:
-        factors.append((MPoly.variable(variables, variables[0]), a))
-    if b:
-        factors.append((MPoly.variable(variables, variables[1]), b))
-    if len(u) > 1:
-        split = _u_squarefree(u)
-        prod = [1]
-        for p, m in split:
-            for _ in range(m):
-                prod = _u_mul(prod, p)
-        if prod != u:
-            raise AssertionError("squarefree factors do not rebuild the form")
-        factors.extend((_form(p, 0, 0, variables), m) for p, m in split)
+    factors = [(MPoly.variable(f.variables, v), m) for v, m in zip(f.variables, (a, b)) if m]
+    factors += [(_form(p, 0, 0, f.variables), m) for p, m in _squarefree(u)]
     factors.sort(key=lambda fm: (fm[0].degree(), str(fm[0])))
     return Fraction(content), factors
 
 
-def split_linear_factors(f: MPoly):
-    """Rational linear factors of a squarefree binary form.
+def split_linear_factors(u):
+    """Rational linear factors of a squarefree primitive u whose first and
+    last entries are nonzero, so that neither s nor t divides it.
 
-    Returns (roots, rest).  ``roots`` lists each rational zero of f as a
-    ``projective_ints`` pair (s0, t0), sorted, with its linear form from
-    ``linear_root_form``; ``rest`` is f over the product of those forms in
-    canonical form, or None when that quotient is constant.
+    Returns (roots, rest).  ``roots`` lists each rational zero of u as a
+    ``projective_ints`` pair (s0, t0), sorted; ``rest`` is u over the
+    product of their linear forms, primitive with a positive last entry, or
+    None when that quotient is constant.
     """
-    u, _, a, b = _dense(f)
-    roots = [(0, 1)] * (a > 0) + [(1, 0)] * (b > 0)
-    if len(u) > 1:
-        found = _rational_roots(u)
-        for p, q in found:
-            u = _u_exact_div(u, [-p, q])
-        roots = sorted(roots + found)
-    rest = None
-    if len(u) > 1:
-        rest = _form(u if u[-1] > 0 else [-c for c in u], 0, 0, f.variables)
-    return [(r, linear_root_form(r, f.variables)) for r in roots], rest
+    roots = _rational_roots(u) if len(u) > 1 else []
+    for p, q in roots:
+        u = _u_exact_div(u, [-p, q])
+    if len(u) == 1:
+        return roots, None
+    return roots, u if u[-1] > 0 else [-c for c in u]
 
 
 def projective_ints(values):
@@ -1386,23 +1374,21 @@ def projective_ints(values):
     return tuple(primitive_ints(values, first)[0])
 
 
-def linear_root_form(at, variables=ST) -> MPoly:
+def linear_root_form(at) -> MPoly:
     """Primitive linear form vanishing at the parameter (s0 : t0)."""
     cs, ct = projective_ints((Fraction(at[1]), -Fraction(at[0])))
-    return MPoly._make(tuple(variables), {(1, 0): cs, (0, 1): ct})
+    return MPoly._make(ST, {(1, 0): cs, (0, 1): ct})
 
 
-def linear_factor_orders(f: MPoly, at) -> int:
-    """Multiplicity of the linear form through (s0 : t0) in f.
+def _root_order(split, at) -> int:
+    """Multiplicity of the linear form through (s0 : t0) in the form of the
+    ``_split`` form ``split``.
 
     With (s0 : t0) = (p : q) in ``projective_ints`` form, this counts exact
-    integer divisions of the dense form by q*s - p*t; at (1 : 0) and (0 : 1)
-    it is the split-off power of t or s.  Raises InfiniteOrder on the zero
-    form, whose order of vanishing is unbounded.
+    integer divisions of the core by q*s - p*t; at (1 : 0) and (0 : 1) it is
+    the split-off power of t or s.
     """
-    if f.is_zero():
-        raise InfiniteOrder("the zero form vanishes to infinite order")
-    u, _, a, b = _dense(f)
+    u, _, a, b = split
     p, q = projective_ints((Fraction(at[0]), Fraction(at[1])))
     if not q:
         return b
@@ -1415,3 +1401,11 @@ def linear_factor_orders(f: MPoly, at) -> int:
             k += 1
     except ExactDivisionError:
         return k
+
+
+def linear_factor_orders(f: MPoly, at) -> int:
+    """Multiplicity of the linear form through (s0 : t0) in f, by
+    ``_root_order``; raises InfiniteOrder on the zero form."""
+    if f.is_zero():
+        raise InfiniteOrder("the zero form vanishes to infinite order")
+    return _root_order(_dense(f), at)

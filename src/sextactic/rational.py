@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd, perm
 
@@ -19,9 +20,14 @@ from .poly import (
     ST,
     MPoly,
     VariableSetMismatch,
+    _digits,
+    _form,
     _pack,
     _point_str,
+    _root_order,
     _rows_at,
+    _split,
+    _squarefree,
     _u_at,
     _u_mul,
     _u_shift,
@@ -29,12 +35,10 @@ from .poly import (
     conic,
     digit_width,
     laplace_minors,
-    linear_factor_orders,
+    linear_root_form,
     primitive_ints,
     projective_ints,
-    read_form,
     split_linear_factors,
-    squarefree_decomp,
     veronese,
 )
 
@@ -60,12 +64,12 @@ class ZeroPullback(RationalError):
 class RationalParam:
     """Coprime triple of equal-degree binary forms (phi0 : phi1 : phi2).
 
-    ``phi`` is the triple as ``MPoly``s; ``dense`` holds the same three forms
-    as the lists the algorithms here work on, entry i the coefficient of
-    s^i t^(d-i).
+    ``dense`` holds the three forms as the lists the algorithms here work
+    on, entry i the coefficient of s^i t^(d-i), over the triple's positive
+    rational content; ``phi`` is a view of them as ``MPoly``s.
     """
 
-    __slots__ = ("phi", "degree", "dense")
+    __slots__ = ("degree", "dense")
 
     def __init__(self, phi0: MPoly, phi1: MPoly, phi2: MPoly):
         phi = (phi0, phi1, phi2)
@@ -78,20 +82,19 @@ class RationalParam:
             raise RationalError("all three components are zero")
         if len(degs) != 1:
             raise RationalError(f"components have unequal degrees {sorted(degs)}")
-        nonzero = [p for p in phi if not p.is_zero()]
-        g = nonzero[0]
-        for p in nonzero[1:]:
-            g = binaryform_gcd(g, p)
-            if g.degree() == 0:
-                break  # the gcd with the rest is a constant too
-        if g.degree() > 0:
-            raise CommonFactorError(g)
-        # strip the common positive rational content of the whole triple;
-        # zip stops at the end of each form's terms, so each takes its own ints
-        ints = iter(primitive_ints([c for p in phi for c in p.terms.values()])[0])
-        self.phi = tuple(MPoly._make(ST, dict(zip(p.terms, ints))) for p in phi)
         self.degree = d = degs.pop()
-        self.dense = tuple([p.terms.get((i, d - i), 0) for i in range(d + 1)] for p in self.phi)
+        dense = [[p.terms.get((i, d - i), 0) for i in range(d + 1)] for p in phi]
+        core, scale, a, b = reduce(binaryform_gcd, [_split(u) for u in dense if any(u)])
+        if len(core) > 1 or a + b:
+            raise CommonFactorError(_form(core, a, b, ST) * scale)
+        # strip the common positive rational content of the whole triple
+        ints = primitive_ints([c for u in dense for c in u])[0]
+        self.dense = tuple(ints[i : i + d + 1] for i in range(0, 3 * d + 3, d + 1))
+
+    @property
+    def phi(self):
+        """The triple as ``MPoly``s, built from ``dense`` when read."""
+        return tuple(_form(u, 0, 0, ST) for u in self.dense)
 
     def eval_point(self, at):
         """Primitive integer coordinates of the curve point at (s0 : t0); the
@@ -130,7 +133,7 @@ def _evaluated_rows(rows):
     so every coefficient of one is at most k! times the product over the rows
     of the largest l1-norm of an entry; w makes that bound, and every entry's
     coefficients, fit a signed digit, so such a minor over the integers reads
-    back with ``read_form``.
+    back with ``_digits``.
     """
     norms = [max(sum(map(abs, u)) for u in row) for row in rows]
     bound = 1
@@ -168,7 +171,7 @@ def osculating_conic_family(param: RationalParam, at=None):
             return osc.canonical()
     w, ints = _evaluated_rows(rows)
     degree = 10 * param.degree - 20
-    minors = tuple(read_form(m, w, degree) for m in laplace_minors(ints))
+    minors = tuple(_form(_digits(m, w, degree + 1), 0, 0, ST) for m in laplace_minors(ints))
     if not any(minors):
         raise DegenerateParam("conic family is identically zero")
     if at is not None:
@@ -203,11 +206,11 @@ class WeierstrassScan:
 def _wronskian_form(dense):
     """xi of three dense forms of one degree d, as they stand: the 6x6
     determinant of the fifth-order partials of their Veronese products,
-    a binary form of degree 12d - 30."""
+    the dense list of a binary form of degree 12d - 30."""
     d = len(dense[0]) - 1
     rows = _derivative_rows(veronese(*dense, times=_u_mul), 5)
     w, (top, *rest) = _evaluated_rows(rows)
-    return read_form(sum(e * m for e, m in zip(top, laplace_minors(rest))), w, 12 * d - 30)
+    return _digits(sum(e * m for e, m in zip(top, laplace_minors(rest))), w, 12 * d - 29)
 
 
 def conic_wronskian(param: RationalParam) -> WeierstrassScan:
@@ -220,21 +223,24 @@ def conic_wronskian(param: RationalParam) -> WeierstrassScan:
     if param.degree < 3:
         raise RationalError(f"need degree >= 3, got {param.degree}")
     xi = _wronskian_form(param.dense)
-    if xi.is_zero():
+    if not any(xi):
         raise DegenerateParam("Wronskian vanishes identically")
-    content, factors = squarefree_decomp(xi)
+    core, content, a, b = _split(xi)
+    # s^a and t^b are the classes at (0 : 1) and (1 : 0); each squarefree
+    # factor of the core gives its linear classes and one root-free rest
+    linear = [((0, 1), a), ((1, 0), b)]
     classes = []
-    for factor, mult in factors:
-        # linear classes plus one root-free rest per squarefree factor
+    for factor, mult in _squarefree(core):
         roots, rest = split_linear_factors(factor)
-        classes.extend(ZeroClass(form, mult, 1, root, True) for root, form in roots)
+        linear += [(root, mult) for root in roots]
         if rest is not None:
-            deg = rest.degree()
-            classes.append(ZeroClass(rest, mult, deg, None, True if deg <= 3 else None))
+            deg = len(rest) - 1
+            classes.append(ZeroClass(_form(rest, 0, 0, ST), mult, deg, None, True if deg <= 3 else None))
+    classes += [ZeroClass(linear_root_form(r), mult, 1, r, True) for r, mult in linear if mult]
     classes.sort(key=lambda z: (-z.multiplicity, z.factor.degree(), str(z.factor)))
     total = sum(z.multiplicity * z.points for z in classes)
-    assert total == xi.degree() == 6 * (2 * param.degree - 5)
-    return WeierstrassScan(xi, content, tuple(classes), total)
+    assert total == len(xi) - 1 == 6 * (2 * param.degree - 5)
+    return WeierstrassScan(_form(xi, 0, 0, ST), Fraction(content), tuple(classes), total)
 
 
 @dataclass(frozen=True)
@@ -260,7 +266,13 @@ def weights_from_xi(scan: WeierstrassScan, param: RationalParam):
 
 
 def pullback(G: MPoly, param: RationalParam) -> MPoly:
-    """Restriction G(phi0, phi1, phi2); zero when the curve divides G.
+    """Restriction G(phi0, phi1, phi2); zero when the curve divides G."""
+    u, scale = _pullback(G, param)
+    return _form(u, 0, 0, ST) * scale
+
+
+def _pullback(G: MPoly, param: RationalParam):
+    """(u, scale) with G(phi0, phi1, phi2) = scale * (the form of dense list u).
 
     With G = scale * (a primitive integer form), the integer form is
     evaluated at (s, t) = (2^(8w), 1) over the integers.  Its pullback has
@@ -273,7 +285,7 @@ def pullback(G: MPoly, param: RationalParam) -> MPoly:
     if len(G.variables) != 3:
         raise VariableSetMismatch(f"expected {len(G.variables)} images, got 3")
     if not G.terms:
-        return MPoly.zero(ST)
+        return [0], 1
     ints, scale = primitive_ints(G.terms.values())
     degree = G.degree()
     # row a of G, and of its |c|, runs up to its largest power of y
@@ -290,8 +302,7 @@ def pullback(G: MPoly, param: RationalParam) -> MPoly:
     norms = [sum(map(abs, u)) for u in param.dense]
     w = digit_width(max(_rows_at(abs_rows, degree, *norms), *norms))
     value = _rows_at(rows, degree, *[_pack(u, w) for u in param.dense])
-    pb = read_form(value, w, degree * param.degree)
-    return pb if scale == 1 else pb * scale
+    return _digits(value, w, degree * param.degree + 1), scale
 
 
 @dataclass(frozen=True)
@@ -303,11 +314,12 @@ class OrdersReport:
 
 def intersection_orders(G: MPoly, param: RationalParam, at_list) -> OrdersReport:
     """Vanishing orders of the pullback of G at the given parameters."""
-    pb = pullback(G, param)
-    if pb.is_zero():
+    pb, _ = _pullback(G, param)
+    if not any(pb):
         raise ZeroPullback("pullback vanishes identically: the curve divides G")
-    orders = tuple(linear_factor_orders(pb, at) for at in at_list)
-    deg = pb.degree()
+    split = _split(pb)
+    orders = tuple(_root_order(split, at) for at in at_list)
+    deg = len(pb) - 1
     return OrdersReport(orders, deg, deg - sum(orders))
 
 

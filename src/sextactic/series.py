@@ -21,7 +21,7 @@ class TruncSeries:
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs, trunc: int):
-        if not isinstance(trunc, int) or trunc < 1:
+        if not _is_int(trunc) or trunc < 1:
             raise SeriesError(f"truncation order must be a positive integer, got {trunc!r}")
         clean = {}
         for e, c in (coeffs or {}).items():

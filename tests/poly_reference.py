@@ -75,11 +75,14 @@ from sextactic.poly import (
     PolyMatrix,
     TernaryForm,
     _coeff_str,
+    _dense,
     _digits,
+    _form,
     _pack,
     _triangle,
     _u_at,
     _u_trim,
+    binaryform_gcd,
     digit_width,
     exact_div,
     primitive_ints,
@@ -181,6 +184,19 @@ def dense_form(f: MPoly):
     for e, c in f.terms.items():
         u[e[0]] = c
     return u
+
+
+def read_back(n, w, degree):
+    """The binary form of the given degree whose value at (2^(8w), 1) is n,
+    as an ``MPoly``: its dense list read back by ``_digits``."""
+    return _form(_digits(n, w, degree + 1), 0, 0, ST)
+
+
+def gcd_form(f: MPoly, g: MPoly) -> MPoly:
+    """``binaryform_gcd`` of two nonzero binary forms, taken on their
+    ``_split`` forms and read back as an ``MPoly``."""
+    u, scale, a, b = binaryform_gcd(_dense(f), _dense(g))
+    return _form(u, a, b, ST) * scale
 
 
 def param_veronese(param: RationalParam):

@@ -3,6 +3,8 @@
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -23,6 +25,7 @@ from sextactic.poly import XYZ, MPoly, _coeff_str
 QUARTIC = "x^4 - x^3*y + y^3*z"
 NODAL_CUBIC = "y^2*z - x^3 - x^2*z"
 LONG = "1" * 5000
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def machine_dict(stdout):
@@ -315,6 +318,45 @@ class TestFixtures:
         assert len(names) == 7
         for name in names:
             assert (out / name).read_text(encoding="utf-8") == fixtures.read_data_file(name)
+
+
+def readme_cli_lines():
+    """The command lines of the README's CLI block, continuation lines
+    joined, each without its leading ``sextactic``."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```\n")[1]
+    return [line.split(None, 1)[1] for line in block.replace("\\\n", " ").splitlines()]
+
+
+def readme_runs(line):
+    """The argv lists of one README command line: once without its bracketed
+    options, then once per bracketed flag that takes no placeholder, a flag
+    with listed values (``--variant a|b``) once per value."""
+    runs = [shlex.split(re.sub(r"\[[^]]*\]", "", line))]
+    for flag, *value in (opt.split() for opt in re.findall(r"\[([^]]*)\]", line)):
+        if not value:
+            runs.append(runs[0] + [flag])
+        elif "|" in value[0]:
+            runs += [runs[0] + [flag, v] for v in value[0].split("|")]
+    return runs
+
+
+class TestReadmeCli:
+    def test_every_line_runs_from_an_examples_directory(self, tmp_path, monkeypatch, capsys):
+        assert cli.main(["examples", "--write", str(tmp_path)]) == 0
+        monkeypatch.chdir(tmp_path)
+        runs = [argv for line in readme_cli_lines() for argv in readme_runs(line)]
+        failed = []
+        for argv in runs:
+            capsys.readouterr()
+            try:
+                rc = cli.main(argv)
+            except SystemExit as e:
+                rc = e.code
+            if rc != 0:
+                failed.append((argv, rc, capsys.readouterr().err))
+        assert failed == []
+        assert ["count", "--profile", "profile_smooth_cubic.json", "--per-branch"] in runs
+        assert sum("--variant" in argv for argv in runs) == 2
 
 
 class TestPerBranchCli:

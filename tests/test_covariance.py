@@ -35,8 +35,8 @@ For a ternary form G of degree k:
   pullback(G, phi∘B) = pullback(G, phi)∘B.
 
 xi is read from ``_wronskian_form``, the determinant step of
-``conic_wronskian``, on the forms as they stand: ``RationalParam`` would
-take the content of A phi off.
+``conic_wronskian``, on the forms as they stand, and its dense list is read
+back as an ``MPoly``: ``RationalParam`` would take the content of A phi off.
 
 Each law checks the chain against itself, not against a second
 implementation of the same formulas, so it would see a transposed index in
@@ -62,7 +62,7 @@ from sextactic.differential import (
     second_hessian,
 )
 from sextactic.parse import parse_param
-from sextactic.poly import ST, XYZ, MPoly, TernaryForm, projective_ints
+from sextactic.poly import ST, XYZ, MPoly, TernaryForm, _form, projective_ints
 from sextactic.rational import (
     DegenerateParam,
     RationalError,
@@ -262,6 +262,10 @@ def mapped_by_b(dense):
     return as_dense([f.compose(B_IMAGES) for f in as_forms(dense)], d)
 
 
+def xi_form(dense):
+    return _form(_wronskian_form(dense), 0, 0, ST)
+
+
 def conic_at(dense, at):
     try:
         return osculating_conic_family(RationalParam(*as_forms(dense)), at)
@@ -272,17 +276,17 @@ def conic_at(dense, at):
 @pytest.mark.parametrize("name", sorted(PARAM_CASES))
 def test_wronskian_has_weight_four_under_a(name):
     dense, a, _ = PARAM_CASES[name]
-    left = _wronskian_form(mapped_by_a(dense, a))
+    left = xi_form(mapped_by_a(dense, a))
     assert not left.is_zero()
-    assert left == det3(a) ** 4 * _wronskian_form(dense)
+    assert left == det3(a) ** 4 * xi_form(dense)
 
 
 @pytest.mark.parametrize("name", sorted(PARAM_CASES))
 def test_wronskian_has_weight_fifteen_under_b(name):
     dense, _, _ = PARAM_CASES[name]
-    left = _wronskian_form(mapped_by_b(dense))
+    left = xi_form(mapped_by_b(dense))
     assert not left.is_zero()
-    assert left == DET_B**15 * _wronskian_form(dense).compose(B_IMAGES)
+    assert left == DET_B**15 * xi_form(dense).compose(B_IMAGES)
 
 
 @pytest.mark.parametrize("name", sorted(PARAM_CASES))

@@ -39,7 +39,8 @@ from sextactic.poly import (
     TernaryForm,
     fills_triangles,
 )
-from sextactic.rational import linear_factor_orders, pullback
+from sextactic.poly import linear_factor_orders
+from sextactic.rational import pullback
 from sextactic.parse import parse_param
 
 X, Y, Z = (MPoly.variable(XYZ, v) for v in XYZ)

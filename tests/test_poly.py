@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from poly_reference import (
     dense_form,
     det_bareiss,
+    gcd_form,
     mpoly_str_reference,
     padded_product,
     prs_gcd,
     rational_roots_by_division,
+    read_back,
     series_str_reference,
     terms_str_reference,
 )
@@ -35,7 +37,6 @@ from sextactic.poly import (
     UnknownVariable,
     VariableSetMismatch,
     ZeroFormError,
-    binaryform_gcd,
     digit_width,
     exact_div,
     laplace_minors,
@@ -43,7 +44,6 @@ from sextactic.poly import (
     linear_root_form,
     primitive_ints,
     projective_ints,
-    read_form,
     split_linear_factors,
     squarefree_decomp,
     veronese,
@@ -1101,9 +1101,9 @@ class TestSquarefree:
             # factors squarefree (coprime with their derivative) and pairwise coprime
             for i, (p, _) in enumerate(factors):
                 if p.degree() > 1 and not p.partial("s").is_zero():
-                    assert binaryform_gcd(p, p.partial("s")).degree() == 0
+                    assert gcd_form(p, p.partial("s")).degree() == 0
                 for q, _ in factors[i + 1 :]:
-                    assert binaryform_gcd(p, q).degree() == 0
+                    assert gcd_form(p, q).degree() == 0
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroFormError):
@@ -1134,6 +1134,17 @@ class TestSquarefree:
         monkeypatch.setattr(poly, "_u_squarefree", lambda u: [(u, 2)])
         with pytest.raises(AssertionError):
             squarefree_decomp((S + T) * (S + 2 * T))
+
+
+def split_linear(f):
+    """``split_linear_factors`` of a squarefree form f, as ``conic_wronskian``
+    calls it: on f's core, with f's powers of s and t as the roots (0 : 1)
+    and (1 : 0).  Each root comes with its ``linear_root_form``, and the rest
+    is read back as an ``MPoly``."""
+    u, _, a, b = poly._dense(f)
+    roots, rest = split_linear_factors(u)
+    roots = sorted(roots + [(0, 1)] * (a > 0) + [(1, 0)] * (b > 0))
+    return [(r, linear_root_form(r)) for r in roots], rest and poly._form(rest, 0, 0, ST)
 
 
 def dense_list(f):
@@ -1251,7 +1262,7 @@ class TestCoprimeCertificate:
         p = poly._GCD_PRIMES[0]
         h = p * S + T
         f, g = h * (S + 2 * T), h * (S - 3 * T) ** 2
-        assert binaryform_gcd(f, g) == h
+        assert gcd_form(f, g) == h
         assert primes == [2**61 - 1]
         _, factors = squarefree_decomp(h**2 * (S - 3 * T))
         assert (h, 2) in factors and (S - 3 * T, 1) in factors
@@ -1262,7 +1273,7 @@ class TestCoprimeCertificate:
         primes = self.spy_primes(monkeypatch)
         h = (2**30 - 35) * (2**61 - 1) * S - T
         f, g = h * (S + 2 * T), h**2 * (S - 3 * T)
-        assert binaryform_gcd(f, g) == h
+        assert gcd_form(f, g) == h
         assert primes == [2**89 - 1, 2**107 - 1]
 
     def test_no_prime_answers(self, monkeypatch):
@@ -1456,16 +1467,16 @@ class TestKroneckerEvaluation:
         coeffs = [rng.choice([edge, -edge, 0, 1, -1, rng.randint(-edge, edge)]) for _ in range(n + 1)]
         coeffs[-1] = -edge  # a negative leading digit
         f = MPoly(ST, {(i, n - i): c for i, c in enumerate(coeffs)})
-        assert read_form(form_at(f, w), w, n) == f
+        assert read_back(form_at(f, w), w, n) == f
 
     def test_forms_divisible_by_s_or_t(self):
         for f in (S**3 * T**2 * (S - T), -(T**6), S**5, 7 * S * T**4):
             w = digit_width(max(abs(c) for c in f.terms.values()))
-            assert read_form(form_at(f, w), w, f.degree()) == f
+            assert read_back(form_at(f, w), w, f.degree()) == f
 
     def test_zero(self):
         assert form_at(MPoly.zero(ST), 1) == 0
-        assert read_form(0, 4, 7).is_zero()
+        assert read_back(0, 4, 7).is_zero()
 
     def test_value_is_the_form_at_a_power_of_two(self):
         f = 3 * S**2 - 5 * S * T + T**2
@@ -1540,7 +1551,7 @@ class TestDenseHelpers:
 
     def test_split_linear_factors(self):
         f = -2 * (2 * S - 3 * T) * (S + T) * (S**2 + T**2) * S * T
-        roots, rest = split_linear_factors(f)
+        roots, rest = split_linear(f)
         assert [(r, str(form)) for r, form in roots] == [
             ((0, 1), "s"),
             ((1, -1), "s + t"),
@@ -1551,10 +1562,10 @@ class TestDenseHelpers:
 
     def test_split_rest_is_canonical_after_a_negative_divisor(self):
         # dividing by the root (1 : -1) flips the sign of the dense rest
-        roots, rest = split_linear_factors((S + T) * (T**2 - 2 * S**2))
+        roots, rest = split_linear((S + T) * (T**2 - 2 * S**2))
         assert [r for r, _ in roots] == [(1, -1)]
         assert str(rest) == "2*s^2 - t^2"
-        assert split_linear_factors(S - 4 * T) == ([((4, 1), S - 4 * T)], None)
+        assert split_linear(S - 4 * T) == ([((4, 1), S - 4 * T)], None)
 
     def test_exact_division_in_integers(self):
         assert poly._u_exact_div([-2, 1, 1], [-1, 1]) == [2, 1]

@@ -15,7 +15,9 @@ from poly_reference import (
     det_bareiss,
     eval_point_reference,
     local_branch_at_reference,
+    gcd_form,
     param_veronese,
+    read_back,
 )
 from sextactic import cli, poly, rational
 from sextactic.branch import weight2
@@ -29,7 +31,6 @@ from sextactic.poly import (
     PolyMatrix,
     laplace_minors,
     projective_ints,
-    read_form,
     squarefree_decomp,
 )
 from sextactic.rational import (
@@ -256,8 +257,6 @@ class TestWronskian:
         # three at points of excess conic contact (one rational of each kind,
         # the rest conjugate); the conjugate packet mixes both kinds and is
         # split by its overlap with the pulled-back Hessian
-        from sextactic.poly import binaryform_gcd
-
         param = parse_param(NODAL_PARAM)
         scan = conic_wronskian(param)
         assert scan.total == 6
@@ -267,7 +266,7 @@ class TestWronskian:
         seen = {"inflection": 0, "sextactic": 0}
         for entry in weights_from_xi(scan, param):
             if entry.parameter is None:
-                on_h = binaryform_gcd(entry.factor, h_pull).degree()
+                on_h = gcd_form(entry.factor, h_pull).degree()
                 seen["inflection"] += on_h
                 seen["sextactic"] += entry.points - on_h
                 continue
@@ -528,7 +527,7 @@ def integer_minors(rows, degree):
     """``laplace_minors`` of integer binary-form rows taken over the integers
     at s = 2^(8w) and read back, as ``osculating_conic_family`` does."""
     w, ints = rational._evaluated_rows(dense_rows(rows))
-    return [read_form(m, w, degree) for m in laplace_minors(ints)]
+    return [read_back(m, w, degree) for m in laplace_minors(ints)]
 
 
 def dense_rows(rows):
@@ -789,3 +788,56 @@ class TestDenseForms:
             pullback(G, param)
             for at in ((1, 0), (0, 1), (Fraction(-1, 3), 1)):
                 local_branch_at(param, at, 4 * param.degree + 4)
+
+
+# -- where a binary form stops being a dense list -----------------------------
+
+
+class TestFormEdges:
+    """Inside the library a binary form is its dense list.  Only the exported
+    ``MPoly`` functions convert a form in (``_dense``), and only they and the
+    printed values build one (``_form``)."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = {"_dense": 0, "_form": 0}
+        for name in calls:
+            real = getattr(poly, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            for module in (poly, rational):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_orders_job_converts_nothing(self, monkeypatch, capsys):
+        calls = self.spy(monkeypatch)
+        argv = ["orders", "--param", "(s^4:s^3*t:t^4)", "--poly", "x*z-y^2", "--at", "(1:0),(0:1),(1:1)"]
+        assert cli.main(argv) == 0
+        assert calls == {"_dense": 0, "_form": 0}
+        assert "residual_degree = 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [QUINTIC_PARAM, NODAL_PARAM])
+    def test_wronski_job_builds_xi_and_each_root_free_class(self, text, monkeypatch, capsys):
+        root_free = sum(z.parameter is None for z in conic_wronskian(parse_param(text)).classes)
+        assert root_free >= 1
+        calls = self.spy(monkeypatch)
+        assert cli.main(["wronski", "--param", text]) == 0
+        assert calls == {"_dense": 0, "_form": 1 + root_free}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # one nonzero form is the common factor as given, not made primitive
+            ("(2*s^2:0:0)", "CommonFactorError: components share the nontrivial factor 2*s^2"),
+            ("(s*t^2:s^2*t:s*t*(s+t))", "CommonFactorError: components share the nontrivial factor s*t"),
+            ("(2:0:0)", "RationalError: need degree >= 3, got 0"),
+        ],
+    )
+    def test_coprimality_fold_error_texts(self, text, message, capsys):
+        assert cli.main(["wronski", "--param", text]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")

@@ -28,6 +28,12 @@ class TestConstruction:
         with pytest.raises(SeriesError, match=r"^exponent must be an integer, got "):
             ts({e: 1}, 4)
 
+    @pytest.mark.parametrize("trunc", [True, 2.0, "3", 0, -1])
+    def test_rejects_truncations_that_are_not_positive_ints(self, trunc):
+        # True is an int to isinstance, and would print as O(t^True)
+        with pytest.raises(SeriesError, match=r"^truncation order must be a positive integer, got "):
+            ts({0: 1}, trunc)
+
     def test_drops_zero_coefficients(self):
         assert ts({2: 0, 3: 1}, 5).coeffs == {3: 1}
 
