@@ -15,7 +15,6 @@ import re
 import sys
 from fractions import Fraction
 from gettext import gettext
-from pathlib import Path
 
 from . import fixtures
 from .branch import (
@@ -166,7 +165,13 @@ def _ascii_int(text: str) -> int:
 
 
 def _read_file(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The text of a UTF-8 file; other bytes are a ParseError that names the
+    file and the offset of the first byte that does not decode."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path!r} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 # -- subcommand implementations ----------------------------------------------

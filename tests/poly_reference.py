@@ -35,7 +35,11 @@ The library reduces a branch's conic pullbacks to distinct valuations by
 fraction-free elimination on integer series; ``reduce_to_distinct_reference``
 is the exact rational elimination on ``TruncSeries`` it replaced, and the
 ``*_reference`` ladder and line orders run it.  ``monomial_pullback`` pulls
-one monomial back along a branch by ``TruncSeries`` products.
+one monomial back along a branch by ``TruncSeries`` products.  The library
+eliminates on a dense branch's first coefficients, more of them only when
+it runs out; ``whole_valuation_ladder`` and ``whole_line_orders`` are the
+same fraction-free elimination on every coefficient below the truncation,
+which it replaced.
 
 The library stores a branch as D times each coordinate, built straight
 from its triples; ``integer_coords_reference`` is the clearing of the
@@ -51,11 +55,12 @@ before its path for int coefficients, every coefficient through
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, compress, count
 from math import gcd, lcm
 from operator import add
 from typing import NamedTuple
 
-from sextactic.branch import BranchParam, NonPrimitiveBranch, TruncationInsufficient, ValuationLadder
+from sextactic.branch import BranchParam, NonPrimitiveBranch, TruncationInsufficient, ValuationLadder, _on_exponents
 from sextactic.differential import (
     VARIANTS,
     CovariantSet,
@@ -685,6 +690,68 @@ def monomial_pullback(b: BranchParam, expo) -> TruncSeries:
 
 def line_orders_reference(b):
     v0, m, l = sorted(reduce_to_distinct_reference(b.coords, b.trunc))
+    if v0 != 0:
+        raise NonPrimitiveBranch("no linear form is a unit along the branch")
+    return m, l
+
+
+def _whole_veronese_lists(coords):
+    """The six Veronese products of dense int lists, each read back up to
+    its truncation, as (int list, truncation) items."""
+    w = digit_width(max(map(abs, chain(*coords))) ** 2 * max(map(len, coords)))
+    cuts = [(len(u), next(compress(count(), u), len(u))) for u in coords]
+    ends = veronese(*cuts, times=lambda a, b: min(a[0] + b[1], b[0] + a[1]))
+    products = veronese(*[_pack(u, w) for u in coords])
+    return [(_digits(p, w, end), end) for p, end in zip(products, ends)]
+
+
+def _whole_reduce_to_distinct(items, at, branch_trunc: int):
+    """Fraction-free elimination by leading exponent on whole (int list,
+    truncation) items; {valuation: integer vector}."""
+    n = len(items)
+    pivots = {}
+    vectors = {}
+    for i, (series, trunc) in enumerate(items):
+        vec = [0] * n
+        vec[i] = 1
+        while True:
+            v = next(compress(count(), series), None)
+            if v is None:
+                raise TruncationInsufficient(branch_trunc + 1, trunc)
+            hit = pivots.get(v)
+            if hit is None:
+                pivots[v] = (series, trunc)
+                vectors[v] = vec
+                break
+            ps, ptrunc = hit
+            a, b = ps[v], series[v]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            trunc = min(trunc, ptrunc)
+            series = [a * x - b * y for x, y in zip(series, ps)]
+            vec = [a * x - b * y for x, y in zip(vec, vectors[v])]
+    return {at[v]: vec for v, vec in vectors.items()}
+
+
+def whole_valuation_ladder(b: BranchParam) -> ValuationLadder:
+    coords = b.ints
+    if type(coords[0]) is list:
+        items = _whole_veronese_lists(coords)
+        at = range(max(t for _, t in items))
+    else:
+        items, at = _on_exponents(veronese(*coords))
+    vectors = _whole_reduce_to_distinct(items, at, b.trunc)
+    orders = tuple(sorted(vectors))
+    return ValuationLadder(orders, tuple(vectors[v] for v in orders))
+
+
+def whole_line_orders(b: BranchParam):
+    coords = b.ints
+    if type(coords[0]) is list:
+        items, at = [(u, len(u)) for u in coords], range(max(map(len, coords)))
+    else:
+        items, at = _on_exponents(coords)
+    v0, m, l = sorted(_whole_reduce_to_distinct(items, at, b.trunc))
     if v0 != 0:
         raise NonPrimitiveBranch("no linear form is a unit along the branch")
     return m, l

@@ -4,6 +4,8 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from poly_reference import (
     line_orders_reference,
     monomial_pullback,
     valuation_ladder_reference,
+    whole_line_orders,
+    whole_valuation_ladder,
 )
 from sextactic import branch, cli
 from sextactic.branch import (
@@ -30,7 +34,7 @@ from sextactic.branch import (
     weight2,
 )
 from sextactic.parse import parse_branch
-from sextactic.poly import XYZ, MPoly, veronese
+from sextactic.poly import XYZ, MPoly, conic, veronese
 from sextactic.series import TruncSeries
 
 
@@ -461,7 +465,7 @@ def _outcome(fn, b):
     try:
         return fn(b)
     except TruncationInsufficient as e:
-        return ("stall", e.needed, e.stalled_at)
+        return ("stall", e.needed, e.stalled_at, str(e))
     except BranchError as e:  # NonPrimitiveBranch, a ladder of the wrong shape
         return (type(e).__name__, str(e))
 
@@ -615,6 +619,122 @@ class TestIntegerStorage:
         assert made
 
 
+@st.composite
+def _deep_branch_coords(draw):
+    """(coordinates, (m, l, c)) of a branch whose top conic order may lie
+    past the ladder's first prefix: l up to that prefix, or l = 2m with c
+    planted up to three times it.  Each coordinate has every exponent from
+    its lead on filled with small integers, or only a few terms, and is cut
+    at its own truncation, up to about 300; short truncations stall."""
+    start = branch._PREFIX
+    m = draw(st.integers(1, 4))
+    l = draw(st.one_of(st.just(2 * m), st.integers(m + 1, start)))
+    c = None
+    if l == 2 * m:
+        c = draw(st.integers(2 * m + 1, 3 * start).filter(lambda v: v not in (3 * m, 4 * m)))
+    need = c + 2 * m if c else 2 * l + 2
+    truncs = [draw(st.integers(need // 2, need + 4) | st.integers(need, 300)) for _ in range(3)]
+    top = max(truncs)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    filled = draw(st.booleans())
+
+    def series(lead, fixed=()):
+        coeffs = dict(fixed)
+        coeffs.setdefault(lead, rng.choice([-3, -2, -1, 1, 2, 3]))
+        free = [e for e in range(lead + 1, top) if e not in coeffs]
+        for e in free if filled else rng.sample(free, min(4, len(free))):
+            coeffs[e] = rng.randint(-3, 3)
+        return coeffs
+
+    z0 = rng.choice([1, -1, 2, -3])
+    x = series(m)
+    if c is None:
+        y = series(l)
+        z = series(0, {0: z0})
+    else:
+        # y agrees with x^2 / z0 below t^c and not at t^c
+        sq = [0] * (c + 1)
+        for (e1, c1), (e2, c2) in itertools.product(x.items(), repeat=2):
+            if e1 + e2 <= c:
+                sq[e1 + e2] += c1 * c2
+        y = series(c, {e: Fraction(v, z0) for e, v in enumerate(sq[:c]) if v})
+        y[c] = Fraction(sq[c], z0) + rng.choice([-2, -1, 1, 2])
+        z = {0: z0}
+    coords = [TruncSeries({e: v for e, v in coeffs.items() if e < t}, t) for coeffs, t in zip((x, y, z), truncs)]
+    return draw(st.permutations(coords)), (m, l, c)
+
+
+class TestPrefixLadder:
+    """The dense ladder and line orders on a prefix of the coefficients,
+    doubled while it runs out, against the same elimination on every
+    coefficient below the truncation."""
+
+    def test_matches_the_whole_elimination(self):
+        self.rounds, self.seen = [], set()
+        with pytest.MonkeyPatch.context() as mp:
+            choices = _spy_on_density(mp)
+            real = branch._veronese_lists
+            mp.setattr(branch, "_veronese_lists", lambda coords, k: self.rounds.append(k) or real(coords, k))
+            self._cross_check()
+        assert True in choices and False in choices
+        # ladders that resolve and ladders that stall after the prefix doubled
+        assert {"resolved", "stall"} <= self.seen
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=_deep_branch_coords())
+    def _cross_check(self, case):
+        coords, planted = case
+        b = BranchParam(*coords)
+        self.rounds.clear()
+        ladder, want = _outcome(valuation_ladder, b), _outcome(whole_valuation_ladder, b)
+        assert ladder == want
+        if isinstance(ladder, branch.ValuationLadder):
+            assert ladder._vectors == want._vectors
+        if len(self.rounds) > 1:
+            self.seen.add(ladder[0] if isinstance(ladder, tuple) else "resolved")
+        assert _outcome(line_orders, b) == _outcome(whole_line_orders, b)
+        report = _outcome(weight2, b)
+        if isinstance(report, branch.WeightReport):
+            assert (report.m, report.l, report.c) == planted
+
+    def test_a_local_branch_reads_back_one_prefix(self, monkeypatch):
+        # as the benchmark's local branches: truncation 80, orders up to 28
+        rng = random.Random(80)
+        x = {5: 1, **{e: rng.randint(-3, 3) for e in range(6, 80)}}
+        sq = [0] * 29
+        for (e1, c1), (e2, c2) in itertools.product(x.items(), repeat=2):
+            if e1 + e2 <= 28:
+                sq[e1 + e2] += c1 * c2
+        y = {**{e: rng.randint(-3, 3) for e in range(29, 80)}, **dict(enumerate(sq[:28])), 28: sq[28] + 1}
+        b = mk_branch(x, y, {0: 1}, 80)
+        assert type(b.ints[0]) is list
+        read = []
+        real = branch._digits
+        monkeypatch.setattr(branch, "_digits", lambda n, w, k: read.append(k) or real(n, w, k))
+        ladder = valuation_ladder(b)
+        assert ladder.orders == (0, 5, 10, 15, 20, 28)
+        assert len(read) == 6 and max(read) <= branch._PREFIX
+        assert ladder == whole_valuation_ladder(b)
+        assert ladder._vectors == whole_valuation_ladder(b)._vectors
+        assert line_orders(b) == whole_line_orders(b) == (5, 10)
+
+    def test_a_conic_contained_branch_stalls_within_twice_the_whole_time(self):
+        # x = t + t^2 + ..., y = x^2, z = 1 on a conic: every prefix runs
+        # out, and the doublings up to the whole lists cost at most as much
+        # again as the last, whole, round
+        n = 2000
+        b = mk_branch({e: 1 for e in range(1, n)}, {e: e - 1 for e in range(2, n)}, {0: 1}, n)
+        assert type(b.ints[0]) is list
+        best = {}
+        for _ in range(5):
+            for fn in (whole_valuation_ladder, valuation_ladder):
+                t0 = perf_counter()
+                outcome = _outcome(fn, b)
+                best[fn] = min(best.get(fn, float("inf")), perf_counter() - t0)
+                assert outcome == ("stall", n + 1, n, TruncationInsufficient(n + 1, n).args[0])
+        assert best[valuation_ladder] <= 2 * best[whole_valuation_ladder]
+
+
 def _image(coords, a):
     """The coordinates of the branch a (x, y, z)^T, a an integer matrix."""
     return [row[0] * coords[0] + row[1] * coords[1] + row[2] * coords[2] for row in a]
@@ -711,6 +831,54 @@ class TestBranchLaws:
             assert _outcome(fn, scaled) == _outcome(fn, b)
 
 
+    def test_under_a_quadratic_change_of_the_parameter(self):
+        self.sides = []
+        self._quadratic()
+        # the map fills a sparse branch's gaps: some sparse branches move to
+        # the dense path, and most ladders resolve, so the law is not vacuous
+        assert {(False, True), (True, True)} <= {sides for sides, _ in self.sides}
+        assert sum(resolved for _, resolved in self.sides) >= 100
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        case=_branch_coords(),
+        a=st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+    )
+    def _quadratic(self, case, a):
+        b = _built(case)[0]
+        if b is None:
+            return
+        # t -> t + a t^2 keeps each valuation and each leading coefficient,
+        # so every step of the elimination, stalls and witnesses included,
+        # is the same
+        moved = BranchParam(*(_reparametrized(s, a) for s in b.coords))
+        want = _invariants(b)
+        self.sides.append(((type(b.ints[0]) is list, type(moved.ints[0]) is list), want is not None))
+        assert _invariants(moved) == want
+        for fn in (weight2, valuation_ladder, line_orders, hyperosculating_conic_at_branch):
+            assert _outcome(fn, moved) == _outcome(fn, b)
+        # each witness of the moved branch has its order along the branch
+        ladder = _outcome(valuation_ladder, moved)
+        if isinstance(ladder, branch.ValuationLadder):
+            for order, witness in zip(ladder.orders, ladder.witnesses):
+                pulled = None
+                for expo, c in witness.terms.items():
+                    term = monomial_pullback(b, expo) * c
+                    pulled = term if pulled is None else pulled + term
+                assert pulled.trunc > order
+                assert pulled.valuation() == order
+
+
+def _reparametrized(s, a):
+    """s(t + a t^2), below the truncation of s: t^e becomes the sum over k
+    of C(e, k) a^k t^(e + k)."""
+    out = {}
+    for e, c in s.coeffs.items():
+        for k in range(s.trunc - e):
+            out[e + k] = out.get(e + k, 0) + c * comb(e, k) * a**k
+    return TruncSeries(out, s.trunc)
+
+
 class TestWitnessesWhenRead:
     BRANCH = {"truncation": 12, "x": [[1, 1, 2]], "y": [[1, 1, 4], [1, 1, 5]], "z": [[1, 1, 0]]}
 
@@ -724,6 +892,17 @@ class TestWitnessesWhenRead:
         assert cli.main([command, "--branch", str(path)]) == 0
         capsys.readouterr()
         assert len(calls) == built
+
+    def test_witness_is_the_canonical_conic(self):
+        # every pattern of zero entries, so that each entry in turn leads,
+        # with int and with Fraction vectors
+        rng = random.Random("witness")
+        for mask in range(1, 64):
+            for _ in range(4):
+                vec = [rng.choice([-6, -3, -2, -1, 1, 2, 4, 9]) if mask >> i & 1 else 0 for i in range(6)]
+                assert branch._witness(vec) == conic(vec).canonical()
+                vec = [Fraction(c, rng.randint(1, 6)) for c in vec]
+                assert branch._witness(vec) == conic(vec).canonical()
 
     def test_osc_branch_runs_the_public_conic_once(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "b.json"

@@ -56,6 +56,38 @@ class TestExitCodes:
         assert r.returncode == 1
         assert "error: FileNotFoundError" in r.stderr
 
+    @pytest.mark.parametrize(
+        "command,option",
+        [
+            ("weight", "--branch"),
+            ("ladder", "--branch"),
+            ("osc-branch", "--branch"),
+            ("count", "--profile"),
+            ("predict39", "--profile"),
+        ],
+    )
+    def test_file_that_is_not_utf8_is_parse_error(self, tmp_path, command, option):
+        (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
+        r = run_cli(command, option, "bad.json", cwd=tmp_path)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: ParseError: 'bad.json' is not UTF-8 text: invalid start byte at byte 0\n"
+
+    def test_byte_offset_past_the_first_read(self, tmp_path, capsys):
+        # a valid profile padded past the 8 KiB read buffer, then a Latin-1 "é"
+        path = tmp_path / "profile.json"
+        path.write_bytes(b'{"d": 3, "points": []}' + b" " * 10000 + b"\xe9 ")
+        assert cli.main(["count", "--profile", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: ParseError: {str(path)!r} is not UTF-8 text: invalid continuation byte at byte 10022\n"
+
+    def test_missing_file_message(self, tmp_path, capsys):
+        assert cli.main(["weight", "--branch", str(tmp_path / "nope.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: FileNotFoundError: [Errno 2] No such file or directory: {str(tmp_path / 'nope.json')!r}\n"
+        )
+
     def test_usage_error(self):
         assert run_cli("hessian").returncode == 2
         assert run_cli("nonsense").returncode == 2
