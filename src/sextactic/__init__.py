@@ -33,6 +33,7 @@ from .differential import (
     hessian,
     osculating_conic,
     second_hessian,
+    second_hessian_at,
 )
 from .parse import (
     ParseError,
@@ -101,6 +102,7 @@ __all__ = [
     "predicted_hessian_order",
     "pullback",
     "second_hessian",
+    "second_hessian_at",
     "sextactic_count",
     "squarefree_decomp",
     "valuation_ladder",

@@ -5,7 +5,12 @@ determinant H, the adjugate of the Hessian matrix, the trace covariant of
 the adjugate against the second-derivative matrix of H (with its two
 one-sided gradient splittings), the adjugate quadratic form of the gradient
 of H, the degree 12d-27 covariant cutting out the points of excess conic
-contact, and the osculating conic at a rational point.
+contact, its value at a point, and the osculating conic at a rational point.
+
+One chain of formulas serves three rings: dense ``TernaryForm``s, sparse
+``MPoly``s and ``TaylorJet``s, truncated Taylor expansions at a point.  The
+values at a point come from the jet, so no form of degree above that of F
+is built for them.
 """
 
 from __future__ import annotations
@@ -13,9 +18,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple
 
-from .poly import XYZ, MPoly, TernaryForm, _point_str, conic, fills_triangles, projective_ints
+from .jet import TaylorJet
+from .poly import (
+    XYZ,
+    MPoly,
+    TernaryForm,
+    _denominator,
+    _point_str,
+    _ratio,
+    conic,
+    fills_triangles,
+    projective_ints,
+)
 
 
 class DifferentialError(ValueError):
@@ -60,9 +77,10 @@ _DENSE_MIN_TERMS = 4
 
 
 class _Chain(NamedTuple):
-    """The Hessian chain of F, as ``hessian`` computes it: f is F, and every
+    """The Hessian chain of F, as ``_chain`` computes it: f is F, and every
     other field is computed from f.  On the dense chain the forms are
-    ``TernaryForm``s, on the sparse chain ``MPoly``s."""
+    ``TernaryForm``s, on the sparse chain ``MPoly``s, and at a point
+    ``TaylorJet``s."""
 
     f: object
     d: int
@@ -147,11 +165,12 @@ def _derivatives(P: MPoly):
 
 
 def _dot(pairs):
-    """sum(c * a * b) over the (int c, a, b) of ``pairs``: one fused
-    ``TernaryForm.dot`` on the dense chain, the plain sum of the products on
-    ``MPoly`` forms and on numbers."""
-    if isinstance(pairs[0][1], TernaryForm):
-        return TernaryForm.dot(pairs)
+    """sum(c * a * b) over the (int c, a, b) of ``pairs``: one fused ``dot``
+    on ``TernaryForm``s and on ``TaylorJet``s, the plain sum of the products
+    on ``MPoly`` forms and on numbers."""
+    kind = type(pairs[0][1])
+    if kind is TernaryForm or kind is TaylorJet:
+        return kind.dot(pairs)
     total = None
     for c, a, b in pairs:
         p = a * b if c == 1 else (c * a) * b
@@ -169,6 +188,32 @@ def _adjugate(m):
     )
 
 
+def _degree(F: MPoly) -> int:
+    """The degree d >= 3 of the form F in (x, y, z), else the error."""
+    if F.variables != XYZ:
+        raise DifferentialError(f"expected a polynomial in {XYZ}")
+    d = F.homogeneous_degree()  # raises NotHomogeneous on mixed degrees
+    if d is None or d < 3:
+        got = "the zero polynomial" if d is None else f"degree {d}"
+        raise DegreeTooSmall(f"need a form of degree >= 3, got {got}")
+    return d
+
+
+def _chain(f, d) -> _Chain:
+    """The Hessian chain of f, of degree d: a ``TernaryForm``, an ``MPoly``
+    or a ``TaylorJet``, all of which the chain only adds, multiplies and
+    differentiates."""
+    grad_f, hess_f = _derivatives(f)
+    adj_f = _adjugate(hess_f)
+    # expand det(hess_f) along its first row; the cofactors are the first
+    # column of the adjugate
+    a, _, _, _, g, h = hess_f
+    A, _, _, _, Gq, Hq = adj_f
+    H = _dot(((1, a, A), (1, h, Hq), (1, g, Gq)))
+    grad_h, hess_h = _derivatives(H)
+    return _Chain(f, d, H, hess_f, hess_h, adj_f, grad_f, grad_h)
+
+
 def hessian(F: MPoly) -> HessianBundle:
     """Hessian determinant and matrices of a form of degree >= 3.
 
@@ -180,23 +225,10 @@ def hessian(F: MPoly) -> HessianBundle:
     stored terms: dense triangles of x^1000 + y^1000 + z^1000 would hold
     millions of zeros.
     """
-    if F.variables != XYZ:
-        raise DifferentialError(f"expected a polynomial in {XYZ}")
-    d = F.homogeneous_degree()  # raises NotHomogeneous on mixed degrees
-    if d is None or d < 3:
-        got = "the zero polynomial" if d is None else f"degree {d}"
-        raise DegreeTooSmall(f"need a form of degree >= 3, got {got}")
+    d = _degree(F)
     dense = len(F.terms) >= _DENSE_MIN_TERMS and fills_triangles(len(F.terms), d)
     f = TernaryForm.of(F.terms, d) if dense else F
-    grad_f, hess_f = _derivatives(f)
-    adj_f = _adjugate(hess_f)
-    # expand det(hess_f) along its first row; the cofactors are the first
-    # column of the adjugate
-    a, _, _, _, g, h = hess_f
-    A, _, _, _, Gq, Hq = adj_f
-    H = _dot(((1, a, A), (1, h, Hq), (1, g, Gq)))
-    grad_h, hess_h = _derivatives(H)
-    return HessianBundle(F, _Chain(f, d, H, hess_f, hess_h, adj_f, grad_f, grad_h))
+    return HessianBundle(F, _chain(f, d))
 
 
 def _paired_trace(adj6, hess6):
@@ -264,14 +296,50 @@ def second_hessian_form(F: MPoly, variant: str = "corrected"):
     ``TernaryForm`` on the dense chain, an ``MPoly`` on the sparse one.
     Both answer ``is_zero``, ``canonical_with_scale`` and ``str`` alike, so
     a caller that only normalises and prints needs no conversion."""
-    if variant not in VARIANTS:
-        raise DifferentialError(f"variant must be one of {VARIANTS}")
-    kappa = 20 if variant == "corrected" else 40
+    _check_variant(variant)
     chain = hessian(F).chain
     if chain.H.is_zero():
-        raise HessianVanishes(
-            "the Hessian vanishes identically; no excess-contact covariant exists"
-        )
+        raise _vanishing_hessian()
+    return _second_hessian(chain, variant)
+
+
+def second_hessian_at(F: MPoly, p, variant: str = "corrected"):
+    """``second_hessian(F, variant)`` at the rational point p, an int or a
+    Fraction, read off the Hessian chain of F's Taylor jet of order 5 at p:
+    H2 takes fifth partials of F, and no form of degree above that of F is
+    built.  It refuses the F that ``second_hessian`` refuses.
+
+    The jet is taken of den * F at m * p, den and m the least common
+    denominators of F's coefficients and of p, so it has integer entries;
+    H2 has degree 12 in the coefficients of F and 12d - 27 in the point, so
+    the value is divided by den^12 m^(12d - 27).
+    """
+    _check_variant(variant)
+    point = _rational_point(p)
+    d = _degree(F)
+    den, terms = _integer_terms(F)
+    m = lcm(*[v.denominator for v in point])
+    chain = _chain(TaylorJet.of(terms, d, [v.numerator * (m // v.denominator) for v in point], 5), d)
+    if not chain.H.value and hessian(F).chain.H.is_zero():
+        raise _vanishing_hessian()
+    return _ratio(_second_hessian(chain, variant).value, den**12 * m ** (12 * d - 27))
+
+
+def _check_variant(variant):
+    if variant not in VARIANTS:
+        raise DifferentialError(f"variant must be one of {VARIANTS}")
+
+
+def _vanishing_hessian():
+    return HessianVanishes(
+        "the Hessian vanishes identically; no excess-contact covariant exists"
+    )
+
+
+def _second_hessian(chain: _Chain, variant: str):
+    """The 2-Hessian of the variant from the Hessian chain, on the chain's
+    own ring: the combination of the three Jacobians below."""
+    kappa = 20 if variant == "corrected" else 40
     cov = _covariants(chain.adj_f, chain.hess_h, chain.grad_h)
     d = chain.d
     H = chain.H
@@ -294,39 +362,55 @@ def second_hessian_form(F: MPoly, variant: str = "corrected"):
     return _dot([(1, c, r) for c, r in zip(cross, combined)])
 
 
-def osculating_conic(F: MPoly, p) -> MPoly:
-    """Canonical primitive conic with fifth-order contact at the smooth,
-    non-inflection rational point p on V(F).
-
-    The covariants enter only through their values at p, so the Hessian
-    matrices are evaluated first: the trace covariant is the paired trace
-    of adj_f(p) and hess_H(p), and the gradient form is grad H(p) paired
-    with adj_f(p).  ``covariants`` is never built here, and no form is
-    converted: the chain's forms are evaluated at the coprime integer
-    coordinates of p (``projective_ints``), which gives integers when F has
-    integer coefficients.  The conic is homogeneous in the point, so that
-    scale and its sign go once the conic is made canonical.
-    """
+def _rational_point(p):
+    """The coordinates of the projective point p as three rationals."""
     try:
         point = tuple(Fraction(v) for v in p)
     except (TypeError, ValueError):
         raise IrrationalPoint(f"point coordinates must be rational: {p!r}") from None
     if len(point) != 3 or not any(point):
         raise DifferentialError(f"need a projective point, got {p!r}")
-    chain = hessian(F).chain
+    return point
+
+
+def _integer_terms(F: MPoly):
+    """(den, terms) with terms the term dict of den * F, den the least
+    common denominator of F's coefficients."""
+    den = _denominator(F.terms.values())
+    if den == 1:
+        return 1, F.terms
+    return den, {e: c.numerator * (den // c.denominator) for e, c in F.terms.items()}
+
+
+def osculating_conic(F: MPoly, p) -> MPoly:
+    """Canonical primitive conic with fifth-order contact at the smooth,
+    non-inflection rational point p on V(F).
+
+    The conic needs the Hessian chain at p alone, up to the second partials
+    of H, which are fourth partials of F: the chain runs on the Taylor jet of
+    order 4 of den * F at the coprime integer coordinates of p
+    (``projective_ints``), den the least common denominator of F's
+    coefficients, and every value below is a jet's constant term, an
+    integer.  The trace covariant at p is the paired trace of adj_f(p) and
+    hess_H(p), and the gradient form grad H(p) paired with adj_f(p).  The
+    conic is homogeneous in the point and in F's coefficients, so those
+    scales and their signs go once it is made canonical.
+    """
+    point = _rational_point(p)
+    d = _degree(F)
     shown = _point_str(point)
-    at = projective_ints(point)
-    if chain.f.eval(at) != 0:
+    chain = _chain(TaylorJet.of(_integer_terms(F)[1], d, projective_ints(point), 4), d)
+    if chain.f.value != 0:
         raise PointNotOnCurve(f"F does not vanish at {shown}")
-    grads = [g.eval(at) for g in chain.grad_f]
+    grads = [g.value for g in chain.grad_f]
     if not any(grads):
         raise SingularPoint(f"the curve is singular at {shown}")
-    h_at = chain.H.eval(at)
+    h_at = chain.H.value
     if h_at == 0:
         raise InflectionPoint(f"the Hessian vanishes at {shown}")
-    adj6 = [q.eval(at) for q in chain.adj_f]
-    hess6 = [q.eval(at) for q in chain.hess_h]
-    dh = [g.eval(at) for g in chain.grad_h]
+    adj6 = [q.value for q in chain.adj_f]
+    hess6 = [q.value for q in chain.hess_h]
+    dh = [g.value for g in chain.grad_h]
     n = -3 * _paired_trace(adj6, hess6) * h_at + 4 * _quadratic_form(adj6, dh)
     # conic = d2f - (dh * 2/(3H) + df * n/(9H^3)) * df, with d2f the Hessian
     # form at p and df, dh the tangent forms of F and H, here times 9H^3;
@@ -335,7 +419,7 @@ def osculating_conic(F: MPoly, p) -> MPoly:
     s = 9 * h_at**3
     l0, l1, l2 = (6 * h_at * h_at * hv + n * fv for hv, fv in zip(dh, grads))
     g0, g1, g2 = grads
-    a, b, c, f, g, h = (s * q.eval(at) for q in chain.hess_f)
+    a, b, c, f, g, h = (s * q.value for q in chain.hess_f)
     return conic((
         a - l0 * g0, b - l1 * g1, c - l2 * g2,
         2 * f - l1 * g2 - l2 * g1, 2 * g - l0 * g2 - l2 * g0, 2 * h - l0 * g1 - l1 * g0,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import comb, gcd, lcm
 from operator import add, mul, sub
@@ -214,6 +215,9 @@ _LOOP_PAIRS_PER_SLOT = 8
 _PACK_MIN_PAIRS = 64
 _PACK_MIN_TERMS = 3
 
+# ``_bias`` keeps its last _BIAS_CACHE results.
+_BIAS_CACHE = 256
+
 
 def _dense_ints(coeffs, lo, n):
     """(u, den) with u[i] = den * coeffs[lo + i] for i < n, den the least
@@ -250,8 +254,11 @@ def _pack(u, w):
     return int.from_bytes(raw, "little") - _bias(w, len(u))
 
 
+@lru_cache(maxsize=_BIAS_CACHE)
 def _bias(w, k):
-    """The integer of k fields of w bytes, each holding 2^(8w - 1)."""
+    """The integer of k fields of w bytes, each holding 2^(8w - 1); the
+    same few (w, k) recur from call to call, so the last _BIAS_CACHE are
+    kept."""
     return int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * k, "little")
 
 

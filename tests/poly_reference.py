@@ -9,6 +9,9 @@ library keeps a symmetric 3x3 matrix as the 6-vector of its entries in
 The library computes the Hessian chain of a dense curve on dense
 ``TernaryForm``s; the ``*_reference`` functions compute the same formulas
 on sparse ``MPoly`` forms, with rational coefficients and no scaling.
+The library reads the osculating conic off the chain of F's Taylor jet at
+the point; ``osculating_conic_reference`` is the conic it replaced, which
+builds the whole chain with ``hessian`` and evaluates its forms there.
 The library multiplies ``TernaryForm``s row by row; ``padded_product`` is
 the one two-dimensional Kronecker multiply it replaced.
 
@@ -67,6 +70,11 @@ from sextactic.differential import (
     DegreeTooSmall,
     DifferentialError,
     HessianVanishes,
+    InflectionPoint,
+    IrrationalPoint,
+    PointNotOnCurve,
+    SingularPoint,
+    hessian,
 )
 from sextactic.parse import ALPHABETS, ParseError, SourceSpan
 from sextactic.poly import (
@@ -81,6 +89,7 @@ from sextactic.poly import (
     TernaryForm,
     _coeff_str,
     _dense,
+    _point_str,
     _digits,
     _form,
     _pack,
@@ -88,6 +97,7 @@ from sextactic.poly import (
     _u_at,
     _u_trim,
     binaryform_gcd,
+    conic,
     digit_width,
     exact_div,
     primitive_ints,
@@ -415,6 +425,41 @@ def second_hessian_reference(F: MPoly, variant: str = "corrected") -> MPoly:
         + (d - 2) * (12 * d - 27) * bundle.H * jac_hess
         - kappa * (d - 2) * (d - 2) * jac_form
     )
+
+
+def osculating_conic_reference(F: MPoly, p) -> MPoly:
+    """``osculating_conic`` from the forms of ``hessian(F).chain``, each
+    evaluated at the coprime integer coordinates of p, with the same checks
+    in the same order and the same error texts."""
+    try:
+        point = tuple(Fraction(v) for v in p)
+    except (TypeError, ValueError):
+        raise IrrationalPoint(f"point coordinates must be rational: {p!r}") from None
+    if len(point) != 3 or not any(point):
+        raise DifferentialError(f"need a projective point, got {p!r}")
+    chain = hessian(F).chain
+    shown = _point_str(point)
+    at = projective_ints(point)
+    if chain.f.eval(at) != 0:
+        raise PointNotOnCurve(f"F does not vanish at {shown}")
+    grads = [g.eval(at) for g in chain.grad_f]
+    if not any(grads):
+        raise SingularPoint(f"the curve is singular at {shown}")
+    h_at = chain.H.eval(at)
+    if h_at == 0:
+        raise InflectionPoint(f"the Hessian vanishes at {shown}")
+    adj6 = [q.eval(at) for q in chain.adj_f]
+    hess6 = [q.eval(at) for q in chain.hess_h]
+    dh = [g.eval(at) for g in chain.grad_h]
+    n = -3 * _paired_trace(adj6, hess6) * h_at + 4 * _paired_trace(adj6, veronese(*dh))
+    s = 9 * h_at**3
+    l0, l1, l2 = (6 * h_at * h_at * hv + n * fv for hv, fv in zip(dh, grads))
+    g0, g1, g2 = grads
+    a, b, c, f, g, h = (s * q.eval(at) for q in chain.hess_f)
+    return conic((
+        a - l0 * g0, b - l1 * g1, c - l2 * g2,
+        2 * f - l1 * g2 - l2 * g1, 2 * g - l0 * g2 - l2 * g0, 2 * h - l0 * g1 - l1 * g0,
+    )).canonical()
 
 
 # Every punctuation character the grammars use, with its token kind.

@@ -15,6 +15,7 @@ from poly_reference import (
     gradient_form_bordered,
     hessian_reference,
     matmul,
+    osculating_conic_reference,
     second_hessian_reference,
     sym3,
 )
@@ -24,13 +25,16 @@ from sextactic.differential import (
     DegreeTooSmall,
     HessianVanishes,
     InflectionPoint,
+    IrrationalPoint,
     PointNotOnCurve,
     SingularPoint,
     covariants,
     hessian,
     osculating_conic,
     second_hessian,
+    second_hessian_at,
 )
+from sextactic.jet import TaylorJet
 from sextactic.poly import (
     XYZ,
     MPoly,
@@ -313,7 +317,7 @@ class TestDerivativeCount:
     @pytest.fixture
     def partial_calls(self, monkeypatch):
         calls = []
-        for cls in (MPoly, TernaryForm):
+        for cls in (MPoly, TernaryForm, TaylorJet):
             partial = cls.partial
 
             def spy(self, var, partial=partial):
@@ -348,6 +352,17 @@ class TestDerivativeCount:
         # for the gradient of the gradient form
         assert len(partial_calls) == 42
         assert {cls for cls, _ in partial_calls} == {kind}
+
+    @pytest.mark.parametrize("curve", sorted(CURVES))
+    def test_at_a_point(self, partial_calls, curve):
+        # the same chains on F's Taylor jet: no form is differentiated
+        f, _ = self.CURVES[curve]
+        p = (1, 3, 2)
+        assert hessian(f).H.eval(p)
+        partial_calls.clear()
+        second_hessian_at(f, p)
+        assert len(partial_calls) == 42
+        assert {cls for cls, _ in partial_calls} == {TaylorJet}
 
 
 class TestCovariants:
@@ -540,10 +555,10 @@ class TestOsculatingConic:
         assert conic == 2 * X**2 + Y**2 + Z**2 + 3 * X * Z
 
     def test_no_polynomial_product_outside_hessian(self, monkeypatch):
-        # with the Hessian bundle precomputed, the conic is assembled from
-        # values at the point as a 6-vector: neither an MPoly nor a dense
-        # form is multiplied
-        assert_no_product_outside_hessian(
+        # the conic is read off F's Taylor jet at the point and assembled
+        # from values as a 6-vector: neither the Hessian chain of forms is
+        # built, nor an MPoly or a dense form multiplied
+        assert_no_form_product(
             monkeypatch, NODAL_CUBIC, (-1, 0, 1), 2 * X**2 + Y**2 + Z**2 + 3 * X * Z
         )
 
@@ -565,17 +580,19 @@ class TestOsculatingConic:
         ids=["dense", "sparse"],
     )
     def test_no_polynomial_product_on_either_chain(self, monkeypatch, f, point, want):
-        assert_no_product_outside_hessian(monkeypatch, f, point, want)
+        assert_no_form_product(monkeypatch, f, point, want)
 
 
-def assert_no_product_outside_hessian(monkeypatch, f, point, want):
-    """osculating_conic(f, point) is want, and with ``hessian`` answered from
-    a precomputed bundle it multiplies no MPoly and no TernaryForm, neither
-    one at a time nor as a fused ``TernaryForm.dot``."""
+def assert_no_form_product(monkeypatch, f, point, want):
+    """osculating_conic(f, point) is want; it never calls ``hessian``, and
+    it multiplies no MPoly and no TernaryForm, neither one at a time nor as
+    a fused ``TernaryForm.dot``."""
     from sextactic import differential
 
-    bundle = hessian(f)
     products = []
+
+    def refuse(F):
+        raise AssertionError("osculating_conic called hessian")
 
     def spy_on(cls):
         mul = cls.__mul__
@@ -593,15 +610,15 @@ def assert_no_product_outside_hessian(monkeypatch, f, point, want):
         products.append(tuple(pairs))
         return dot(pairs)
 
-    monkeypatch.setattr(differential, "hessian", lambda F: bundle)
+    monkeypatch.setattr(differential, "hessian", refuse)
     spy_on(MPoly)
     spy_on(TernaryForm)
     monkeypatch.setattr(TernaryForm, "dot", staticmethod(spy_dot))
     conic = osculating_conic(f, point)
     assert products == []
     assert conic == want
-    # the spies see the chain's products when the bundle is computed
-    hessian(f)
+    # the spies see a product of forms
+    f * f
     assert products
 
 
@@ -629,3 +646,203 @@ def symbolic_osculating_conic(bundle, point, grads, h_at):
     )
     conic = d2f - (dh * Fraction(2, 3 * h_at) + df * lam) * df
     return conic.canonical()
+
+
+def outcome(run, *args):
+    """run(*args), or the class and text of the domain error it raises."""
+    try:
+        return run(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def line_through(p, r):
+    """The line det(p, r, (x, y, z)) through the points p and r."""
+    return (
+        (p[1] * r[2] - p[2] * r[1]) * X
+        + (p[2] * r[0] - p[0] * r[2]) * Y
+        + (p[0] * r[1] - p[1] * r[0]) * Z
+    )
+
+
+def plant(f, p):
+    """f with the coefficient of its first monomial that is nonzero at p
+    moved so that f vanishes at p; f when it has none."""
+    for e in f.terms:
+        m = MPoly(XYZ, {e: 1})
+        if m.eval(p):
+            return f - Fraction(f.eval(p)) / m.eval(p) * m
+    return f
+
+
+small_rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3, 5]))
+rational_points = st.tuples(small_rationals, small_rationals, small_rationals).filter(any)
+
+
+@st.composite
+def forms(draw, degrees):
+    """A nonzero form of a degree in ``degrees``: dense (every monomial) or
+    on a few monomials, with int or Fraction coefficients."""
+    d = draw(st.sampled_from(degrees))
+    monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    if draw(st.booleans()):
+        chosen = monomials
+    else:
+        chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=6, unique=True))
+    coeffs = draw(st.sampled_from([st.integers(-5, 5), small_rationals]))
+    terms = {e: draw(coeffs) for e in chosen}
+    if not any(terms.values()):
+        terms[chosen[0]] = 1
+    return MPoly(XYZ, terms)
+
+
+@st.composite
+def conic_inputs(draw):
+    """(F, p) for ``osculating_conic``: F of degree 3..8 through the rational
+    point p, or singular at p, or with a line through p as a component (a
+    flex), or off it; or an F or a p that is refused before any of these."""
+    f = draw(forms(list(range(3, 9))))
+    p = draw(rational_points)
+    kind = draw(st.sampled_from(
+        ["on"] * 6 + ["off", "singular", "line", "low", "mixed", "irrational", "short"]
+    ))
+    d = f.degree()
+    r, s = draw(rational_points), draw(rational_points)
+    if kind in ("singular", "line"):
+        rest = draw(forms([d - 2 if kind == "singular" else d - 1]))
+        f = line_through(p, r) * (line_through(p, s) if kind == "singular" else 1) * rest
+    elif kind == "low":
+        f = draw(forms([1, 2]))
+    elif kind == "mixed":
+        f = f + X ** (d - 1)
+    if kind in ("on", "low", "mixed") and not f.is_zero():
+        f = plant(f, p)
+    if kind == "irrational":
+        p = (p[0], "sqrt(2)", p[2])
+    elif kind == "short":
+        p = p[:2]
+    return f, p
+
+
+class TestOsculatingConicAgainstChain:
+    """The conic from F's Taylor jet at the point against the one from the
+    forms of the Hessian chain (``osculating_conic_reference``)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(conic_inputs())
+    def test_matches_reference(self, case):
+        f, p = case
+        want = outcome(osculating_conic_reference, f, p)
+        assert outcome(osculating_conic, f, p) == want
+
+    @pytest.mark.parametrize(
+        "f, p, error",
+        [
+            (NODAL_CUBIC, (1, 1, 1), PointNotOnCurve),
+            (NODAL_CUBIC, (0, 0, 1), SingularPoint),
+            (NODAL_CUBIC, (0, 1, 0), InflectionPoint),
+            (X**2 + Y * Z, (0, 0, 1), DegreeTooSmall),
+            (X**3 + Y, (0, 0, 1), NotHomogeneous),
+            (NODAL_CUBIC, ("a", 0, 1), IrrationalPoint),
+            # the point is checked before the curve, the curve before the
+            # point's place on it
+            (X**2 + Y * Z, ("a", 0, 1), IrrationalPoint),
+            (X**3 + Y, (1, 1, 1), NotHomogeneous),
+        ],
+    )
+    def test_each_refusal_as_the_reference(self, f, p, error):
+        want = outcome(osculating_conic_reference, f, p)
+        assert want[0] is error
+        assert outcome(osculating_conic, f, p) == want
+
+    @pytest.mark.parametrize("p", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 0), (0, -1, 4), (-5, 0, 7)])
+    def test_points_with_zero_coordinates(self, p):
+        # the jet's Euler step divides by a nonzero coordinate, whichever
+        f = plant(dense_form(random.Random(f"zeros/{p}"), 5), p)
+        assert outcome(osculating_conic, f, p) == outcome(osculating_conic_reference, f, p)
+
+    @pytest.mark.parametrize("degree", range(3, 9))
+    def test_dense_curves_through_planted_points(self, degree):
+        # as the benchmark plants them: (a : b : 1), |a|, |b| <= 1, here also
+        # at rational points and with Fraction coefficients
+        rng = random.Random(f"planted/{degree}")
+        for k in range(4):
+            f = dense_form(rng, degree) * (Fraction(1, rng.randint(1, 9)) if k % 2 else 1)
+            p = (rng.randint(-1, 1), Fraction(rng.randint(-3, 3), 2) if k > 1 else rng.randint(-1, 1), 1)
+            f = f - Fraction(f.eval(p)) * Z**degree
+            assert outcome(osculating_conic, f, p) == outcome(osculating_conic_reference, f, p)
+
+    def test_sparse_high_degree(self):
+        f = X**20 + Y**20 - 2 * Z**20
+        assert osculating_conic(f, (1, 1, 1)) == osculating_conic_reference(f, (1, 1, 1))
+
+
+@st.composite
+def h2_inputs(draw):
+    """(F, p): F of degree 3..8 and any rational point p; or a cone, whose
+    Hessian vanishes; or a line through p times a form, so that H vanishes
+    at p but not everywhere."""
+    f = draw(forms(list(range(3, 9))))
+    p = draw(rational_points)
+    kind = draw(st.sampled_from(["any", "any", "any", "cone", "line"]))
+    d = f.degree()
+    if kind == "cone":
+        a, b = line_through(p, draw(rational_points)), line_through(p, draw(rational_points))
+        f = sum((draw(small_rationals) * a**i * b ** (d - i) for i in range(d + 1)), MPoly.zero(XYZ))
+    elif kind == "line":
+        f = line_through(p, draw(rational_points)) * draw(forms([d - 1]))
+    return f, p
+
+
+class TestSecondHessianAt:
+    """H2 at a point from F's Taylor jet of order 5 against the value of
+    the whole 2-Hessian there."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(h2_inputs(), st.sampled_from(VARIANTS))
+    def test_matches_value_of_second_hessian(self, case, variant):
+        f, p = case
+        want = outcome(lambda: second_hessian(f, variant).eval(p))
+        assert outcome(second_hessian_at, f, p, variant) == want
+
+    @pytest.mark.parametrize(
+        "f, error",
+        [
+            (X**3, HessianVanishes),
+            (X**2 * Y, HessianVanishes),
+            ((X + Y) ** 4 - (X - 2 * Y) ** 4, HessianVanishes),
+            (X**2 + Y * Z, DegreeTooSmall),
+            (MPoly.zero(XYZ), DegreeTooSmall),
+            (X**3 + Y, NotHomogeneous),
+        ],
+    )
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_refuses_what_second_hessian_refuses(self, f, error, variant):
+        want = outcome(second_hessian, f, variant)
+        assert want[0] is error
+        for p in [(1, 2, 3), (0, 0, 1), (Fraction(1, 2), -1, 0)]:
+            assert outcome(second_hessian_at, f, p, variant) == want
+
+    def test_refuses_a_bad_variant_and_point(self):
+        assert outcome(second_hessian_at, QUARTIC, (1, 2, 3), "classic")[0] is not None
+        assert outcome(second_hessian_at, QUARTIC, ("a", 2, 3))[0] is IrrationalPoint
+        assert outcome(second_hessian_at, QUARTIC, (0, 0, 0))[1] == "need a projective point, got (0, 0, 0)"
+
+    @pytest.mark.parametrize("degree", [3, 6, 10])
+    def test_dense_curves_at_integer_and_rational_points(self, degree):
+        rng = random.Random(f"h2at/{degree}")
+        f = dense_form(rng, degree)
+        forms = {v: second_hessian(f, v) for v in VARIANTS}
+        for _ in range(3):
+            p = (rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-9, 9))
+            for v in VARIANTS:
+                assert second_hessian_at(f, p, v) == forms[v].eval(p)
+
+    def test_a_point_of_the_curve_on_a_line_component(self):
+        # H vanishes along the line x = 0 but not everywhere: the value is
+        # read off the jet after ``hessian`` rules out a vanishing H
+        f = X * (Y**3 + Z**3 + X * Y * Z)
+        p = (0, 1, -1)
+        assert hessian(f).H.eval(p) == 0
+        for v in VARIANTS:
+            assert second_hessian_at(f, p, v) == second_hessian(f, v).eval(p)

@@ -22,7 +22,8 @@ from poly_reference import (
     series_str_reference,
     terms_str_reference,
 )
-from sextactic import poly
+from sextactic import jet, poly
+from sextactic.jet import TaylorJet
 from sextactic.poly import (
     CONIC_BASIS,
     ST,
@@ -1593,3 +1594,56 @@ class TestCanonical:
         assert str(MPoly.zero(XYZ)) == "0"
         assert str(MPoly.constant(XYZ, Fraction(3, 2))) == "3/2"
         assert str(X - Y) == "x - y"
+
+
+def taylor_coefficients(f, q, n):
+    """The partials of f of multi-index e at q over e!, for |e| <= n, in
+    ``_jet_monomials`` order."""
+    out = []
+    for e in jet._jet_monomials(n)[0]:
+        p = f
+        for v, k in zip(XYZ, e):
+            for _ in range(k):
+                p = p.partial(v)
+        out.append(p.eval(q) // (math.factorial(e[0]) * math.factorial(e[1]) * math.factorial(e[2])))
+    return out
+
+
+@st.composite
+def jet_cases(draw):
+    """(f, g, q, d, n, m): two integer forms of one degree d = 1..7 on
+    random monomials, an integer point with any of its coordinates zero,
+    and two orders 0..6."""
+    d = draw(st.integers(1, 7))
+    monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    f, g = (
+        MPoly(XYZ, draw(st.dictionaries(st.sampled_from(monomials), st.integers(-9, 9), min_size=1)))
+        for _ in range(2)
+    )
+    q = draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(any))
+    return f, g, q, d, draw(st.integers(0, 6)), draw(st.integers(0, 6))
+
+
+class TestTaylorJet:
+    """``TaylorJet`` against the partials of ``MPoly`` forms at the point."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(jet_cases())
+    def test_ring_operations_and_partials(self, case):
+        f, g, q, d, n, m = case
+        a = TaylorJet.of(f.terms, d, q, n)
+        b = TaylorJet.of(g.terms, d, q, m)
+        assert a.coeffs == taylor_coefficients(f, q, n)
+        low = min(n, m)
+        assert (a * b).order == (a + b).order == low
+        assert (a * b).coeffs == taylor_coefficients(f * g, q, low)
+        assert (a - b).coeffs == taylor_coefficients(f - g, q, low)
+        assert (3 * a).coeffs == taylor_coefficients(3 * f, q, n)
+        assert TaylorJet.dot([(2, a, b), (-1, b, a)]).coeffs == taylor_coefficients(f * g, q, low)
+        if n:
+            for v in XYZ:
+                assert a.partial(v).coeffs == taylor_coefficients(f.partial(v), q, n - 1)
+
+    def test_a_jet_of_order_0_has_no_partials(self):
+        with pytest.raises(PolyError):
+            TaylorJet.of({(1, 0, 0): 1}, 1, (1, 0, 0), 0).partial("x")
