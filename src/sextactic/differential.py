@@ -307,7 +307,8 @@ def second_hessian_at(F: MPoly, p, variant: str = "corrected"):
     """``second_hessian(F, variant)`` at the rational point p, an int or a
     Fraction, read off the Hessian chain of F's Taylor jet of order 5 at p:
     H2 takes fifth partials of F, and no form of degree above that of F is
-    built.  It refuses the F that ``second_hessian`` refuses.
+    built.  It refuses the F that ``second_hessian`` refuses: when H
+    vanishes at p, ``hessian`` decides whether it vanishes everywhere.
 
     The jet is taken of den * F at m * p, den and m the least common
     denominators of F's coefficients and of p, so it has integer entries;
