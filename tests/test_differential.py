@@ -824,7 +824,9 @@ class TestSecondHessianAt:
             assert outcome(second_hessian_at, f, p, variant) == want
 
     def test_refuses_a_bad_variant_and_point(self):
-        assert outcome(second_hessian_at, QUARTIC, (1, 2, 3), "classic")[0] is not None
+        assert outcome(second_hessian_at, QUARTIC, (1, 2, 3), "classic") == outcome(
+            second_hessian, QUARTIC, "classic"
+        )
         assert outcome(second_hessian_at, QUARTIC, ("a", 2, 3))[0] is IrrationalPoint
         assert outcome(second_hessian_at, QUARTIC, (0, 0, 0))[1] == "need a projective point, got (0, 0, 0)"
 
