@@ -18,15 +18,14 @@ from math import gcd, lcm
 from .census import check_multiplicity_sequence
 # CONIC_BASIS is re-exported: the ladder's witnesses are written in its order
 from .poly import (
-    _SLOTS_PER_TERM,
     CONIC_BASIS,
     MPoly,
     _digits,
     _is_int,
     _pack,
-    conic,
+    canonical_conic,
+    dense_enough,
     digit_width,
-    primitive_ints,
     veronese,
 )
 from .series import TruncSeries
@@ -64,10 +63,10 @@ class BranchParam:
     Stored as what the ladder reads: ``den``, the least positive integer D
     that makes D x, D y and D z integral; ``truncs``, the three truncations;
     and ``ints``, D times each coordinate, which is the same projective
-    branch.  When ``_is_dense`` takes the branch, each of ``ints`` is a dense
-    int list whose entry e is the coefficient of t^e below that coordinate's
-    truncation; otherwise each is an integer ``TruncSeries``.  ``x``, ``y``
-    and ``z`` are rational ``TruncSeries`` views, built when read.
+    branch.  When ``poly.dense_enough`` takes it, each of ``ints`` is a
+    dense int list whose entry e is the coefficient of t^e below that
+    coordinate's truncation, and otherwise an integer ``TruncSeries``.
+    ``x``, ``y`` and ``z`` are rational ``TruncSeries`` views, built when read.
     """
 
     __slots__ = ("den", "truncs", "ints")
@@ -90,8 +89,9 @@ class BranchParam:
 
     def _store(self, den, truncs, terms):
         # dense or sparse from the counts alone, so that no list is
-        # allocated for a sparse branch with a long truncation
-        dense = _is_dense(truncs, [len(triples) for triples in terms])
+        # allocated for a sparse branch with a long truncation; counted over
+        # all three coordinates, since z is often the constant 1
+        dense = dense_enough(sum(truncs), sum(map(len, terms)))
         ints = []
         for t, triples in zip(truncs, terms):
             if dense:
@@ -160,11 +160,11 @@ class ValuationLadder:
     @property
     def witnesses(self) -> tuple:
         if self._witnesses is None:
-            self._witnesses = tuple(map(_witness, self._vectors))
+            self._witnesses = tuple(map(canonical_conic, self._vectors))
         return self._witnesses
 
     def witness_for(self, order: int) -> MPoly:
-        return _witness(self._vectors[self.orders.index(order)])
+        return canonical_conic(self._vectors[self.orders.index(order)])
 
     def __eq__(self, other):
         if not isinstance(other, ValuationLadder):
@@ -177,14 +177,6 @@ class ValuationLadder:
         return f"ValuationLadder(orders={self.orders!r}, witnesses={self.witnesses!r})"
 
 
-def _witness(vec) -> MPoly:
-    """The conic of ``vec`` made primitive, its graded-lex leading term
-    positive, as ``MPoly.canonical`` would: that order on CONIC_BASIS is
-    x^2, xy, xz, y^2, yz, z^2, the indices 0, 5, 4, 1, 3, 2."""
-    lead = next(c for i in (0, 5, 4, 1, 3, 2) if (c := vec[i]))
-    return conic(primitive_ints(vec, lead)[0])
-
-
 @dataclass(frozen=True)
 class WeightReport:
     w2: int
@@ -194,15 +186,6 @@ class WeightReport:
     l: int
     c: "int | None"
     sextactic_order: "int | None"
-
-
-def _is_dense(truncs, counts) -> bool:
-    """Whether coordinates of these truncations and numbers of stored terms
-    hold at least one term per _SLOTS_PER_TERM slots below their
-    truncations, the rule of ``poly.kronecker_product`` counted over all
-    three (z is often the constant 1), so that their dense lists stay linear
-    in the input."""
-    return sum(truncs) <= _SLOTS_PER_TERM * sum(counts)
 
 
 # The dense ladder and line orders first eliminate on the coordinates'
@@ -421,8 +404,11 @@ def cusp_contact_constraints(ms, d: int, l=None, c=None) -> ContactReport:
     """
     ms = list(ms)
     check_multiplicity_sequence(ms, BranchError)
-    if not isinstance(d, int) or d < 3:
+    if not _is_int(d) or d < 3:
         raise BranchError(f"need an integer curve degree d >= 3, got {d!r}")
+    for name, v in (("l", l), ("c", c)):
+        if v is not None and not _is_int(v):
+            raise BranchError(f"{name} must be an integer, got {v!r}")
     m = ms[0]
     ext = ms + [1]
     candidates = []  # (k, k*m + m_k) while the prefix stays constant

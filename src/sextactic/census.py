@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .poly import _is_int
+
 
 class CensusError(ValueError):
     pass
@@ -22,7 +24,7 @@ ROLES = ("cusp", "inflection", "smooth")
 def check_multiplicity_sequence(ms, error):
     """Raise ``error`` unless ``ms`` is a nonempty, non-increasing sequence
     of positive integers; the message shows ``ms`` by its own repr."""
-    if not ms or any(not isinstance(v, int) or v < 1 for v in ms):
+    if not ms or any(not _is_int(v) or v < 1 for v in ms):
         raise error(f"malformed multiplicity sequence {ms!r}")
     if any(a < b for a, b in zip(ms, ms[1:])):
         raise error(f"multiplicity sequence must be non-increasing: {ms!r}")
@@ -47,9 +49,9 @@ class PointRecord:
     def __post_init__(self):
         if self.role not in ROLES:
             raise CensusError(f"unknown role {self.role!r}; expected one of {ROLES}")
-        if not (isinstance(self.m, int) and self.m >= 1):
+        if not (_is_int(self.m) and self.m >= 1):
             raise CensusError(f"multiplicity must be a positive integer, got {self.m!r}")
-        if not (isinstance(self.l, int) and self.l > self.m):
+        if not (_is_int(self.l) and self.l > self.m):
             raise CensusError(f"tangent contact l must exceed m={self.m}, got {self.l!r}")
         if self.role == "inflection" and (self.m != 1 or self.l < 3):
             raise CensusError(f"inflection records need m=1 and l>=3, got m={self.m}, l={self.l}")
@@ -62,12 +64,18 @@ class PointRecord:
                 raise CensusError(
                     f"record with l = 2m = {self.l} requires the conic contact order c"
                 )
+            if not _is_int(self.c):
+                raise CensusError(f"conic contact order c must be an integer, got {self.c!r}")
             if self.c <= 2 * self.m or self.c in (3 * self.m, 4 * self.m):
                 raise CensusError(
                     f"c={self.c} violates c > {2*self.m}, c != {3*self.m}, {4*self.m}"
                 )
         elif self.c is not None:
             raise CensusError(f"c given but l != 2m (l={self.l}, m={self.m})")
+        if self.delta is not None and not _is_int(self.delta):
+            raise CensusError(f"delta must be an integer, got {self.delta!r}")
+        if self.label is not None and not isinstance(self.label, str):
+            raise CensusError(f"label must be a string, got {self.label!r}")
         if self.ms is not None:
             ms = tuple(self.ms)
             check_multiplicity_sequence(ms, CensusError)
@@ -111,9 +119,9 @@ class CurveProfile:
     points: tuple
 
     def __post_init__(self):
-        if not (isinstance(self.d, int) and self.d >= 3):
+        if not (_is_int(self.d) and self.d >= 3):
             raise CensusError(f"need an integer degree d >= 3, got {self.d!r}")
-        if not (isinstance(self.g, int) and self.g >= 0):
+        if not (_is_int(self.g) and self.g >= 0):
             raise CensusError(f"need a non-negative integer genus, got {self.g!r}")
 
     def multibranch_labels(self):
@@ -140,21 +148,17 @@ class CurveProfile:
         """
         points = tuple(points)
         if _shared_labels(points) and not per_branch:
-            raise CensusError(
-                "records share point labels; rerun in per-branch mode"
-            )
+            raise CensusError("records share point labels; rerun in per-branch mode")
         deltas = [p.delta for p in points]
         clebsch = None
         if not per_branch:
-            if any(v is None for v in deltas):
-                missing = [p for p, v in zip(points, deltas) if v is None]
-                if g is None:
-                    raise CensusError(
-                        f"cannot resolve the genus: {len(missing)} record(s) "
-                        "lack delta / multiplicity sequence"
-                    )
-            else:
+            if None not in deltas:
                 clebsch = (d - 1) * (d - 2) // 2 - sum(deltas)
+            elif g is None:
+                raise CensusError(
+                    f"cannot resolve the genus: {deltas.count(None)} record(s) "
+                    "lack delta / multiplicity sequence"
+                )
         if g is None:
             if per_branch:
                 raise CensusError("per-branch profiles must state the genus")

@@ -29,7 +29,7 @@ from .poly import (
     _denominator,
     _point_str,
     _ratio,
-    conic,
+    canonical_conic,
     fills_triangles,
     projective_ints,
 )
@@ -421,7 +421,7 @@ def osculating_conic(F: MPoly, p) -> MPoly:
     l0, l1, l2 = (6 * h_at * h_at * hv + n * fv for hv, fv in zip(dh, grads))
     g0, g1, g2 = grads
     a, b, c, f, g, h = (s * q.value for q in chain.hess_f)
-    return conic((
+    return canonical_conic((
         a - l0 * g0, b - l1 * g1, c - l2 * g2,
         2 * f - l1 * g2 - l2 * g1, 2 * g - l0 * g2 - l2 * g0, 2 * h - l0 * g1 - l1 * g0,
-    )).canonical()
+    ))

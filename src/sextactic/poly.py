@@ -174,11 +174,9 @@ _WORDS = (
 # is flipped, and the other way round
 _FLIP = bytes(range(128, 256)) + bytes(range(128))
 
-# The kernel packs two operands only when their dense slots number at most
-# _SLOTS_PER_TERM times their stored terms, so its memory stays linear in the
-# input however sparse the operands are; ternary forms become
-# ``TernaryForm``s only when their triangles pass the same test
-# (``fills_triangles``).
+# Only operands with at most _SLOTS_PER_TERM dense slots per stored term
+# (``dense_enough``) pack, become ``TernaryForm``s or dense branch lists, so
+# memory stays linear in the stored terms however sparse the input is.
 _SLOTS_PER_TERM = 4
 
 # _pack runs Horner up to _HORNER_MAX_DIGITS + 64 // w digits of w bytes.
@@ -214,6 +212,18 @@ _LOOP_PAIRS_PER_SLOT = 8
 # one 0.86 to 0.99; three terms give 1.07 at 3x28 and 1.34 at 3x91.
 _PACK_MIN_PAIRS = 64
 _PACK_MIN_TERMS = 3
+
+
+def dense_enough(slots, stored):
+    """Whether ``stored`` terms fill ``slots`` dense slots densely enough
+    to be kept as dense lists (_SLOTS_PER_TERM)."""
+    return slots <= _SLOTS_PER_TERM * stored
+
+
+def worth_packing(m, n):
+    """Whether a product of operands of m and n stored terms packs rather
+    than loops over term pairs (_PACK_MIN_PAIRS, _PACK_MIN_TERMS)."""
+    return m * n >= _PACK_MIN_PAIRS and min(m, n) >= _PACK_MIN_TERMS
 
 
 def _dense_ints(coeffs, lo, n):
@@ -313,7 +323,7 @@ def kronecker_product(a, b, end=None):
     """Nonzero coefficients of the product of two nonempty slot -> coefficient
     dicts, keyed by slot in ascending order and only below ``end`` (above
     min(a) + min(b)) when given; None when the operands are too sparse to
-    pack, with over _SLOTS_PER_TERM dense slots per stored term.
+    pack (``dense_enough``).
 
     Kronecker substitution (Fateman 2005): each operand, over its common
     denominator, becomes the integer sum u[i] * 2^(bits*i) over its dense
@@ -327,7 +337,7 @@ def kronecker_product(a, b, end=None):
         # operand slots at or past k cannot reach the kept part of the product
         k = min(k, end - lo_a - lo_b)
         na, nb = min(na, k), min(nb, k)
-    if na + nb > _SLOTS_PER_TERM * (len(a) + len(b)):
+    if not dense_enough(na + nb, len(a) + len(b)):
         return None
     u, da = _dense_ints(a, lo_a, na)
     v, db = _dense_ints(b, lo_b, nb)
@@ -388,10 +398,8 @@ def _cofactor(terms, m):
 
 def fills_triangles(stored, *degrees):
     """Whether ``stored`` terms fill ternary forms of these degrees densely
-    enough to keep them as ``TernaryForm``s: their triangles have at most
-    _SLOTS_PER_TERM entries per stored term, so the dense lists stay linear
-    in the terms."""
-    return sum(map(_triangle, degrees)) <= _SLOTS_PER_TERM * stored
+    enough (``dense_enough``) to keep them as ``TernaryForm``s."""
+    return dense_enough(sum(map(_triangle, degrees)), stored)
 
 
 def _triangle(d):
@@ -553,9 +561,7 @@ class MPoly:
         a, b = self.terms, other.terms
         if not a or not b:
             return MPoly.zero(self.variables)
-        terms = None
-        if len(a) * len(b) >= _PACK_MIN_PAIRS and min(len(a), len(b)) >= _PACK_MIN_TERMS:
-            terms = _packed_mul(a, b, len(self.variables))
+        terms = _packed_mul(a, b, len(self.variables)) if worth_packing(len(a), len(b)) else None
         if terms is None:
             if len(a) > len(b):
                 a, b = b, a
@@ -698,13 +704,18 @@ class MPoly:
 
 
 def conic(six) -> MPoly:
-    """The conic sum six[i] * CONIC_BASIS[i] in (x, y, z), for rational six;
-    dual to ``veronese``: conic(six) at p is six paired with veronese(*p).
-    Six ints and Fractions skip ``MPoly``'s checks of each term."""
-    six = tuple(six)
-    if all(type(c) is int or type(c) is Fraction for c in six):
-        return MPoly._make(XYZ, dict(zip(CONIC_BASIS, map(_norm, six))))
-    return MPoly(XYZ, dict(zip(CONIC_BASIS, six)))
+    """The conic sum six[i] * CONIC_BASIS[i] in (x, y, z), for six ints and
+    Fractions; dual to ``veronese``: conic(six) at p is six paired with
+    veronese(*p)."""
+    return MPoly._make(XYZ, dict(zip(CONIC_BASIS, map(_norm, six))))
+
+
+def canonical_conic(six) -> MPoly:
+    """``conic(six).canonical()`` for a sequence of six ints and Fractions,
+    the zero conic for six zeros.  The graded-lex order on CONIC_BASIS is
+    x^2, xy, xz, y^2, yz, z^2, the indices 0, 5, 4, 1, 3, 2."""
+    lead = next((c for i in (0, 5, 4, 1, 3, 2) if (c := six[i])), 0)
+    return conic(primitive_ints(six, lead)[0] if lead else six)
 
 
 def exact_div(f: MPoly, g: MPoly) -> MPoly:

@@ -32,7 +32,7 @@ from .poly import (
     _u_mul,
     _u_shift,
     binaryform_gcd,
-    conic,
+    canonical_conic,
     digit_width,
     laplace_minors,
     linear_root_form,
@@ -166,9 +166,9 @@ def osculating_conic_family(param: RationalParam, at=None):
     rows = _derivative_rows(veronese(*param.dense, times=_u_mul), 4)
     if at is not None:
         p, q = projective_ints((s0, t0))
-        osc = conic(laplace_minors([[_u_at(u, p, q) for u in row] for row in rows]))
-        if not osc.is_zero():
-            return osc.canonical()
+        six = laplace_minors([[_u_at(u, p, q) for u in row] for row in rows])
+        if any(six):
+            return canonical_conic(six)
     w, ints = _evaluated_rows(rows)
     degree = 10 * param.degree - 20
     minors = tuple(_form(_digits(m, w, degree + 1), 0, 0, ST) for m in laplace_minors(ints))

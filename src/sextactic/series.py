@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import _PACK_MIN_PAIRS, _PACK_MIN_TERMS, _is_int, _norm, _terms_str, kronecker_product
+from .poly import _is_int, _norm, _terms_str, kronecker_product, worth_packing
 
 
 class SeriesError(ValueError):
@@ -91,9 +91,7 @@ class TruncSeries:
             self.trunc + (min(b) if b else other.trunc),
             other.trunc + (min(a) if a else self.trunc),
         )
-        out = None
-        if len(a) * len(b) >= _PACK_MIN_PAIRS and min(len(a), len(b)) >= _PACK_MIN_TERMS:
-            out = kronecker_product(a, b, trunc)
+        out = kronecker_product(a, b, trunc) if worth_packing(len(a), len(b)) else None
         if out is None:
             acc = {}
             get = acc.get

@@ -19,7 +19,7 @@ from poly_reference import (
     whole_line_orders,
     whole_valuation_ladder,
 )
-from sextactic import branch, cli
+from sextactic import branch, cli, poly
 from sextactic.branch import (
     BranchError,
     BranchParam,
@@ -34,7 +34,7 @@ from sextactic.branch import (
     weight2,
 )
 from sextactic.parse import parse_branch
-from sextactic.poly import XYZ, MPoly, conic, veronese
+from sextactic.poly import XYZ, MPoly, canonical_conic, conic, veronese
 from sextactic.series import TruncSeries
 
 
@@ -376,6 +376,22 @@ class TestContactConstraints:
         with pytest.raises(BranchError):
             cusp_contact_constraints([], 5)
 
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            (([2, True], 5), {}, r"malformed multiplicity sequence \[2, True\]"),
+            (([2.0], 5), {}, r"malformed multiplicity sequence \[2.0\]"),
+            (([2, 2], 5.0), {}, "need an integer curve degree d >= 3, got 5.0"),
+            (([2, 2], 5), {"l": 4.0}, "l must be an integer, got 4.0"),
+            (([2, 2], 5), {"l": True}, "l must be an integer, got True"),
+            (([2, 2], 5), {"l": 4, "c": 5.0}, "c must be an integer, got 5.0"),
+        ],
+        ids=["ms-bool", "ms-float", "d-float", "l-float", "l-bool", "c-float"],
+    )
+    def test_refuses_non_integers(self, args, kwargs, message):
+        with pytest.raises(BranchError, match=f"^{message}$"):
+            cusp_contact_constraints(*args, **kwargs)
+
 
 class TestLineOrders:
     def test_reads_m_and_l(self):
@@ -425,10 +441,7 @@ def _branch_coords(draw):
     if c is None:
         y = series(l)
     else:
-        sq = {}
-        for (e1, c1), (e2, c2) in itertools.product(x.items(), repeat=2):
-            if e1 + e2 <= c:
-                sq[e1 + e2] = sq.get(e1 + e2, 0) + c1 * c2 / z0
+        sq = _square_over(x, z0, c)
         y = series(c, {e: v for e, v in sq.items() if e < c})
         y[c] = sq.get(c, 0) + draw(_COEFF)
     z = {0: z0} if c else series(0, {0: z0})
@@ -445,6 +458,16 @@ def _branch_coords(draw):
         i, j = draw(st.permutations(range(3)))[:2]
         coords[i] = coords[i] + coords[j] * draw(st.sampled_from([-2, -1, 1, 3]))
     return draw(st.permutations(coords)), None if zeroed else (m, l, c)
+
+
+def _square_over(x, z0, c):
+    """The coefficients of x^2 / z0 up to t^c, x a dict of coefficients: a
+    y that agrees with them below t^c plants the conic order c."""
+    sq = {}
+    for (e1, c1), (e2, c2) in itertools.product(x.items(), repeat=2):
+        if e1 + e2 <= c:
+            sq[e1 + e2] = sq.get(e1 + e2, 0) + c1 * c2 / z0
+    return sq
 
 
 def _built(case):
@@ -497,13 +520,13 @@ def _assert_matches_reference(b):
 def _spy_on_density(mp):
     """Record each dense-or-sparse choice of the branch ladder."""
     choices = []
-    real = branch._is_dense
+    real = branch.dense_enough
 
-    def spy(truncs, counts):
-        choices.append(real(truncs, counts))
+    def spy(slots, stored):
+        choices.append(real(slots, stored))
         return choices[-1]
 
-    mp.setattr(branch, "_is_dense", spy)
+    mp.setattr(branch, "dense_enough", spy)
     return choices
 
 
@@ -540,7 +563,7 @@ class TestFractionFreeLadder:
     @pytest.mark.parametrize("edge", sorted(EDGES))
     def test_density_edge(self, edge, past):
         x, y, z, truncs = self.EDGES[edge]
-        assert sum(truncs) == branch._SLOTS_PER_TERM * (len(x) + len(y) + len(z))
+        assert sum(truncs) == poly._SLOTS_PER_TERM * (len(x) + len(y) + len(z))
         truncs = truncs[:2] + (truncs[2] + past,)
         with pytest.MonkeyPatch.context() as mp:
             choices = _spy_on_density(mp)
@@ -764,53 +787,95 @@ def _invariants(b):
     return r.ladder.orders, r.m, r.l, r.c, r.w2, r.classification, r.sextactic_order
 
 
+def _corpus_coords(rng, filled):
+    """One seeded case of the laws' corpus, shaped as ``_branch_coords``
+    draws them but resolving by construction: small rational coefficients,
+    no coordinate zeroed, and every truncation 1 to 4 past the top order
+    that the planted (m, l, c) needs.  A ``filled`` case stores every
+    exponent below its truncation, so that it is dense; otherwise each
+    series stores its lead and two more terms, and most such cases are
+    sparse."""
+    m = rng.randint(1, 4)
+    l = rng.choice([2 * m, rng.randint(m + 1, 3 * m + 2)])
+    c = None
+    if l == 2 * m:
+        c = rng.choice([v for v in range(2 * m + 1, 5 * m + 3) if v not in (3 * m, 4 * m)])
+    top = max(2 * l, 4 * m, c + 2 * m if c else 0)
+    trunc = top + rng.randint(1, 4)
+
+    def coeff():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+
+    def series(lead, fixed=()):
+        coeffs = dict(fixed)
+        coeffs.setdefault(lead, coeff())
+        above = range(lead + 1, trunc)
+        for e in above if filled else rng.sample(above, min(2, len(above))):
+            coeffs[e] = coeff()
+        return coeffs
+
+    z0 = coeff()
+    x = series(m)
+    if c is None:
+        y = series(l)
+    else:
+        sq = _square_over(x, z0, c)
+        y = series(c, {e: v for e, v in sq.items() if e < c})
+        y[c] = sq.get(c, 0) + coeff()
+    z = {0: z0} if c else series(0, {0: z0})
+    coords = [TruncSeries({e: v for e, v in s.items() if e < trunc}, trunc) for s in (x, y, z)]
+    if rng.random() < 0.5:
+        i, j = rng.sample(range(3), 2)
+        coords[i] = coords[i] + coords[j] * rng.choice([-2, -1, 1, 3])
+    rng.shuffle(coords)
+    return coords, (m, l, c)
+
+
+def _corpus():
+    """The fixed corpus on which each branch law shows it is not vacuous:
+    150 cases from one seeded stream, filled and sparse in turn, each with
+    the invertible matrix and the two parameter changes the laws apply.
+    Hypothesis's examples, which depend on the literals in the sources,
+    give the laws their breadth; the floors count on this corpus only."""
+    rng = random.Random("branch laws")
+    corpus = []
+    for k in range(150):
+        case = _corpus_coords(rng, filled=k % 2 == 0)
+        while True:
+            a = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+            if _det3(a):
+                break
+        lam = Fraction(rng.choice([-5, -3, -1, 2, 4]), rng.randint(1, 4))
+        corpus.append((case, a, lam, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))))
+    return corpus
+
+
 class TestBranchLaws:
     """Projective and reparametrization invariance of the branch invariants,
-    on dense and on sparse storage."""
+    on dense and on sparse storage.  Each law runs on Hypothesis's examples
+    and on ``_corpus()``; its floors, which show that it compared resolved
+    branches on both storages, are counted on the corpus."""
 
     def test_under_a_linear_change_of_coordinates(self):
-        self.compared = []
+        self._linear_change()
         with pytest.MonkeyPatch.context() as mp:
             choices = _spy_on_density(mp)
-            self._linear_change()
+            compared = [_linear_law(case, a) for case, a, _, _ in _corpus()]
         assert True in choices and False in choices
         # most pairs resolve on both sides, so the law is not vacuous
-        assert sum(self.compared) >= 100
+        assert sum(compared) >= 100
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(case=_branch_coords(), a=_MATRICES)
     def _linear_change(self, case, a):
-        # each coordinate as a polynomial known far past its degree, which
-        # the moved branch, whose coordinates are all units, needs
-        coords = case[0]
-        top = 3 * max(s.trunc for s in coords)
-        b = _built(([TruncSeries(s.coeffs, top) for s in coords], None))[0]
-        if b is None:
-            return
-        moved = BranchParam(*_image(b.coords, a))
-        want, got = _invariants(b), _invariants(moved)
-        self.compared.append(want is not None and got is not None)
-        if not self.compared[-1]:
-            return
-        assert got == want
-        # a witness for the moved branch, composed with a, has its order
-        # along the branch itself
-        x, y, z = (MPoly.variable(XYZ, v) for v in XYZ)
-        forms = [r[0] * x + r[1] * y + r[2] * z for r in a]
-        ladder = valuation_ladder(moved)
-        for order, witness in zip(ladder.orders, ladder.witnesses):
-            q = witness.compose(forms)
-            pulled = None
-            for expo, c in q.terms.items():
-                term = monomial_pullback(b, expo) * c
-                pulled = term if pulled is None else pulled + term
-            assert pulled.trunc > order
-            assert pulled.valuation() == order
+        _linear_law(case, a)
 
     def test_under_rescaling_the_parameter(self):
+        self._rescaled()
         with pytest.MonkeyPatch.context() as mp:
             choices = _spy_on_density(mp)
-            self._rescaled()
+            for case, _, lam, _ in _corpus():
+                _rescaling_law(case, lam)
         assert True in choices and False in choices
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -819,25 +884,15 @@ class TestBranchLaws:
         lam=st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
     )
     def _rescaled(self, case, lam):
-        b = _built(case)[0]
-        if b is None:
-            return
-        # t -> lam t scales the coefficient of t^e by lam^e, so every step
-        # of the elimination, stalls and witnesses included, is the same
-        scaled = BranchParam(
-            *(TruncSeries({e: c * lam**e for e, c in s.coeffs.items()}, s.trunc) for s in b.coords)
-        )
-        for fn in (weight2, valuation_ladder, line_orders, hyperosculating_conic_at_branch):
-            assert _outcome(fn, scaled) == _outcome(fn, b)
-
+        _rescaling_law(case, lam)
 
     def test_under_a_quadratic_change_of_the_parameter(self):
-        self.sides = []
         self._quadratic()
+        sides = [_quadratic_law(case, a) for case, _, _, a in _corpus()]
         # the map fills a sparse branch's gaps: some sparse branches move to
         # the dense path, and most ladders resolve, so the law is not vacuous
-        assert {(False, True), (True, True)} <= {sides for sides, _ in self.sides}
-        assert sum(resolved for _, resolved in self.sides) >= 100
+        assert {(False, True), (True, True)} <= {side for side, _ in sides}
+        assert sum(resolved for _, resolved in sides) >= 100
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -845,28 +900,76 @@ class TestBranchLaws:
         a=st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
     )
     def _quadratic(self, case, a):
-        b = _built(case)[0]
-        if b is None:
-            return
-        # t -> t + a t^2 keeps each valuation and each leading coefficient,
-        # so every step of the elimination, stalls and witnesses included,
-        # is the same
-        moved = BranchParam(*(_reparametrized(s, a) for s in b.coords))
-        want = _invariants(b)
-        self.sides.append(((type(b.ints[0]) is list, type(moved.ints[0]) is list), want is not None))
-        assert _invariants(moved) == want
-        for fn in (weight2, valuation_ladder, line_orders, hyperosculating_conic_at_branch):
-            assert _outcome(fn, moved) == _outcome(fn, b)
-        # each witness of the moved branch has its order along the branch
-        ladder = _outcome(valuation_ladder, moved)
-        if isinstance(ladder, branch.ValuationLadder):
-            for order, witness in zip(ladder.orders, ladder.witnesses):
-                pulled = None
-                for expo, c in witness.terms.items():
-                    term = monomial_pullback(b, expo) * c
-                    pulled = term if pulled is None else pulled + term
-                assert pulled.trunc > order
-                assert pulled.valuation() == order
+        _quadratic_law(case, a)
+
+
+def _linear_law(case, a):
+    """The invariants of the branch and of its image under the matrix a
+    agree, and each witness of the image, composed with a, has its order
+    along the branch itself.  Returns whether both sides resolved."""
+    # each coordinate as a polynomial known far past its degree, which the
+    # moved branch, whose coordinates are all units, needs
+    coords = case[0]
+    top = 3 * max(s.trunc for s in coords)
+    b = _built(([TruncSeries(s.coeffs, top) for s in coords], None))[0]
+    if b is None:
+        return False
+    moved = BranchParam(*_image(b.coords, a))
+    want, got = _invariants(b), _invariants(moved)
+    if want is None or got is None:
+        return False
+    assert got == want
+    x, y, z = (MPoly.variable(XYZ, v) for v in XYZ)
+    forms = [r[0] * x + r[1] * y + r[2] * z for r in a]
+    ladder = valuation_ladder(moved)
+    for order, witness in zip(ladder.orders, ladder.witnesses):
+        q = witness.compose(forms)
+        pulled = None
+        for expo, c in q.terms.items():
+            term = monomial_pullback(b, expo) * c
+            pulled = term if pulled is None else pulled + term
+        assert pulled.trunc > order
+        assert pulled.valuation() == order
+    return True
+
+
+def _rescaling_law(case, lam):
+    """t -> lam t scales the coefficient of t^e by lam^e, so every step of
+    the elimination, stalls and witnesses included, is the same."""
+    b = _built(case)[0]
+    if b is None:
+        return
+    scaled = BranchParam(
+        *(TruncSeries({e: c * lam**e for e, c in s.coeffs.items()}, s.trunc) for s in b.coords)
+    )
+    for fn in (weight2, valuation_ladder, line_orders, hyperosculating_conic_at_branch):
+        assert _outcome(fn, scaled) == _outcome(fn, b)
+
+
+def _quadratic_law(case, a):
+    """t -> t + a t^2 keeps each valuation and each leading coefficient, so
+    every step of the elimination, stalls and witnesses included, is the
+    same, and each witness of the moved branch has its order along the
+    branch.  Returns ((branch dense, moved branch dense), resolved), or
+    (None, False) when the case builds no branch."""
+    b = _built(case)[0]
+    if b is None:
+        return None, False
+    moved = BranchParam(*(_reparametrized(s, a) for s in b.coords))
+    want = _invariants(b)
+    assert _invariants(moved) == want
+    for fn in (weight2, valuation_ladder, line_orders, hyperosculating_conic_at_branch):
+        assert _outcome(fn, moved) == _outcome(fn, b)
+    ladder = _outcome(valuation_ladder, moved)
+    if isinstance(ladder, branch.ValuationLadder):
+        for order, witness in zip(ladder.orders, ladder.witnesses):
+            pulled = None
+            for expo, c in witness.terms.items():
+                term = monomial_pullback(b, expo) * c
+                pulled = term if pulled is None else pulled + term
+            assert pulled.trunc > order
+            assert pulled.valuation() == order
+    return (type(b.ints[0]) is list, type(moved.ints[0]) is list), want is not None
 
 
 def _reparametrized(s, a):
@@ -885,8 +988,8 @@ class TestWitnessesWhenRead:
     @pytest.mark.parametrize("command, built", [("weight", 0), ("osc-branch", 1), ("ladder", 6)])
     def test_conics_built_per_command(self, tmp_path, monkeypatch, capsys, command, built):
         calls = []
-        real = branch.conic
-        monkeypatch.setattr(branch, "conic", lambda six: calls.append(six) or real(six))
+        real = branch.canonical_conic
+        monkeypatch.setattr(branch, "canonical_conic", lambda six: calls.append(six) or real(six))
         path = tmp_path / "b.json"
         path.write_text(json.dumps(self.BRANCH))
         assert cli.main([command, "--branch", str(path)]) == 0
@@ -895,14 +998,14 @@ class TestWitnessesWhenRead:
 
     def test_witness_is_the_canonical_conic(self):
         # every pattern of zero entries, so that each entry in turn leads,
-        # with int and with Fraction vectors
+        # with int and with Fraction vectors; all six zero is the zero conic
         rng = random.Random("witness")
-        for mask in range(1, 64):
+        for mask in range(64):
             for _ in range(4):
                 vec = [rng.choice([-6, -3, -2, -1, 1, 2, 4, 9]) if mask >> i & 1 else 0 for i in range(6)]
-                assert branch._witness(vec) == conic(vec).canonical()
+                assert canonical_conic(vec) == conic(vec).canonical()
                 vec = [Fraction(c, rng.randint(1, 6)) for c in vec]
-                assert branch._witness(vec) == conic(vec).canonical()
+                assert canonical_conic(vec) == conic(vec).canonical()
 
     def test_osc_branch_runs_the_public_conic_once(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "b.json"

@@ -108,6 +108,36 @@ class TestRecords:
             PointRecord("smooth", 1, 3)
 
 
+class TestFieldTypes:
+    """Every integer field refuses bools and non-integers, and a label is a
+    string; each of these records was once accepted (the first with weight
+    1, the third with weight 12.5)."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PointRecord("smooth", True, 2, c=6), "multiplicity must be a positive integer, got True"),
+            (lambda: PointRecord("smooth", 1, 2.0, c=6), "tangent contact l must exceed m=1, got 2.0"),
+            (lambda: PointRecord("cusp", 2, 3, ms=(2, True)), r"malformed multiplicity sequence \(2, True\)"),
+            (lambda: PointRecord("cusp", 2, 4, c=7.5), "conic contact order c must be an integer, got 7.5"),
+            (lambda: PointRecord("cusp", 2, 3, delta=1.5), "delta must be an integer, got 1.5"),
+            (lambda: PointRecord("cusp", 2, 3, delta=True), "delta must be an integer, got True"),
+            (lambda: PointRecord("inflection", 1, 3, label=5), "label must be a string, got 5"),
+            (lambda: CurveProfile(4, True, ()), "need a non-negative integer genus, got True"),
+            (lambda: CurveProfile(4.0, 3, ()), "need an integer degree d >= 3, got 4.0"),
+        ],
+        ids=["m-bool", "l-float", "ms-bool", "c-float", "delta-float", "delta-bool", "label-int", "g-bool", "d-float"],
+    )
+    def test_refused(self, build, message):
+        with pytest.raises(CensusError, match=f"^{message}$"):
+            build()
+
+    def test_integers_and_strings_still_pass(self):
+        assert PointRecord("smooth", 1, 2, c=6).weight() == 1
+        assert PointRecord("cusp", 2, 3, delta=1, label="p").delta == 1
+        assert CurveProfile(4, 0, ()).g == 0
+
+
 class TestGenus:
     def test_clebsch(self):
         assert quintic_profile().g == 0

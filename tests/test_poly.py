@@ -307,6 +307,12 @@ class TestKernelProduct:
         assert not assert_product(dense(XYZ, box=3), dense(XYZ, box=2) + X**5)
         assert not assert_product(dense(("x",), box=12), dense(("x",), box=9))
 
+    def test_the_pack_or_loop_rule_at_its_edges(self):
+        # the two predicates every product and dense-or-sparse choice asks
+        assert poly.worth_packing(3, 22) and poly.worth_packing(8, 8)
+        assert not poly.worth_packing(3, 21) and not poly.worth_packing(2, 100)
+        assert poly.dense_enough(8, 2) and not poly.dense_enough(9, 2)
+
     def test_short_operands_loop(self):
         # one- and two-term operands never pay for the kernel
         f = MPoly(XYZ, {(i, j, 9 - i - j): i - j or 1 for i in range(10) for j in range(10 - i)})

@@ -1,6 +1,7 @@
 """Parametrized curves: conic family, Wronskian, pullbacks, local branches."""
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -19,9 +20,15 @@ from poly_reference import (
     param_veronese,
     read_back,
 )
-from sextactic import cli, poly, rational
-from sextactic.branch import weight2
-from sextactic.differential import hessian, second_hessian
+from sextactic import cli, fixtures, poly, rational
+from sextactic.branch import hyperosculating_conic_at_branch, weight2
+from sextactic.differential import (
+    InflectionPoint,
+    SingularPoint,
+    hessian,
+    osculating_conic,
+    second_hessian,
+)
 from sextactic.parse import parse_branch, parse_param, parse_poly
 from sextactic.poly import (
     CONIC_BASIS,
@@ -841,3 +848,32 @@ class TestFormEdges:
         assert cli.main(["wronski", "--param", text]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+class TestOneConicByThreeRoutes:
+    """The osculating conic at a point of each bundled (param, implicit)
+    pair, from F's Taylor jet, from the Wronskian minors of the
+    parametrization and from the branch ladder: three routes, one conic."""
+
+    # coprime (a : b) with |a| <= 9 and 0 <= b <= 9, (1 : 0) the one b = 0
+    PARAMETERS = [(1, 0)] + [
+        (a, b) for b in range(1, 10) for a in range(-9, 10) if math.gcd(a, b) == 1
+    ]
+
+    def test_three_routes_agree(self):
+        agreed = refused = 0
+        for curve in fixtures.CURVES.values():
+            if "param" not in curve:
+                continue
+            F, param = parse_poly(curve["implicit"]), parse_param(curve["param"])
+            for at in self.PARAMETERS:
+                try:
+                    want = osculating_conic(F, param.eval_point(at))
+                except (SingularPoint, InflectionPoint):
+                    refused += 1
+                    continue
+                assert osculating_conic_family(param, at=at) == want
+                branch = local_branch_at(param, at, 4 * param.degree + 4)
+                assert hyperosculating_conic_at_branch(branch)[1] == want
+                agreed += 1
+        assert (agreed, refused) == (438, 10)
