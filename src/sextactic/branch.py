@@ -380,10 +380,9 @@ def hyperosculating_conic_at_branch(b: BranchParam) -> tuple:
     order c, which is irreducible; otherwise it is the conic of maximal
     contact 2l (the doubled tangent line).
     """
-    ladder = valuation_ladder(b)
-    m, l = line_orders(b)
-    target = _special_order(ladder.orders, m) if l == 2 * m else ladder.orders[-1]
-    return target, ladder.witness_for(target)
+    report = weight2(b)
+    target = report.c if report.l == 2 * report.m else report.ladder.orders[-1]
+    return target, report.ladder.witness_for(target)
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,9 @@ class PointRecord:
                     f"sequence value {from_ms}"
                 )
             object.__setattr__(self, "delta", from_ms)
+        least = self.m * (self.m - 1) // 2
+        if self.role == "cusp" and self.delta is not None and self.delta < least:
+            raise CensusError(f"cusp delta={self.delta} is below m(m - 1)/2 = {least}")
         if self.role != "cusp":
             if self.delta not in (None, 0):
                 raise CensusError(f"{self.role} records must have delta 0")

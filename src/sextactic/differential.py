@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import NamedTuple
 
 from .jet import TaylorJet
@@ -31,7 +30,6 @@ from .poly import (
     _ratio,
     canonical_conic,
     fills_triangles,
-    projective_ints,
 )
 
 
@@ -64,17 +62,6 @@ class IrrationalPoint(DifferentialError):
 
 
 VARIANTS = ("corrected", "cayley1865")
-
-# ``hessian`` takes the dense chain for a form of at least _DENSE_MIN_TERMS
-# terms that fills its triangle (``fills_triangles``).  The chain of a form
-# of three terms keeps few terms in every form at any degree.  Measured on
-# CPython 3.11, second_hessian time on the sparse chain over the dense one
-# for random forms of n terms, four forms each: n = 3 gives 0.56 at d = 3,
-# 0.77 at d = 4 and 0.39-0.50 at d = 5..7; n = 4 gives 0.93 at d = 3 and
-# 1.40-1.77 at d = 4..7; forms that just fill a quarter of the triangle
-# give 1.08 at d = 8 and 1.20 at d = 10.
-_DENSE_MIN_TERMS = 4
-
 
 class _Chain(NamedTuple):
     """The Hessian chain of F, as ``_chain`` computes it: f is F, and every
@@ -217,17 +204,15 @@ def _chain(f, d) -> _Chain:
 def hessian(F: MPoly) -> HessianBundle:
     """Hessian determinant and matrices of a form of degree >= 3.
 
-    When F fills its triangle (``fills_triangles``), with at least
-    _DENSE_MIN_TERMS terms, the chain runs on dense ``TernaryForm``s, each
-    over its own denominator, where every sum of products is one
-    ``TernaryForm.dot`` (``_dot``) and every other sum a list operation.
-    Any other F keeps its ``MPoly`` terms, whose time and memory follow the
-    stored terms: dense triangles of x^1000 + y^1000 + z^1000 would hold
-    millions of zeros.
+    When F fills its triangle (``fills_triangles``) the chain runs on dense
+    ``TernaryForm``s, each over its own denominator, where every sum of
+    products is one ``TernaryForm.dot`` (``_dot``) and every other sum a
+    list operation.  Any other F keeps its ``MPoly`` terms, whose time and
+    memory follow the stored terms: dense triangles of x^1000 + y^1000 +
+    z^1000 would hold millions of zeros.
     """
     d = _degree(F)
-    dense = len(F.terms) >= _DENSE_MIN_TERMS and fills_triangles(len(F.terms), d)
-    f = TernaryForm.of(F.terms, d) if dense else F
+    f = TernaryForm.of(F.terms, d) if fills_triangles(len(F.terms), d) else F
     return HessianBundle(F, _chain(f, d))
 
 
@@ -310,20 +295,15 @@ def second_hessian_at(F: MPoly, p, variant: str = "corrected"):
     built.  It refuses the F that ``second_hessian`` refuses: when H
     vanishes at p, ``hessian`` decides whether it vanishes everywhere.
 
-    The jet is taken of den * F at m * p, den and m the least common
-    denominators of F's coefficients and of p, so it has integer entries;
-    H2 has degree 12 in the coefficients of F and 12d - 27 in the point, so
-    the value is divided by den^12 m^(12d - 27).
+    The jet is taken of den * F at m * p (``_jet_chain``); H2 has degree 12
+    in the coefficients of F and 12d - 27 in the point, so the value is
+    divided by den^12 m^(12d - 27).
     """
     _check_variant(variant)
-    point = _rational_point(p)
-    d = _degree(F)
-    den, terms = _integer_terms(F)
-    m = lcm(*[v.denominator for v in point])
-    chain = _chain(TaylorJet.of(terms, d, [v.numerator * (m // v.denominator) for v in point], 5), d)
+    _, chain, den, m = _jet_chain(F, p, 5)
     if not chain.H.value and hessian(F).chain.H.is_zero():
         raise _vanishing_hessian()
-    return _ratio(_second_hessian(chain, variant).value, den**12 * m ** (12 * d - 27))
+    return _ratio(_second_hessian(chain, variant).value, den**12 * m ** (12 * chain.d - 27))
 
 
 def _check_variant(variant):
@@ -374,13 +354,20 @@ def _rational_point(p):
     return point
 
 
-def _integer_terms(F: MPoly):
-    """(den, terms) with terms the term dict of den * F, den the least
-    common denominator of F's coefficients."""
+def _jet_chain(F: MPoly, p, order):
+    """(point, chain, den, m) for the rational point p on the form F: chain
+    is the Hessian chain of the Taylor jet of the given order of den * F at
+    m * p, den and m the least common denominators of F's coefficients and
+    of p, so every entry of every jet is an integer."""
+    point = _rational_point(p)
+    d = _degree(F)
     den = _denominator(F.terms.values())
-    if den == 1:
-        return 1, F.terms
-    return den, {e: c.numerator * (den // c.denominator) for e, c in F.terms.items()}
+    m = _denominator(point)
+    terms = F.terms
+    if den != 1:
+        terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    ints = [v.numerator * (m // v.denominator) for v in point]
+    return point, _chain(TaylorJet.of(terms, d, ints, order), d), den, m
 
 
 def osculating_conic(F: MPoly, p) -> MPoly:
@@ -389,18 +376,14 @@ def osculating_conic(F: MPoly, p) -> MPoly:
 
     The conic needs the Hessian chain at p alone, up to the second partials
     of H, which are fourth partials of F: the chain runs on the Taylor jet of
-    order 4 of den * F at the coprime integer coordinates of p
-    (``projective_ints``), den the least common denominator of F's
-    coefficients, and every value below is a jet's constant term, an
-    integer.  The trace covariant at p is the paired trace of adj_f(p) and
-    hess_H(p), and the gradient form grad H(p) paired with adj_f(p).  The
-    conic is homogeneous in the point and in F's coefficients, so those
-    scales and their signs go once it is made canonical.
+    order 4 of den * F at m * p (``_jet_chain``), and every value below is
+    a jet's constant term, an integer.  The trace covariant at p is the
+    paired trace of adj_f(p) and hess_H(p), and the gradient form grad H(p)
+    paired with adj_f(p).  The conic is homogeneous in the point and in F's
+    coefficients, so the scales den and m go once it is made canonical.
     """
-    point = _rational_point(p)
-    d = _degree(F)
+    point, chain, _, _ = _jet_chain(F, p, 4)
     shown = _point_str(point)
-    chain = _chain(TaylorJet.of(_integer_terms(F)[1], d, projective_ints(point), 4), d)
     if chain.f.value != 0:
         raise PointNotOnCurve(f"F does not vanish at {shown}")
     grads = [g.value for g in chain.grad_f]

@@ -99,6 +99,18 @@ class TestRecords:
         with pytest.raises(CensusError):
             PointRecord("cusp", 2, 5, c=7)  # c given but l != 2m
 
+    @pytest.mark.parametrize(
+        "m, l, delta, least",
+        [(2, 3, -1, 1), (3, 4, 1, 3)],
+        ids=["negative", "below-least"],
+    )
+    def test_cusp_delta_below_m_choose_2(self, m, l, delta, least):
+        # a point of multiplicity m has delta >= m(m - 1)/2; at d = 4 and
+        # d = 5 these records gave g = 4 and g = 5, above (d - 1)(d - 2)/2
+        with pytest.raises(CensusError, match=rf"^cusp delta={delta} is below m\(m - 1\)/2 = {least}$"):
+            PointRecord("cusp", m, l, delta=delta)
+        assert PointRecord("cusp", m, l, delta=least).delta == least
+
     def test_role_constraints(self):
         with pytest.raises(CensusError):
             PointRecord("inflection", 2, 5)

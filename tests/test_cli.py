@@ -19,8 +19,8 @@ from cli_child import SOURCE_DIR, run_cli
 from sextactic import cli, fixtures
 from sextactic.branch import weight2
 from sextactic.differential import hessian, second_hessian
-from sextactic.parse import parse_branch
-from sextactic.poly import XYZ, MPoly, _coeff_str
+from sextactic.parse import parse_branch, parse_poly
+from sextactic.poly import XYZ, MPoly, TernaryForm, _coeff_str
 
 QUARTIC = "x^4 - x^3*y + y^3*z"
 NODAL_CUBIC = "y^2*z - x^3 - x^2*z"
@@ -87,6 +87,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: FileNotFoundError: [Errno 2] No such file or directory: {str(tmp_path / 'nope.json')!r}\n"
         )
+
+    def test_cusp_delta_below_m_choose_2_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"d": 4, "points": [{"role": "cusp", "m": 2, "l": 3, "delta": -1}]}))
+        assert cli.main(["count", "--profile", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: CensusError: ")
 
     def test_usage_error(self):
         assert run_cli("hessian").returncode == 2
@@ -662,6 +670,26 @@ class TestDenseChainReports:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: HessianVanishes: ")
+
+
+class TestThreeTermCubics:
+    """Three terms fill a cubic's triangle, so these cubics take the dense
+    ``TernaryForm`` chain; every report of ``hessian`` and ``hessian2``
+    must equal the one in ``three_term_cubics.json``, recorded when they
+    still ran the sparse ``MPoly`` chain."""
+
+    RECORDED = json.loads(Path(__file__).with_name("three_term_cubics.json").read_text())
+
+    def test_dense_chain_prints_the_recorded_reports(self, capsys):
+        cubics = ["x^3 + y^3 + z^3", "x^2*y + y^2*z + z^2*x", "y^2*z - x^3 - x*z^2", NODAL_CUBIC]
+        assert list(self.RECORDED) == cubics
+        for text in cubics:
+            assert isinstance(hessian(parse_poly(text)).chain.f, TernaryForm)
+            reports = self.RECORDED[text]
+            assert len(reports) == 12  # hessian, two variants; normalised or not; two formats
+            for args, want in reports.items():
+                assert cli.main([*args.split(), "--implicit", text]) == 0
+                assert capsys.readouterr() == (want, "")
 
 
 class TestSubcommandParsing:

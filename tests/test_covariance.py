@@ -124,11 +124,11 @@ def apply(a, p):
     return tuple(sum(c * v for c, v in zip(row, p)) for row in a)
 
 
-# one sparse curve per degree: under _DENSE_MIN_TERMS terms, or under a
-# quarter of the triangle, so the library keeps its MPoly chain; under the
-# map drawn for it, each one's image fills its triangle
+# one sparse curve per degree: too few terms to fill its triangle, so the
+# library keeps its MPoly chain; under the map drawn for it, each one's
+# image fills its triangle
 SPARSE = {
-    3: X**3 + Y**3 + Z**3,
+    3: X**2 * Y + Z**3,
     4: X**4 - X**3 * Y + Y**3 * Z,
     5: X**5 + Y**5 + Z**5,
     6: X**6 + Y**6 + Z**6 - 3 * X * Y**4 * Z,
