@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain, compress, count
 from math import gcd, lcm
 
-from .census import check_multiplicity_sequence
+from .census import check_multiplicity_sequence, special_contact
 # CONIC_BASIS is re-exported: the ladder's witnesses are written in its order
 from .poly import (
     CONIC_BASIS,
@@ -312,9 +312,7 @@ def line_orders(b: BranchParam):
         found = _on_prefixes(lambda k: [(u[:k], len(u)) for u in coords], b.trunc)
     else:
         found = _reduce_to_distinct(*_on_exponents(coords), b.trunc)
-    v0, m, l = sorted(found)
-    if v0 != 0:
-        raise NonPrimitiveBranch("no linear form is a unit along the branch")
+    _, m, l = sorted(found)  # 0 first: BranchParam refuses branches with no unit coordinate
     return m, l
 
 
@@ -365,7 +363,7 @@ def closed_form_ladder(m: int, l: int, c=None):
         return tuple(sorted({0, m, l, 2 * m, m + l, 2 * l}))
     if c is None:
         raise BranchError("l = 2m requires the conic contact order c")
-    if not (_is_int(c) and c > 2 * m and c not in (3 * m, 4 * m)):
+    if not (_is_int(c) and special_contact(m, c)):
         raise BranchError(
             f"c must satisfy c > {2*m} and c != {3*m}, {4*m}; got {c!r}"
         )
@@ -410,48 +408,40 @@ def cusp_contact_constraints(ms, d: int, l=None, c=None) -> ContactReport:
             raise BranchError(f"{name} must be an integer, got {v!r}")
     m = ms[0]
     ext = ms + [1]
-    candidates = []  # (k, k*m + m_k) while the prefix stays constant
-    for k in range(1, len(ext)):
-        if any(v != m for v in ext[:k]):
-            break
-        candidates.append((k, k * m + ext[k]))
+    # the first k entries all equal m exactly when m_(k-1) does: ms does not increase
+    candidates = [(k, k * m + ext[k]) for k in range(1, len(ext)) if ext[k - 1] == m]
 
     messages = []
     ok = True
+
+    def attained(name, v, feasible):
+        # note the k realizing v among the feasible (value, k) pairs, or that none does
+        k = dict(feasible).get(v)
+        messages.append(
+            f"{name}={v} is not attainable; feasible: {[val for val, _ in feasible]}"
+            if k is None else f"{name}={v} realized with k={k}"
+        )
+        return k is not None
+
     feasible_l = tuple((val, k) for k, val in candidates if val <= d)
     if not feasible_l:
         ok = False
         messages.append(f"no tangent contact order fits within degree {d}")
     if l is not None:
-        if all(val != l for val, _k in feasible_l):
-            ok = False
-            messages.append(
-                f"l={l} is not attainable; feasible: {[v for v, _ in feasible_l]}"
-            )
-        else:
-            k = next(k for val, k in feasible_l if val == l)
-            messages.append(f"l={l} realized with k={k}")
+        ok = attained("l", l, feasible_l) and ok
 
     feasible_c = None
     if l is not None and l == 2 * m:
         feasible_c = tuple(
             (val, k)
             for k, val in candidates
-            if k >= 2 and 2 * m < val <= 2 * d and val not in (3 * m, 4 * m)
+            if k >= 2 and val <= 2 * d and special_contact(m, val)
         )
         if not feasible_c:
             ok = False
             messages.append("no conic contact order is available for l = 2m")
         if c is not None:
-            if all(val != c for val, _k in feasible_c):
-                ok = False
-                messages.append(
-                    f"c={c} is not attainable; feasible: "
-                    f"{[v for v, _ in feasible_c]}"
-                )
-            else:
-                k = next(k for val, k in feasible_c if val == c)
-                messages.append(f"c={c} realized with k={k}")
+            ok = attained("c", c, feasible_c) and ok
     elif c is not None:
         ok = False
         messages.append("c was supplied but l != 2m, so no conic constraint applies")

@@ -21,6 +21,12 @@ class CensusError(ValueError):
 ROLES = ("cusp", "inflection", "smooth")
 
 
+def special_contact(m, c) -> bool:
+    """Whether c is an admissible conic contact order at a branch of
+    multiplicity m with l = 2m: c > 2m and c not in {3m, 4m}."""
+    return c > 2 * m and c not in (3 * m, 4 * m)
+
+
 def check_multiplicity_sequence(ms, error):
     """Raise ``error`` unless ``ms`` is a nonempty, non-increasing sequence
     of positive integers; the message shows ``ms`` by its own repr."""
@@ -66,7 +72,7 @@ class PointRecord:
                 )
             if not _is_int(self.c):
                 raise CensusError(f"conic contact order c must be an integer, got {self.c!r}")
-            if self.c <= 2 * self.m or self.c in (3 * self.m, 4 * self.m):
+            if not special_contact(self.m, self.c):
                 raise CensusError(
                     f"c={self.c} violates c > {2*self.m}, c != {3*self.m}, {4*self.m}"
                 )
@@ -165,8 +171,6 @@ class CurveProfile:
         if g is None:
             if per_branch:
                 raise CensusError("per-branch profiles must state the genus")
-            if clebsch is None:
-                raise CensusError("genus is underdetermined")
             if clebsch < 0:
                 raise CensusError(f"deltas exceed the genus budget: g = {clebsch}")
             return cls(d, clebsch, points)
@@ -198,7 +202,7 @@ class CensusReport:
 
 def brill_segre_total(d: int, g: int) -> int:
     """Total conic contact weight 6(2d + 5g - 5) of a degree-d genus-g curve."""
-    if d < 3 or g < 0:
+    if not (_is_int(d) and _is_int(g)) or d < 3 or g < 0:
         raise CensusError(f"need d >= 3 and g >= 0, got d={d}, g={g}")
     return 6 * (2 * d + 5 * g - 5)
 

@@ -33,6 +33,7 @@ from .census import (
     sextactic_count,
 )
 from .differential import (
+    VARIANTS,
     DifferentialError,
     hessian,
     osculating_conic,
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="excess-contact covariant of degree 12d-27",
     )
     p.add_argument("--implicit", required=True, metavar="POLY")
-    p.add_argument("--variant", choices=("corrected", "cayley1865"), default="corrected")
+    p.add_argument("--variant", choices=VARIANTS, default="corrected")
     p.set_defaults(func=cmd_hessian2)
 
     p = sub.add_parser("osculate", parents=[common], help="osculating conic at a rational point")
@@ -463,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, metavar="(e0:e1:e2)")
     p.add_argument("--poly", required=True, metavar="POLY|@hessian|@hessian2")
     p.add_argument("--implicit", metavar="POLY", help="curve equation for @hessian/@hessian2")
-    p.add_argument("--variant", choices=("corrected", "cayley1865"), default="corrected")
+    p.add_argument("--variant", choices=VARIANTS, default="corrected")
     p.add_argument("--at", required=True, metavar="(s0:t0),(s1:t1),...")
     p.set_defaults(func=cmd_orders)
 

@@ -61,7 +61,9 @@ class IrrationalPoint(DifferentialError):
     pass
 
 
-VARIANTS = ("corrected", "cayley1865")
+# kappa, the coefficient of the 2-Hessian's last term: 20 corrects Cayley's 40
+_KAPPA = {"corrected": 20, "cayley1865": 40}
+VARIANTS = tuple(_KAPPA)
 
 class _Chain(NamedTuple):
     """The Hessian chain of F, as ``_chain`` computes it: f is F, and every
@@ -320,7 +322,6 @@ def _vanishing_hessian():
 def _second_hessian(chain: _Chain, variant: str):
     """The 2-Hessian of the variant from the Hessian chain, on the chain's
     own ring: the combination of the three Jacobians below."""
-    kappa = 20 if variant == "corrected" else 40
     cov = _covariants(chain.adj_f, chain.hess_h, chain.grad_h)
     d = chain.d
     H = chain.H
@@ -335,7 +336,7 @@ def _second_hessian(chain: _Chain, variant: str):
     )
     alpha = 12 * d * d - 54 * d + 57
     beta = (d - 2) * (12 * d - 27)
-    gamma = kappa * (d - 2) * (d - 2)
+    gamma = _KAPPA[variant] * (d - 2) * (d - 2)
     rows = zip(
         cov.trace_grad_adj, cov.trace_grad_hess, cov.gradient_form.grad()
     )

@@ -24,6 +24,7 @@ from sextactic.branch import (
     BranchError,
     BranchParam,
     CONIC_BASIS,
+    ContactReport,
     NonPrimitiveBranch,
     TruncationInsufficient,
     closed_form_ladder,
@@ -369,6 +370,53 @@ class TestContactConstraints:
     def test_c_without_tangent_degeneracy(self):
         rep = cusp_contact_constraints([3, 2], 5, l=5, c=7)
         assert not rep.ok
+
+    @pytest.mark.parametrize(
+        "ms, d, l, c, report",
+        [
+            ((3, 3), 3, None, None, ContactReport(
+                False, ("no tangent contact order fits within degree 3",), (), None,
+            )),
+            ((2, 1), 5, 4, 5, ContactReport(
+                False,
+                (
+                    "l=4 is not attainable; feasible: [3]",
+                    "no conic contact order is available for l = 2m",
+                    "c=5 is not attainable; feasible: []",
+                ),
+                ((3, 1),),
+                (),
+            )),
+            ((2, 2, 1), 6, 4, 5, ContactReport(
+                True,
+                ("l=4 realized with k=1", "c=5 realized with k=2"),
+                ((4, 1), (5, 2)),
+                ((5, 2),),
+            )),
+            ((2, 2, 1), 6, 4, 7, ContactReport(
+                False,
+                ("l=4 realized with k=1", "c=7 is not attainable; feasible: [5]"),
+                ((4, 1), (5, 2)),
+                ((5, 2),),
+            )),
+            ((3, 3), 3, 6, 9, ContactReport(
+                False,
+                (
+                    "no tangent contact order fits within degree 3",
+                    "l=6 is not attainable; feasible: []",
+                    "no conic contact order is available for l = 2m",
+                    "c=9 is not attainable; feasible: []",
+                ),
+                (),
+                (),
+            )),
+        ],
+        ids=["no-l-fits", "no-c-available", "c-realized", "c-not-attainable", "nothing-fits"],
+    )
+    def test_every_note(self, ms, d, l, c, report):
+        # each field and note text, so that how the candidates and notes are
+        # found can change without changing what is reported
+        assert cusp_contact_constraints(ms, d, l=l, c=c) == report
 
     def test_malformed_sequence(self):
         with pytest.raises(BranchError):

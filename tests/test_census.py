@@ -1,5 +1,7 @@
 """Counting formulas and profile validation."""
 
+import re
+
 import pytest
 
 from sextactic.branch import closed_form_ladder
@@ -111,6 +113,19 @@ class TestRecords:
             PointRecord("cusp", m, l, delta=delta)
         assert PointRecord("cusp", m, l, delta=least).delta == least
 
+    def test_unknown_role(self):
+        with pytest.raises(
+            CensusError,
+            match=r"^unknown role 'node'; expected one of \('cusp', 'inflection', 'smooth'\)$",
+        ):
+            PointRecord("node", 2, 3)
+
+    @pytest.mark.parametrize("role, l, c", [("smooth", 2, 6), ("inflection", 3, None)])
+    def test_delta_only_at_cusps(self, role, l, c):
+        with pytest.raises(CensusError, match=f"^{role} records must have delta 0$"):
+            PointRecord(role, 1, l, c=c, delta=1)
+        assert PointRecord(role, 1, l, c=c, delta=0).delta == 0
+
     def test_role_constraints(self):
         with pytest.raises(CensusError):
             PointRecord("inflection", 2, 5)
@@ -163,8 +178,17 @@ class TestGenus:
         assert smooth_cubic_profile().g == 1
 
     def test_underdetermined(self):
-        with pytest.raises(CensusError):
-            CurveProfile.build(5, [PointRecord("cusp", 2, 3)])  # no delta, no g
+        # no delta and no g: refused before the genus is resolved
+        with pytest.raises(
+            CensusError,
+            match=r"^cannot resolve the genus: 1 record\(s\) lack delta / multiplicity sequence$",
+        ):
+            CurveProfile.build(5, [PointRecord("cusp", 2, 3)])
+
+    def test_deltas_over_the_budget(self):
+        # (d - 1)(d - 2)/2 = 1 at d = 3, and the sequence (2, 2) gives delta 2
+        with pytest.raises(CensusError, match=r"^deltas exceed the genus budget: g = -1$"):
+            CurveProfile.build(3, [PointRecord("cusp", 2, 3, ms=(2, 2))])
 
 
 class TestCounts:
@@ -201,6 +225,23 @@ class TestCounts:
         assert brill_segre_total(5, 0) == 30
         assert brill_segre_total(3, 1) == 36
         assert brill_segre_total(3, 0) == 6
+
+    @pytest.mark.parametrize(
+        "d, g",
+        [(2, 0), (4, -1), (4.0, 1), (4, True), (4.5, 0)],
+        ids=["d-small", "g-negative", "d-float", "g-bool", "d-fraction"],
+    )
+    def test_brill_segre_refused(self, d, g):
+        # the floats and the bool once gave 48.0, 48 and 24.0
+        message = f"need d >= 3 and g >= 0, got d={d}, g={g}"
+        with pytest.raises(CensusError, match=f"^{re.escape(message)}$"):
+            brill_segre_total(d, g)
+
+    def test_shared_labels_need_per_branch_mode(self):
+        branch = PointRecord("cusp", 2, 3, delta=1, label="p")
+        profile = CurveProfile(4, 0, (branch, branch))
+        with pytest.raises(CensusError, match=r"^records share point labels; rerun in per-branch mode$"):
+            sextactic_count(profile)
 
 
 class TestIdentities:
@@ -247,6 +288,14 @@ class TestPredictions:
         assert predicted_hessian_order(PointRecord("cusp", 2, 5, ms=(2, 2))) == 16
         assert predicted_hessian_order(PointRecord("smooth", 1, 2, c=6)) == 0
         assert predicted_hessian_order(PointRecord("inflection", 1, 3)) == 1
+
+    @pytest.mark.parametrize("predict", [predicted_hessian_order, predicted_hessian2_order])
+    def test_needs_delta(self, predict):
+        with pytest.raises(
+            CensusError,
+            match=r"^prediction needs delta \(give it or the multiplicity sequence\)$",
+        ):
+            predict(PointRecord("cusp", 2, 3))
 
 
 class TestEndToEnd:

@@ -301,6 +301,41 @@ class TestGoldens:
         assert data["ok"] == "yes"
         assert data["feasible_l"] == "5"
 
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (
+                ["--ms", "2,2,1", "--d", "6", "--l", "4", "--c", "5"],
+                "ok = yes\nfeasible_l = 4,5\nfeasible_c = 5\n"
+                "note_1 = l=4 realized with k=1\nnote_2 = c=5 realized with k=2\n",
+            ),
+            (
+                ["--ms", "2,2,1", "--d", "6", "--l", "4", "--c", "7"],
+                "ok = no\nfeasible_l = 4,5\nfeasible_c = 5\n"
+                "note_1 = l=4 realized with k=1\nnote_2 = c=7 is not attainable; feasible: [5]\n",
+            ),
+            (
+                ["--ms", "3,3", "--d", "3"],
+                "ok = no\nfeasible_l = -\nnote_1 = no tangent contact order fits within degree 3\n",
+            ),
+        ],
+        ids=["c-realized", "c-not-attainable", "no-l-fits"],
+    )
+    def test_check_lemma37_notes_in_process(self, capsys, argv, stdout):
+        assert cli.main(["check-lemma37", *argv]) == 0
+        assert capsys.readouterr().out == stdout
+
+    @pytest.mark.parametrize("command", ["hessian2", "orders"])
+    def test_variant_choices(self, capsys, command):
+        argv = [command, "--implicit", "x^3 + y^3 + z^3", "--variant", "bogus"]
+        if command == "orders":
+            argv += ["--param", "(s:t:s)", "--poly", "@hessian2", "--at", "(1:0)"]
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
+        # the variants in VARIANTS order, quoted or not as argparse prints them
+        assert re.search(r"\(choose from '?corrected'?, '?cayley1865'?\)", capsys.readouterr().err)
+
     def test_machine_format_is_line_oriented(self):
         r = run_cli(
             "count", "--profile", "-", "--format", "machine"

@@ -6,6 +6,12 @@ F(A (x, y, z)):
 - H(F∘A) = det(A)^2 * H(F)∘A, since hess(F∘A) = A^T (hess F ∘ A) A;
 - H2(F∘A) = det(A)^9 * H2(F)∘A for both variants: H2 has degree 12 in F's
   coefficients and order 12d - 27, so its weight is (12d - (12d - 27)) / 3.
+- the covariants of F∘A, with T the trace product, g the gradient form and
+  v either gradient splitting of T: T' = det(A)^4 * T∘A and
+  g' = det(A)^6 * g∘A, since adj(hess(F∘A)) = det(A)^2 A^-1 (adj hess F ∘ A)
+  A^-T and grad H(F∘A) = det(A)^2 A^T (grad H ∘ A); and
+  v'_k = det(A)^4 * sum_w A_wk * v_w∘A, the chain rule on a derivative of
+  hess H or of adj hess F;
 - osculating_conic(F∘A, A^-1 p) = osculating_conic(F, p)∘A up to a scalar,
   at a smooth non-inflection point p of V(F): A^-1 p lies on V(F∘A), and
   contact orders do not change under a change of coordinates.
@@ -59,6 +65,7 @@ from sextactic.differential import (
     VARIANTS,
     InflectionPoint,
     SingularPoint,
+    covariants,
     hessian,
     osculating_conic,
     second_hessian,
@@ -204,6 +211,25 @@ def test_second_hessian_has_weight_nine(name, variant):
         values.append(second_hessian_at(g, p, variant))
         assert values[-1] == scale * second_hessian_at(f, apply(a, p), variant)
     assert any(values)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_covariants_have_their_weights(name):
+    d, f, a = CASES[name]
+    left = covariants(hessian(f.compose(images(a))))
+    right = covariants(hessian(f))
+    rng = random.Random(name)
+    # x^2 y + z^3 has T = 0, and so both splittings vanish; every other
+    # case has T and g nonzero
+    assert not left.gradient_form.is_zero()
+    assert left.trace_product.is_zero() == (name == "sparse3")
+    assert_covariant(left.trace_product, right.trace_product, 4, a, d, rng)
+    assert_covariant(left.gradient_form, right.gradient_form, 6, a, d, rng)
+    for split in ("trace_grad_adj", "trace_grad_hess"):
+        mine, theirs = getattr(left, split), getattr(right, split)
+        for k in range(3):
+            mixed = sum((a[w][k] * theirs[w] for w in range(3)), MPoly(XYZ, {}))
+            assert_covariant(mine[k], mixed, 4, a, d, rng)
 
 
 def planted_points(f, d, rng, count):

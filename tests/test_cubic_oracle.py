@@ -22,16 +22,24 @@ The group law (chord and tangent) and the division polynomials psi are
 written out here in exact rationals (Silverman, "The Arithmetic of Elliptic
 Curves", III.2 and Exercise 3.7), so the checks share nothing with the
 library but F.
+
+Both pointwise gates also run on F∘A, the curve under the random maps A of
+the covariance tests, at the points A^-1 P: a change of coordinates moves
+the points and keeps every contact order.
 """
 
+import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sextactic.differential import VARIANTS, osculating_conic, second_hessian, second_hessian_at
 from sextactic.poly import XYZ, MPoly
+from test_covariance import adjugate3, apply, images, random_map
 
 X, Y, Z = (MPoly.variable(XYZ, v) for v in XYZ)
 x, y = sympy.symbols("x y")
@@ -74,6 +82,14 @@ class Weierstrass:
             nu = (-(x1**3) + a4 * x1 + 2 * a6 - a3 * y1) / den
         x3 = lam * lam + a1 * lam - a2 - x1 - x2
         return (x3, -(lam + a1) * x3 - nu - a3)
+
+    def discriminant(self):
+        a1, a2, a3, a4, a6 = self.a
+        b2 = a1**2 + 4 * a2
+        b4 = 2 * a4 + a1 * a3
+        b6 = a3**2 + 4 * a6
+        b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
+        return -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
 
     def mul(self, k, P):
         out = None
@@ -133,6 +149,22 @@ def proportional(p, q):
     return not p.is_zero and not q.is_zero and p.to_field().monic() == q.to_field().monic()
 
 
+def six_maps():
+    """Six maps A drawn by the covariance tests' generator from Random(3)."""
+    rng = random.Random(3)
+    return [random_map(rng) for _ in range(6)]
+
+
+MAPS = six_maps()
+
+
+def mapped(E, a):
+    """(F∘A, P -> A^-1 P): the curve under A and the map of its points, A^-1
+    up to the scalar det A, with adj(A)."""
+    adj = adjugate3(a)
+    return E.F.compose(images(a)), lambda P: apply(adj, projective(P))
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_osculating_conic_meets_minus_five_k_p0(k):
     E = CURVE_37A
@@ -147,19 +179,61 @@ def test_osculating_conic_meets_minus_five_k_p0(k):
     assert all(conic.eval(projective(E.mul(j * k, P0))) != 0 for j in (2, 3, -4, -6))
 
 
+@pytest.mark.parametrize("a", MAPS, ids=[f"A{i}" for i in range(len(MAPS))])
+def test_osculating_conic_meets_minus_five_k_p0_under_a(a):
+    E = CURVE_37A
+    G, unmap = mapped(E, a)
+    P0 = (Fraction(0), Fraction(0))
+    for k in range(1, 7):
+        conic = osculating_conic(G, unmap(E.mul(k, P0)))
+        assert conic.eval(unmap(E.mul(-5 * k, P0))) == 0
+        assert conic.eval(unmap(E.mul(2 * k, P0))) != 0
+
+
+def assert_sextactic_multiples(F, multiples, variant):
+    # P and 5P = -P have order 6 and 3P order 2, so a conic meets E six
+    # times there; 2P and 4P have order 3 and are flexes
+    for k in (1, 3, 5):
+        assert second_hessian_at(F, multiples[k], variant) == 0
+    for k in (2, 4):
+        assert second_hessian_at(F, multiples[k], variant) != 0
+
+
+def kubert_multiples(E):
+    """{k: kP} for P = (0, 0) and k = 1..6."""
+    P = (Fraction(0), Fraction(0))
+    return {k: E.mul(k, P) for k in range(1, 7)}
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("c", KUBERT_C, ids=str)
 def test_second_hessian_vanishes_at_the_sextactic_multiples(c, variant):
     E = kubert(c)
-    P = (Fraction(0), Fraction(0))
-    multiples = {k: E.mul(k, P) for k in range(1, 7)}
+    multiples = kubert_multiples(E)
     assert multiples[6] is None and all(multiples[k] is not None for k in range(1, 6))
-    # P and 5P = -P have order 6 and 3P order 2, so a conic meets E six
-    # times there; 2P and 4P have order 3 and are flexes
-    for k in (1, 3, 5):
-        assert second_hessian_at(E.F, projective(multiples[k]), variant) == 0
-    for k in (2, 4):
-        assert second_hessian_at(E.F, projective(multiples[k]), variant) != 0
+    assert_sextactic_multiples(E.F, {k: projective(P) for k, P in multiples.items()}, variant)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(c=st.builds(Fraction, st.integers(-20, 20), st.integers(1, 20)))
+def test_second_hessian_vanishes_at_the_sextactic_multiples_of_any_kubert_curve(c, variant):
+    E = kubert(c)
+    # c = 0, -1 and -1/9 make E singular; a smooth E is a test only where
+    # P = (0, 0) has order exactly 6
+    assume(E.discriminant() != 0)
+    multiples = kubert_multiples(E)
+    assume(multiples[6] is None and all(multiples[k] is not None for k in range(1, 6)))
+    assert_sextactic_multiples(E.F, {k: projective(P) for k, P in multiples.items()}, variant)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("a", MAPS, ids=[f"A{i}" for i in range(len(MAPS))])
+@pytest.mark.parametrize("c", KUBERT_C, ids=str)
+def test_second_hessian_vanishes_at_the_sextactic_multiples_under_a(c, a, variant):
+    E = kubert(c)
+    G, unmap = mapped(E, a)
+    assert_sextactic_multiples(G, {k: unmap(P) for k, P in kubert_multiples(E).items()}, variant)
 
 
 @pytest.mark.parametrize(
