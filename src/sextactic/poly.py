@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import comb, gcd, lcm
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 XYZ = ("x", "y", "z")
 ST = ("s", "t")
@@ -153,6 +153,17 @@ def _terms_str(pairs) -> str:
         else:
             parts.append(body if c > 0 else f"-{body}")
     return " ".join(parts)
+
+
+_ALL_BUT_LAST = itemgetter(slice(None, -1))
+
+
+@lru_cache(maxsize=64)
+def _power_texts(variables, top):
+    """Per variable v, the texts "", "v*", "v^2*", ... of its powers 0 to
+    ``top``; a monomial's text is the concatenation of its variables' texts
+    less the last "*".  Few (variables, top) recur, so the last 64 are kept."""
+    return tuple([""] + [f"{v}*" if e == 1 else f"{v}^{e}*" for e in range(1, top + 1)] for v in variables)
 
 
 def _point_str(coords) -> str:
@@ -291,6 +302,23 @@ def _digits(n, w, k):
     """
     total = (n + _bias(w, k)) & ((1 << (8 * w * k)) - 1)
     return _fields(bytearray(total.to_bytes(w * k, "little")), w)
+
+
+def _digit_runs(values, w, lengths):
+    """For each integer n of ``values`` and k of ``lengths``, the k signed
+    base-2^(8w) digits of n, lowest first, each of magnitude below
+    2^(8w - 1); n must have no more digits than k.
+
+    n plus the ``_bias`` of its k digits is a run of k fields in [0, 2^(8w)),
+    so the runs are joined end to end and read back in one ``_fields`` pass.
+    """
+    raw = bytearray().join([(n + _bias(w, k)).to_bytes(w * k, "little") for n, k in zip(values, lengths)])
+    flat = _fields(raw, w)
+    runs, end = [], 0
+    for k in lengths:
+        runs.append(flat[end : end + k])
+        end += k
+    return runs
 
 
 def _fields(raw, w):
@@ -693,11 +721,20 @@ class MPoly:
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        names = self.variables
-        return _terms_str(
-            (c, "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(names, expo) if e]))
-            for expo, c in self.sorted_terms()
-        ) or "0"
+        """Terms in graded-lex descending order, from two sorts of the
+        exponents: descending, then stably by total degree, descending.
+        Each monomial's text is its variables' ``_power_texts`` (up to the
+        top total degree, which bounds every exponent) added up column by
+        column, less the last "*"."""
+        expos = sorted(self.terms, reverse=True)
+        if not expos:
+            return "0"
+        expos.sort(key=sum, reverse=True)
+        monos = None
+        for texts, col in zip(_power_texts(self.variables, sum(expos[0])), zip(*expos)):
+            part = map(texts.__getitem__, col)
+            monos = part if monos is None else map(add, monos, part)
+        return _terms_str(zip(map(self.terms.__getitem__, expos), map(_ALL_BUT_LAST, monos)))
 
     def __repr__(self):
         return f"MPoly({'/'.join(self.variables)}: {self})"
@@ -834,7 +871,7 @@ def _row_kernel(pairs, top):
     width w (``_pack``).  The product of rows i of a and k of b is then row
     i + k's share of a * b; the shares of every pair add up in one integer
     per row of the result, and the rows are read back together once
-    (``_fields``).  w holds the sum of |c| * max|a| * max|b| times the terms
+    (``_digit_runs``).  w holds the sum of |c| * max|a| * max|b| times the terms
     that meet in one coefficient, at most the triangle of the smaller
     degree.
     """
@@ -850,17 +887,7 @@ def _row_kernel(pairs, top):
             p = c * _pack(row, w)
             if p:
                 out[i : i + n] = map(add, out[i : i + n], map(p.__mul__, pb))
-    # row r plus the bias of its top + 1 - r digits is a run of fields in
-    # [0, 2^(8w)), so the rows read back end to end in one pass
-    raw = bytearray().join(
-        [(n + _bias(w, top + 1 - r)).to_bytes(w * (top + 1 - r), "little") for r, n in enumerate(out)]
-    )
-    flat = _fields(raw, w)
-    rows, end = [], 0
-    for r in range(top + 1):
-        rows.append(flat[end : end + top + 1 - r])
-        end += top + 1 - r
-    return rows
+    return _digit_runs(out, w, range(top + 1, 0, -1))
 
 
 def _rows_at(rows, degree, x, y, z):
@@ -1051,9 +1078,7 @@ class TernaryForm:
         """The text of ``self.mpoly()``: rows from x^degree down, each from
         its highest power of y down, is the graded-lex order."""
         d, den = self.degree, self.den
-        # "v^e*" for e >= 1 and "" for e = 0; a monomial's text is the
-        # concatenation of its three powers less the last "*"
-        xs, ys, zs = ([""] + [f"{v}*" if e == 1 else f"{v}^{e}*" for e in range(1, d + 1)] for v in XYZ)
+        xs, ys, zs = _power_texts(XYZ, d)
         pairs = (
             (c if den == 1 else _ratio(c, den), (xs[i] + ys[j] + zs[d - i - j])[:-1])
             for i in range(d, -1, -1)

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import gcd, perm
+from math import comb, gcd
 
 from .branch import BranchParam
 from .poly import (
     ST,
     MPoly,
     VariableSetMismatch,
+    _digit_runs,
     _digits,
     _form,
     _pack,
@@ -111,19 +112,27 @@ class RationalParam:
 
 def _derivative_rows(forms, order: int):
     """Rows r = 0..order of the mixed partials d^order / ds^(order-r) dt^r
-    of dense forms of one degree n, as dense forms of degree n - order.
+    of dense forms of one degree n, each divided by (order - r)! r!, as dense
+    forms of degree n - order.
 
     With k = order - r, the partial takes c s^i t^(n-i) to
     c (i)_k (n-i)_r s^(i-k) t^(n-i-r), so row r keeps the entries i = k..n-r
-    of each form, scaled by those falling factorials.
+    of each form, scaled by (i)_k (n-i)_r / (k! r!) = C(i, k) C(n-i, r).  A
+    minor is linear in each of its rows, so the minors of the partials are
+    ``_DIVIDED`` times those of these rows.
     """
     n = len(forms[0]) - 1
     rows = []
     for r in range(order + 1):
         k = order - r
-        scale = [perm(i, k) * perm(n - i, r) for i in range(k, n - r + 1)]
+        scale = [comb(i, k) * comb(n - i, r) for i in range(k, n - r + 1)]
         rows.append([[c * m for c, m in zip(u[k:], scale)] for u in forms])
     return rows
+
+
+# the product over r of (order - r)! r!, keyed by order: 82944 for the conic
+# family, 1194393600 for the Wronskian
+_DIVIDED = {4: 82944, 5: 1194393600}
 
 
 def _evaluated_rows(rows):
@@ -156,6 +165,11 @@ def osculating_conic_family(param: RationalParam, at=None):
     canonical primitive form.  Only when that conic is zero are the symbolic
     minors built, to tell an identically zero family from one that vanishes
     at the parameter.
+
+    The minors are taken on the divided rows of ``_derivative_rows``: the
+    symbolic ones are read back at once (``_digit_runs``) and multiplied by
+    ``_DIVIDED[4]``; the evaluated conic is not, as its canonical form drops
+    that positive constant anyway.
     """
     if param.degree < 3:
         raise RationalError(f"need degree >= 3, got {param.degree}")
@@ -170,8 +184,9 @@ def osculating_conic_family(param: RationalParam, at=None):
         if any(six):
             return canonical_conic(six)
     w, ints = _evaluated_rows(rows)
-    degree = 10 * param.degree - 20
-    minors = tuple(_form(_digits(m, w, degree + 1), 0, 0, ST) for m in laplace_minors(ints))
+    scale = _DIVIDED[4]
+    runs = _digit_runs(laplace_minors(ints), w, [10 * param.degree - 19] * 6)
+    minors = tuple(_form([c * scale for c in u], 0, 0, ST) for u in runs)
     if not any(minors):
         raise DegenerateParam("conic family is identically zero")
     if at is not None:
@@ -206,11 +221,14 @@ class WeierstrassScan:
 def _wronskian_form(dense):
     """xi of three dense forms of one degree d, as they stand: the 6x6
     determinant of the fifth-order partials of their Veronese products,
-    the dense list of a binary form of degree 12d - 30."""
+    the dense list of a binary form of degree 12d - 30.  It is read back as
+    the determinant of the divided rows of ``_derivative_rows`` and
+    multiplied by ``_DIVIDED[5]``."""
     d = len(dense[0]) - 1
     rows = _derivative_rows(veronese(*dense, times=_u_mul), 5)
     w, (top, *rest) = _evaluated_rows(rows)
-    return _digits(sum(e * m for e, m in zip(top, laplace_minors(rest))), w, 12 * d - 29)
+    xi = _digits(sum(e * m for e, m in zip(top, laplace_minors(rest))), w, 12 * d - 29)
+    return [c * _DIVIDED[5] for c in xi]
 
 
 def conic_wronskian(param: RationalParam) -> WeierstrassScan:

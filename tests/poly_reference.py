@@ -49,10 +49,12 @@ from its triples; ``integer_coords_reference`` is the clearing of the
 rational ``TruncSeries`` coordinates it replaced.
 
 The library prints every sum of terms through one writer, ``_terms_str``;
-``mpoly_str_reference`` and ``series_str_reference`` are the two printers,
-one per type, that it replaced.  ``terms_str_reference`` is that writer
-before its path for int coefficients, every coefficient through
-``_coeff_str``.
+``series_str_reference`` is the ``TruncSeries`` printer it replaced, and
+``terms_str_reference`` is that writer before its path for int
+coefficients, every coefficient through ``_coeff_str``.  ``MPoly`` orders
+its terms by two sorts and writes its monomials from per-variable tables of
+power texts; ``mpoly_str_reference`` is the printer that took the terms from
+``sorted_terms`` and joined each monomial's powers with "*".
 """
 
 import re
@@ -93,6 +95,7 @@ from sextactic.poly import (
     _digits,
     _form,
     _pack,
+    _terms_str,
     _triangle,
     _u_at,
     _u_trim,
@@ -825,27 +828,10 @@ def integer_coords_reference(b):
 
 
 def mpoly_str_reference(f: MPoly) -> str:
-    if not f.terms:
-        return "0"
-    parts = []
-    for expo, c in f.sorted_terms():
-        mono = "*".join(
-            v if e == 1 else f"{v}^{e}"
-            for v, e in zip(f.variables, expo)
-            if e
-        )
-        mag = abs(c)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{_coeff_str(mag)}*{mono}"
-        else:
-            body = _coeff_str(mag)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return _terms_str(
+        (c, "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(f.variables, expo) if e]))
+        for expo, c in f.sorted_terms()
+    ) or "0"
 
 
 def terms_str_reference(pairs) -> str:

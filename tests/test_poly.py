@@ -822,17 +822,18 @@ def print_coeffs():
 
 @st.composite
 def printable_polys(draw):
-    """An MPoly in one to three variables, possibly zero, with a constant
-    term, and with its leading term made negative when ``negate`` is drawn."""
-    variables = draw(st.sampled_from([XYZ, ST, ("x",)]))
-    expo = st.tuples(*[st.integers(0, 5)] * len(variables))
-    terms = draw(st.dictionaries(expo, print_coeffs(), max_size=8))
-    if draw(st.booleans()):
-        terms[(0,) * len(variables)] = draw(print_coeffs())
-    f = MPoly(variables, terms)
-    if f.terms and draw(st.booleans()) and f.lead()[1] > 0:
-        f = -f
-    return f
+    """An inhomogeneous MPoly in one to four variables of total degree 0 to
+    15, so that two-digit exponents print, with int and Fraction
+    coefficients, +-1 among them; a constant or zero now and then."""
+    variables = draw(st.sampled_from([XYZ, ST, ("u",), ("a", "b", "c", "d")]))
+    terms = {}
+    for _ in range(draw(st.sampled_from([0, 1, 4, 12, 30]))):
+        left, expo = draw(st.integers(0, 15)), []
+        for _ in variables:
+            expo.append(draw(st.integers(0, left)))
+            left -= expo[-1]
+        terms[tuple(draw(st.permutations(expo)))] = draw(print_coeffs())
+    return MPoly(variables, terms)
 
 
 @st.composite
@@ -842,10 +843,11 @@ def printable_series(draw):
 
 
 class TestTermsStr:
-    """``_terms_str`` writes every sum of terms; the printers it replaced,
-    one for ``MPoly`` and one for ``TruncSeries``, are the references."""
+    """``_terms_str`` writes every sum of terms.  The references are the
+    ``TruncSeries`` printer it replaced and the ``MPoly`` printer before its
+    two sorts and power-text tables, which took ``sorted_terms``."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(printable_polys())
     def test_mpoly_text(self, f):
         assert str(f) == mpoly_str_reference(f)

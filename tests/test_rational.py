@@ -675,9 +675,9 @@ class TestKroneckerEvaluation:
 
 
 @st.composite
-def params_with_zeros(draw, d):
+def params_with_zeros(draw, d, height=3):
     """A coprime param of degree d whose components may be zero."""
-    coeffs = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+    coeffs = st.lists(st.integers(-height, height), min_size=d + 1, max_size=d + 1)
     lists = [draw(coeffs) for _ in range(3)]
     for i in draw(st.sets(st.integers(0, 2), max_size=1)):
         lists[i] = [0] * (d + 1)
@@ -705,11 +705,33 @@ class TestDenseForms:
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_derivative_rows_match_partials(self, order, d, data):
+        # row r is the partials divided by (order - r)! r!
         param = data.draw(params_with_zeros(d))
         assert param.dense == tuple(padded(p, d) for p in param.phi)
         got = rational._derivative_rows(poly.veronese(*param.dense, times=poly._u_mul), order)
         want = derivative_rows_reference(param_veronese(param), order)
-        assert got == [[padded(f, 2 * d - order) for f in row] for row in want]
+        scales = [math.factorial(order - r) * math.factorial(r) for r in range(order + 1)]
+        assert [[[c * m for c in u] for u in row] for row, m in zip(got, scales)] == [
+            [padded(f, 2 * d - order) for f in row] for row in want
+        ]
+        assert rational._DIVIDED[order] == math.prod(scales)
+
+    @pytest.mark.parametrize("order", [4, 5])
+    @pytest.mark.parametrize("height", [1, 3, 30])
+    @pytest.mark.parametrize("d", range(3, 9))
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_divided_rows_pack_narrower(self, order, height, d, data):
+        # the factorial rows are the partials themselves; dividing them
+        # divides the minors' bound by _DIVIDED[order], about two bytes
+        param = data.draw(params_with_zeros(d, height))
+        rows = rational._derivative_rows(poly.veronese(*param.dense, times=poly._u_mul), order)
+        divided, _ = rational._evaluated_rows(rows)
+        rows = derivative_rows_reference(param_veronese(param), order)
+        factorial, _ = rational._evaluated_rows([[padded(f, 2 * d - order) for f in row] for row in rows])
+        assert divided <= factorial
+        if factorial > 8:
+            assert divided < factorial
 
     @pytest.mark.parametrize("d", range(3, 9))
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
