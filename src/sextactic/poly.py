@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import comb, gcd, lcm
-from operator import add, itemgetter, mul, sub
+from operator import add, mul, sub
 
 XYZ = ("x", "y", "z")
 ST = ("s", "t")
@@ -153,17 +153,6 @@ def _terms_str(pairs) -> str:
         else:
             parts.append(body if c > 0 else f"-{body}")
     return " ".join(parts)
-
-
-_ALL_BUT_LAST = itemgetter(slice(None, -1))
-
-
-@lru_cache(maxsize=64)
-def _power_texts(variables, top):
-    """Per variable v, the texts "", "v*", "v^2*", ... of its powers 0 to
-    ``top``; a monomial's text is the concatenation of its variables' texts
-    less the last "*".  Few (variables, top) recur, so the last 64 are kept."""
-    return tuple([""] + [f"{v}*" if e == 1 else f"{v}^{e}*" for e in range(1, top + 1)] for v in variables)
 
 
 def _point_str(coords) -> str:
@@ -722,19 +711,15 @@ class MPoly:
 
     def __str__(self):
         """Terms in graded-lex descending order, from two sorts of the
-        exponents: descending, then stably by total degree, descending.
-        Each monomial's text is its variables' ``_power_texts`` (up to the
-        top total degree, which bounds every exponent) added up column by
-        column, less the last "*"."""
+        exponents: descending, then stably by total degree, descending;
+        each monomial's nonzero powers are joined by "*"."""
         expos = sorted(self.terms, reverse=True)
-        if not expos:
-            return "0"
         expos.sort(key=sum, reverse=True)
-        monos = None
-        for texts, col in zip(_power_texts(self.variables, sum(expos[0])), zip(*expos)):
-            part = map(texts.__getitem__, col)
-            monos = part if monos is None else map(add, monos, part)
-        return _terms_str(zip(map(self.terms.__getitem__, expos), map(_ALL_BUT_LAST, monos)))
+        names = self.variables
+        return _terms_str(
+            (self.terms[expo], "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(names, expo) if e]))
+            for expo in expos
+        ) or "0"
 
     def __repr__(self):
         return f"MPoly({'/'.join(self.variables)}: {self})"
@@ -1078,7 +1063,9 @@ class TernaryForm:
         """The text of ``self.mpoly()``: rows from x^degree down, each from
         its highest power of y down, is the graded-lex order."""
         d, den = self.degree, self.den
-        xs, ys, zs = _power_texts(XYZ, d)
+        # "v^e*" for e >= 1 and "" for e = 0; a monomial's text is the
+        # concatenation of its three powers less the last "*"
+        xs, ys, zs = ([""] + [f"{v}*" if e == 1 else f"{v}^{e}*" for e in range(1, d + 1)] for v in XYZ)
         pairs = (
             (c if den == 1 else _ratio(c, den), (xs[i] + ys[j] + zs[d - i - j])[:-1])
             for i in range(d, -1, -1)

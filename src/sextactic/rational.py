@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
 
 from .branch import BranchParam
 from .poly import (
@@ -119,7 +119,7 @@ def _derivative_rows(forms, order: int):
     c (i)_k (n-i)_r s^(i-k) t^(n-i-r), so row r keeps the entries i = k..n-r
     of each form, scaled by (i)_k (n-i)_r / (k! r!) = C(i, k) C(n-i, r).  A
     minor is linear in each of its rows, so the minors of the partials are
-    ``_DIVIDED`` times those of these rows.
+    ``_row_divisor(order)`` times those of these rows.
     """
     n = len(forms[0]) - 1
     rows = []
@@ -130,9 +130,10 @@ def _derivative_rows(forms, order: int):
     return rows
 
 
-# the product over r of (order - r)! r!, keyed by order: 82944 for the conic
-# family, 1194393600 for the Wronskian
-_DIVIDED = {4: 82944, 5: 1194393600}
+def _row_divisor(order: int) -> int:
+    """The product over r of the (order - r)! r! that ``_derivative_rows``
+    divides its rows by: 82944 at order 4, 1194393600 at order 5."""
+    return prod(factorial(order - r) * factorial(r) for r in range(order + 1))
 
 
 def _evaluated_rows(rows):
@@ -168,7 +169,7 @@ def osculating_conic_family(param: RationalParam, at=None):
 
     The minors are taken on the divided rows of ``_derivative_rows``: the
     symbolic ones are read back at once (``_digit_runs``) and multiplied by
-    ``_DIVIDED[4]``; the evaluated conic is not, as its canonical form drops
+    ``_row_divisor(4)``; the evaluated conic is not, as its canonical form drops
     that positive constant anyway.
     """
     if param.degree < 3:
@@ -184,7 +185,7 @@ def osculating_conic_family(param: RationalParam, at=None):
         if any(six):
             return canonical_conic(six)
     w, ints = _evaluated_rows(rows)
-    scale = _DIVIDED[4]
+    scale = _row_divisor(4)
     runs = _digit_runs(laplace_minors(ints), w, [10 * param.degree - 19] * 6)
     minors = tuple(_form([c * scale for c in u], 0, 0, ST) for u in runs)
     if not any(minors):
@@ -223,12 +224,13 @@ def _wronskian_form(dense):
     determinant of the fifth-order partials of their Veronese products,
     the dense list of a binary form of degree 12d - 30.  It is read back as
     the determinant of the divided rows of ``_derivative_rows`` and
-    multiplied by ``_DIVIDED[5]``."""
+    multiplied by ``_row_divisor(5)``."""
     d = len(dense[0]) - 1
     rows = _derivative_rows(veronese(*dense, times=_u_mul), 5)
     w, (top, *rest) = _evaluated_rows(rows)
     xi = _digits(sum(e * m for e, m in zip(top, laplace_minors(rest))), w, 12 * d - 29)
-    return [c * _DIVIDED[5] for c in xi]
+    scale = _row_divisor(5)
+    return [c * scale for c in xi]
 
 
 def conic_wronskian(param: RationalParam) -> WeierstrassScan:

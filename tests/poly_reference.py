@@ -52,9 +52,8 @@ The library prints every sum of terms through one writer, ``_terms_str``;
 ``series_str_reference`` is the ``TruncSeries`` printer it replaced, and
 ``terms_str_reference`` is that writer before its path for int
 coefficients, every coefficient through ``_coeff_str``.  ``MPoly`` orders
-its terms by two sorts and writes its monomials from per-variable tables of
-power texts; ``mpoly_str_reference`` is the printer that took the terms from
-``sorted_terms`` and joined each monomial's powers with "*".
+its terms by two C-level sorts; ``mpoly_str_reference`` is the printer that
+took them from ``sorted_terms``, whose key is a Python function.
 """
 
 import re

@@ -15,6 +15,7 @@ from poly_reference import (
     gradient_form_bordered,
     hessian_reference,
     matmul,
+    mpoly_str_reference,
     osculating_conic_reference,
     second_hessian_reference,
     sym3,
@@ -241,6 +242,22 @@ class TestDenseChainAgainstMPoly:
         assert bundle.H == c**3 * (X * Y * Z) ** (d - 2)
         assert h2.degree() == 12 * d - 27
         assert h2 == second_hessian_reference(f)
+
+    def test_high_degree_sparse_curve_prints_small(self):
+        # H has one term and H2 six, of degrees near 3d and 12d; printing
+        # costs what their terms hold, not what every power up to the
+        # degree would (tables of those held ~3 MB at d = 1000)
+        d = 1000
+        f = X**d + Y**d + Z**d
+        h, h2 = hessian(f).H, second_hessian(f)
+        tracemalloc.start()
+        try:
+            texts = str(h), str(h2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert texts == (mpoly_str_reference(h), mpoly_str_reference(h2))
 
     @pytest.mark.parametrize("f", [X**3 - Y**3, X**4 + Y**4, Fraction(1, 3) * X**2 * Y])
     def test_hessian_vanishes(self, f):

@@ -714,7 +714,6 @@ class TestDenseForms:
         assert [[[c * m for c in u] for u in row] for row, m in zip(got, scales)] == [
             [padded(f, 2 * d - order) for f in row] for row in want
         ]
-        assert rational._DIVIDED[order] == math.prod(scales)
 
     @pytest.mark.parametrize("order", [4, 5])
     @pytest.mark.parametrize("height", [1, 3, 30])
@@ -723,7 +722,7 @@ class TestDenseForms:
     @given(data=st.data())
     def test_divided_rows_pack_narrower(self, order, height, d, data):
         # the factorial rows are the partials themselves; dividing them
-        # divides the minors' bound by _DIVIDED[order], about two bytes
+        # divides the minors' bound by _row_divisor(order), about two bytes
         param = data.draw(params_with_zeros(d, height))
         rows = rational._derivative_rows(poly.veronese(*param.dense, times=poly._u_mul), order)
         divided, _ = rational._evaluated_rows(rows)
