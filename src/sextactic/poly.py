@@ -20,7 +20,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import add, mul, sub
 
 XYZ = ("x", "y", "z")
@@ -1183,12 +1183,14 @@ def _u_exact_div(a, b):
     return q
 
 
-# the primes of ``_u_gcd``, tried in turn.  2^30 - 35, whose residues are one
-# CPython digit, answers coprime operands: against p = 2^61 - 1 that took a
-# fifth less time at degree 4 and half the time at degree 114 (CPython 3.11).
-# The Mersenne primes after it leave more room each for a common factor's
-# residues.  Climbing them split a degree-160 form with a repeated factor in
-# 0.13 s, against 0.23 s for one prime past a Landau-Mignotte bound.
+# the primes of ``_u_gcd_modular``, tried in turn.  It runs when the
+# certificate of ``_u_gcd`` declines: on a common factor, mostly, and on the
+# rare coprime pair whose integer gcd at the point is large.  2^30 - 35, whose
+# residues are one CPython digit, comes first: it settles such a coprime pair
+# in one Euclid over small residues.  The Mersenne primes after it leave more
+# room each for a common factor's residues.  Climbing them split a degree-160
+# form with a repeated factor in 0.13 s, against 0.23 s for one prime past a
+# Landau-Mignotte bound.
 _GCD_PRIMES = (2**30 - 35,) + tuple(
     2**e - 1
     for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
@@ -1221,6 +1223,34 @@ def _u_gcd_mod_p(a, b, p):
 
 
 def _u_gcd(a, b):
+    """Primitive gcd, positive leading coefficient, of two trimmed lists, not
+    both zero.
+
+    Coprime operands are certified by one integer gcd at a point (the
+    heuristic gcd of Char, Geddes and Gonnet 1989, used only to say "1").  A
+    nonzero constant operand leaves gcd 1.  For two operands of degree at
+    least 1, k the smaller degree, let M = 2^k min(ceil |a|_2, ceil |b|_2)
+    and B = 2M + 2.  A common factor g of degree m, 1 <= m <= k, divides
+    both, so |g|_1 <= M by the Landau-Mignotte bound (|g|_1 <= 2^m |a|_2 for
+    g dividing a), and as |lead g| >= 1,
+    |g(B)| >= B^(m-1) (|lead g| B - |g|_1 + |lead g|) >= B - M + 1 > B/2.
+    g(B) divides a(B) and b(B), hence their gcd, which is not zero: B
+    exceeds the Cauchy bound of the operand of least norm, so that operand
+    does not vanish at B.  So 0 < 2 gcd(a(B), b(B)) < B leaves no common
+    factor, and the gcd is 1.  Everything else, zero operands, common factors
+    and the coprime pairs the test declines, goes to ``_u_gcd_modular``.
+    """
+    if len(a) == 1 and a[0] or len(b) == 1 and b[0]:
+        return [1]
+    if len(a) > 1 and len(b) > 1:
+        norm = min(isqrt(sum(c * c for c in u) - 1) + 1 for u in (a, b))
+        big = 2 * (norm << (min(len(a), len(b)) - 1)) + 2
+        if 0 < 2 * gcd(_u_at(a, big, 1), _u_at(b, big, 1)) < big:
+            return [1]
+    return _u_gcd_modular(a, b)
+
+
+def _u_gcd_modular(a, b):
     """Primitive gcd, positive leading coefficient, of two trimmed lists, not
     both zero: a modular gcd (Brown 1971) over the primes of _GCD_PRIMES.
 
@@ -1277,7 +1307,7 @@ def _u_squarefree(u):
 
 
 # the primes of ``_rational_roots``, tried in turn.  u is evaluated at every
-# residue of the first that answers, so the primes are small.  On the 32
+# residue of each prime tried, so the primes are small.  On the 32
 # squarefree factors of the seed-1 and seed-11 ``wronski`` params (degree 17
 # and 18) that took 5.3 ms in all, where gcd(u, x^p - x) and equal-degree
 # splitting took 10.5 ms and trial division 100 ms; on factors of degree 29
@@ -1300,6 +1330,13 @@ def _u_at_mod(u, x, m):
     return acc
 
 
+def _simple_roots_mod(u, du, p):
+    """The roots of u modulo the prime p, or None when u' = du vanishes at one
+    of them: that root is then a multiple root of u mod p."""
+    roots = [r for r in range(p) if not _u_at_mod(u, r, p)]
+    return None if any(not _u_at_mod(du, r, p) for r in roots) else roots
+
+
 def _rational_roots(u):
     """Roots of a squarefree primitive u with u[0] != 0, sorted.
 
@@ -1308,29 +1345,29 @@ def _rational_roots(u):
 
     The roots come from one prime p of ``_ROOT_PRIMES`` (the linear-factor
     case of Zassenhaus; Loos, SIAM J. Comput. 1983): the first one that does
-    not divide lead = u[-1] and modulo which u stays squarefree, that is
-    ``_u_gcd_mod_p(u, u', p)`` is constant.  No rational root can be missed:
-    b divides lead and p does not, so a/b is a root of u mod p, and it is a
-    simple one, so Newton's iteration lifts it to the one p-adic root above
-    it.  Every root of u mod p is lifted until the modulus m exceeds
+    not divide lead = u[-1] and at which every root r of u mod p has
+    u'(r) != 0 mod p (``_simple_roots_mod``).  No rational root can be
+    missed: b divides lead and p does not, so a/b is a root of u mod p, and
+    it is a simple one, so Newton's iteration lifts it to the one p-adic root
+    above it.  Every root of u mod p is lifted until the modulus m exceeds
     2 |lead| B, B = 1 + max |u[i] / lead| the Cauchy bound.  Then
     |lead * a/b| < |lead| B < m/2, so the integer (lead / b) a is the
     symmetric residue of lead * root mod m, and a/b is that residue over
     lead.  A candidate is kept only if it is an exact root (``_u_at``).
-    Raises IntegerTooLong when u is not squarefree modulo any prime of the
+    Raises IntegerTooLong when u has a multiple root modulo every prime of the
     list: every one of them then divides lead * disc u, so that is over 2^327.
     """
     if len(u) == 2:
         return [projective_ints((-u[0], u[1]))]
     lead, du = u[-1], _u_deriv(u)
-    p = next((p for p in _ROOT_PRIMES if lead % p and len(_u_gcd_mod_p(u, du, p)) == 1), None)
-    if p is None:
-        raise IntegerTooLong("rational roots: the form is not squarefree modulo any prime of the list")
+    for p in _ROOT_PRIMES:
+        if lead % p and (residues := _simple_roots_mod(u, du, p)) is not None:
+            break
+    else:
+        raise IntegerTooLong("rational roots: the form has a multiple root modulo every prime of the list")
     bound = 2 * (abs(lead) + max(map(abs, u[:-1])))
     roots = []
-    for r in range(p):
-        if _u_at_mod(u, r, p):
-            continue
+    for r in residues:
         m = p
         while m <= bound:
             m *= m

@@ -1186,10 +1186,15 @@ def wide_lists(draw, low, high):
 
 
 class TestCoprimeCertificate:
-    """``_u_gcd`` takes the gcd modulo the primes of ``_GCD_PRIMES`` in turn.
-    A constant gcd mod p certifies coprime operands; otherwise its residues
-    are read back and checked by exact division.  ``prs_gcd``, the primitive
-    PRS the modular gcd replaced, is the reference."""
+    """``_u_gcd`` certifies coprime operands with one integer gcd: a nonzero
+    constant operand, or 0 < 2 gcd(a(B), b(B)) < B at B = 2M + 2, where
+    M = 2^k min(ceil |a|_2, ceil |b|_2) bounds the 1-norm of any common factor
+    (Landau-Mignotte), so such a factor g has |g(B)| > B/2 and would divide
+    that gcd.  Everything else goes to ``_u_gcd_modular``, which takes the gcd
+    modulo the primes of ``_GCD_PRIMES`` in turn: a constant gcd mod p
+    certifies coprime operands; otherwise its residues are read back and
+    checked by exact division.  ``prs_gcd``, the primitive PRS the modular gcd
+    replaced, is the reference."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(binary_forms(), binary_forms())
@@ -1240,21 +1245,53 @@ class TestCoprimeCertificate:
         assert poly._u_gcd([0], [3, 1]) == [3, 1]
         assert poly._u_gcd([2, 4], [6]) == [1]
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        wide_lists(1, 3),
+        wide_lists(0, 3),
+        wide_lists(0, 3),
+        st.integers(1, 2**100),
+        st.integers(1, 2**100),
+    )
+    def test_planted_common_factor_is_never_certified(self, h, c1, c2, k1, k2):
+        # h divides both operands, which carry contents k1 and k2, so their
+        # gcd has degree at least 1 and the certificate must decline
+        a = [k1 * c for c in poly._u_mul(h, c1)]
+        b = [k2 * c for c in poly._u_mul(h, c2)]
+        for x, y in ((a, b), (b, a)):
+            g = poly._u_gcd(x, y)
+            assert g == prs_gcd(x, y)
+            assert g != [1]
+
+    def test_declined_certificate_falls_back_to_the_modular_gcd(self, monkeypatch):
+        # M = 2 * ceil(sqrt 2) = 4 and B = 10; a(10) = 11 divides
+        # b(10) = 110, so the certificate declines coprime operands
+        answers = []
+        modular = poly._u_gcd_modular
+
+        def spy(a, b):
+            answers.append(modular(a, b))
+            return answers[-1]
+
+        monkeypatch.setattr(poly, "_u_gcd_modular", spy)
+        assert poly._u_gcd([1, 1], [10, 0, 1]) == [1]
+        assert answers == [[1]]
+
     def test_coprime_operands_skip_the_prs(self, monkeypatch):
         primes = self.spy_primes(monkeypatch)
-        assert poly._u_gcd([1, 2, 3], [5, 0, 7]) == [1]
+        assert poly._u_gcd_modular([1, 2, 3], [5, 0, 7]) == [1]
         assert primes == [poly._GCD_PRIMES[0]]
 
     def test_prime_dividing_one_leading_coefficient_uses_the_other(self, monkeypatch):
         primes = self.spy_primes(monkeypatch)
         p = poly._GCD_PRIMES[0]
-        assert poly._u_gcd([1, 2, p], [3, 1]) == [1]
+        assert poly._u_gcd_modular([1, 2, p], [3, 1]) == [1]
         assert primes == [p]
 
     def test_next_prime_when_the_first_divides_both(self, monkeypatch):
         primes = self.spy_primes(monkeypatch)
         p = poly._GCD_PRIMES[0]
-        assert poly._u_gcd([1, 2, p], [3, 2 * p]) == [1]
+        assert poly._u_gcd_modular([1, 2, p], [3, 2 * p]) == [1]
         assert primes == [2**61 - 1]
 
     def test_fallback_when_every_prime_divides_both_leads(self, monkeypatch):
@@ -1264,7 +1301,7 @@ class TestCoprimeCertificate:
         primes = self.spy_primes(monkeypatch)
         lead = (2**30 - 35) * (2**30 - 41) * (2**30 - 83)
         a, b = [1, 0, lead], [3, lead]
-        assert poly._u_gcd(a, b) == [1]
+        assert poly._u_gcd_modular(a, b) == [1]
         assert primes == [2**61 - 1]
 
     def test_prime_divides_the_leading_coefficient_of_a_common_factor(self, monkeypatch):
@@ -1293,7 +1330,7 @@ class TestCoprimeCertificate:
         monkeypatch.setattr(poly, "_GCD_PRIMES", poly._GCD_PRIMES[:1])
         p = poly._GCD_PRIMES[0]
         with pytest.raises(poly.IntegerTooLong):
-            poly._u_gcd([1, p], [2, p])
+            poly._u_gcd_modular([1, p], [2, p])
 
     @pytest.mark.parametrize("n1,n2,bits", [(10, 40, 30), (20, 60, 60), (30, 100, 100)])
     def test_baseline_repeated_factor_rows(self, n1, n2, bits):
@@ -1366,29 +1403,43 @@ def root_lists(draw):
 
 
 def spy_root_primes(mp):
-    """Record (p, degree of gcd(u, u') mod p) for each prime that
-    ``_rational_roots`` tries."""
+    """Record (p, accepted) for each prime that ``_rational_roots`` tries:
+    accepted when ``_simple_roots_mod`` finds every root of u mod p simple."""
     seen = []
-    mod_p = poly._u_gcd_mod_p
+    roots_mod = poly._simple_roots_mod
 
-    def spy(a, b, p):
-        h = mod_p(a, b, p)
-        seen.append((p, len(h) - 1))
-        return h
+    def spy(u, du, p):
+        roots = roots_mod(u, du, p)
+        seen.append((p, roots is not None))
+        return roots
 
-    mp.setattr(poly, "_u_gcd_mod_p", spy)
+    mp.setattr(poly, "_simple_roots_mod", spy)
     return seen
 
 
+def first_good_prime(u):
+    """The first prime of ``_ROOT_PRIMES`` that does not divide the lead and
+    at which u' vanishes at no root of u mod p, by brute force over the
+    residues."""
+    du = [i * c for i, c in enumerate(u)][1:]
+
+    def at(v, r, p):
+        return sum(c * r**i for i, c in enumerate(v)) % p
+
+    return next(
+        p
+        for p in poly._ROOT_PRIMES
+        if u[-1] % p and all(at(du, r, p) for r in range(p) if not at(u, r, p))
+    )
+
+
 def assert_first_good_prime(u, seen):
-    """The primes tried are those of the list up to the one that answered,
-    less those that divide the lead; u has a repeated factor modulo each of
-    them but the last."""
-    last = seen[-1][0]
-    listed = poly._ROOT_PRIMES[: poly._ROOT_PRIMES.index(last) + 1]
+    """The primes tried are those of the list up to the first good one, less
+    those that divide the lead; each was refused but the last."""
+    good = first_good_prime(u)
+    listed = poly._ROOT_PRIMES[: poly._ROOT_PRIMES.index(good) + 1]
     assert [p for p, _ in seen] == [p for p in listed if u[-1] % p]
-    assert all(k > 0 for _, k in seen[:-1])
-    assert seen[-1][1] == 0
+    assert [ok for _, ok in seen] == [False] * (len(seen) - 1) + [True]
 
 
 class TestRationalRoots:
@@ -1409,18 +1460,20 @@ class TestRationalRoots:
 
     def test_skips_primes_that_divide_the_lead_or_merge_roots(self, monkeypatch):
         # lead 121: 11 is not tried; 1/11 and 1574/11 differ by 143 and
-        # agree modulo 13, which is refused; 17 answers
+        # agree modulo 13, a double root there, which is refused; 17 answers
         seen = spy_root_primes(monkeypatch)
         u = product([[-1, 11], [-1574, 11]])
         assert poly._rational_roots(u) == [(1, 11), (1574, 11)]
-        assert seen == [(13, 1), (17, 0)]
+        assert seen == [(13, False), (17, True)]
+        assert first_good_prime(u) == 17
 
     def test_skips_primes_modulo_which_a_quadratic_is_a_square(self, monkeypatch):
-        # s^2 + 143 t^2 is s^2 modulo 11 and 13
+        # s^2 + 143 t^2 is s^2 modulo 11 and 13, a double root at 0
         seen = spy_root_primes(monkeypatch)
         u = product([[143, 0, 1], [2, 1]])
         assert poly._rational_roots(u) == [(2, -1)]
-        assert seen == [(11, 1), (13, 1), (17, 0)]
+        assert seen == [(11, False), (13, False), (17, True)]
+        assert first_good_prime(u) == 17
 
     def test_no_root_modulo_p_checks_no_candidate(self, monkeypatch):
         # -1 is not a square modulo 11

@@ -91,6 +91,25 @@ class TestRationalParam:
         assert p.eval_point((0, 1)) == (0, 1, 0)   # second inflection
         assert p.eval_point((1, 4)) == (64, 256, 3)  # = (64/3 : 256/3 : 1)
 
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_coprime_components_are_certified(self, d, monkeypatch):
+        # no two components of these params share a factor other than a
+        # power of s or t, which is split off before any gcd, so each gcd of
+        # the components' fold is settled by the coprime certificate of
+        # poly._u_gcd, the second on a constant operand.  At these sizes the
+        # certificate declines under one coprime pair in a hundred (the
+        # first at seed 43, d = 4), which the modular gcd then settles
+        def no_modular(a, b):
+            raise AssertionError("the coprime certificate declined")
+
+        monkeypatch.setattr(poly, "_u_gcd_modular", no_modular)
+        for seed in range(1, 21):
+            try:
+                parse_param(random_param_text(seed, d, 3))
+            except CommonFactorError as e:
+                # a shared power of s or t, split off before any gcd
+                assert str(e).split("factor ", 1)[1].rstrip("^0123456789") in ("s", "t")
+
     def test_normalize_parameter(self):
         assert projective_ints((Fraction(-15, 8), 1)) == (15, -8)
         assert projective_ints((0, 5)) == (0, 1)
