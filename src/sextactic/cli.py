@@ -328,9 +328,9 @@ def cmd_check_lemma37(args, rep: Reporter):
             f"--ms expects a comma-separated integer list, got {_quoted(args.ms)}"
         )
     try:
-        ms = [_ascii_int(v) for v in items]
-    except argparse.ArgumentTypeError as e:  # an over-long literal
-        raise ParseError(str(e)) from None
+        ms = [int(v) for v in items]
+    except ValueError:  # longer than the interpreter converts
+        raise ParseError(_over_limit_message()) from None
     report = cusp_contact_constraints(ms, args.d, l=args.l, c=args.c)
     rep.kv("ok", "yes" if report.ok else "no")
     rep.kv("feasible_l", ",".join(str(v) for v, _ in report.feasible_l) or "-")
@@ -413,13 +413,16 @@ def _quote(arg: str) -> str:
 # -- argument wiring -----------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build():
+    """The parser and its subcommand parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "machine"), default="text",
         help="text report or machine-readable key = value lines",
     )
-    common.add_argument(
+    # only the commands whose handlers read it
+    normalize = argparse.ArgumentParser(add_help=False)
+    normalize.add_argument(
         "--normalize", action="store_true",
         help="divide the main polynomial output by its content and fix the sign",
     )
@@ -430,26 +433,28 @@ def build_parser() -> argparse.ArgumentParser:
         "covariants, osculating conics, and conic contact weights.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("hessian", parents=[common], help="Hessian determinant of a curve")
+    def add(name, *parents, help):
+        commands[name] = sub.add_parser(name, parents=[common, *parents], help=help)
+        return commands[name]
+
+    p = add("hessian", normalize, help="Hessian determinant of a curve")
     p.add_argument("--implicit", required=True, metavar="POLY")
     p.set_defaults(func=cmd_hessian)
 
-    p = sub.add_parser(
-        "hessian2", parents=[common],
-        help="excess-contact covariant of degree 12d-27",
-    )
+    p = add("hessian2", normalize, help="excess-contact covariant of degree 12d-27")
     p.add_argument("--implicit", required=True, metavar="POLY")
     p.add_argument("--variant", choices=VARIANTS, default="corrected")
     p.set_defaults(func=cmd_hessian2)
 
-    p = sub.add_parser("osculate", parents=[common], help="osculating conic at a rational point")
+    p = add("osculate", help="osculating conic at a rational point")
     p.add_argument("--implicit", required=True, metavar="POLY")
     p.add_argument("--point", required=True, metavar="(a:b:c)")
     p.set_defaults(func=cmd_osculate)
 
-    p = sub.add_parser(
-        "wronski", parents=[common],
+    p = add(
+        "wronski", normalize,
         help="conic Wronskian of a parametrized curve, or its conic family",
     )
     p.add_argument("--param", required=True, metavar="(e0:e1:e2)")
@@ -457,10 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", metavar="(s0:t0)", help="evaluate the conic family at a parameter")
     p.set_defaults(func=cmd_wronski)
 
-    p = sub.add_parser(
-        "orders", parents=[common],
-        help="vanishing orders of a pullback at given parameters",
-    )
+    p = add("orders", help="vanishing orders of a pullback at given parameters")
     p.add_argument("--param", required=True, metavar="(e0:e1:e2)")
     p.add_argument("--poly", required=True, metavar="POLY|@hessian|@hessian2")
     p.add_argument("--implicit", metavar="POLY", help="curve equation for @hessian/@hessian2")
@@ -468,73 +470,69 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", required=True, metavar="(s0:t0),(s1:t1),...")
     p.set_defaults(func=cmd_orders)
 
-    p = sub.add_parser("weight", parents=[common], help="conic contact weight of a branch")
+    p = add("weight", help="conic contact weight of a branch")
     p.add_argument("--branch", required=True, metavar="FILE")
     p.set_defaults(func=cmd_weight)
 
-    p = sub.add_parser("ladder", parents=[common], help="attainable conic contact orders of a branch")
+    p = add("ladder", help="attainable conic contact orders of a branch")
     p.add_argument("--branch", required=True, metavar="FILE")
     p.set_defaults(func=cmd_ladder)
 
-    p = sub.add_parser(
-        "osc-branch", parents=[common],
-        help="distinguished maximal-contact conic at a branch",
-    )
+    p = add("osc-branch", help="distinguished maximal-contact conic at a branch")
     p.add_argument("--branch", required=True, metavar="FILE")
     p.set_defaults(func=cmd_osc_branch)
 
-    p = sub.add_parser(
-        "check-lemma37", parents=[common],
-        help="contact orders compatible with a cusp multiplicity sequence",
-    )
+    p = add("check-lemma37", help="contact orders compatible with a cusp multiplicity sequence")
     p.add_argument("--ms", required=True, metavar="m,m1,...")
     p.add_argument("--d", required=True, type=_ascii_int)
     p.add_argument("--l", type=_ascii_int)
     p.add_argument("--c", type=_ascii_int)
     p.set_defaults(func=cmd_check_lemma37)
 
-    p = sub.add_parser("count", parents=[common], help="counting formulas over a curve profile")
+    p = add("count", help="counting formulas over a curve profile")
     p.add_argument("--profile", required=True, metavar="FILE")
     p.add_argument("--per-branch", action="store_true")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser(
-        "predict39", parents=[common],
-        help="predicted Hessian-type contact orders for each profile record",
-    )
+    p = add("predict39", help="predicted Hessian-type contact orders for each profile record")
     p.add_argument("--profile", required=True, metavar="FILE")
     p.add_argument("--per-branch", action="store_true")
     p.set_defaults(func=cmd_predict39)
 
-    p = sub.add_parser("examples", parents=[common], help="list bundled example fixtures")
+    p = add("examples", help="list bundled example fixtures")
     p.add_argument("--write", metavar="DIR", help="also write the bundled data files to DIR")
     p.set_defaults(func=cmd_examples)
 
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
 
 
 @functools.cache
 def _parser():
-    """The parser and its subcommand parsers by name; parsing leaves no
-    state in a parser, so one serves every call."""
-    parser = build_parser()
-    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return parser, commands
+    """``_build()``; parsing leaves no state in a parser, so one serves
+    every call."""
+    return _build()
 
 
 def _parse(argv):
-    """``build_parser().parse_args(argv)``.  A known subcommand first is
-    parsed by its own parser, as argparse would, with the leftover arguments
-    refused by the top-level parser; anything else goes to the whole parser."""
+    """The subcommand's parser and ``build_parser().parse_args(argv)``.  A
+    known subcommand first is parsed by its own parser, as argparse would,
+    with the leftover arguments refused by the top-level parser; anything
+    else goes to the whole parser.  The subcommand map is the one ``_build``
+    collects, and a handler's ``parser.error`` shows that subcommand's usage."""
     parser, commands = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = commands.get(argv[0]) if argv else None
     if sub is None:
-        return parser, parser.parse_args(argv)
+        args = parser.parse_args(argv)
+        return commands[args.command], args
     args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
-    return parser, args
+    return sub, args
 
 
 def main(argv=None) -> int:
