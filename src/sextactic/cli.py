@@ -236,6 +236,8 @@ def _emit_weight_entries(rep, entries):
 def cmd_wronski(args, rep: Reporter):
     if args.at and not args.omega:
         args.parser.error("--at requires --omega")
+    if args.normalize and args.omega:
+        args.parser.error("--normalize is not allowed with --omega")
     param = parse_param(args.param)
     if args.omega:
         if args.at:
@@ -270,11 +272,15 @@ def cmd_wronski(args, rep: Reporter):
 def cmd_orders(args, rep: Reporter):
     param = parse_param(args.param)
     spec = args.poly.strip()
+    if args.implicit is not None and spec not in ("@hessian", "@hessian2"):
+        args.parser.error("--implicit requires --poly @hessian or @hessian2")
+    if args.variant is not None and spec != "@hessian2":
+        args.parser.error("--variant requires --poly @hessian2")
     if spec in ("@hessian", "@hessian2"):
         if not args.implicit:
             args.parser.error(f"--poly {spec} requires --implicit")
         F = parse_poly(args.implicit, "xyz")
-        G = hessian(F).H if spec == "@hessian" else second_hessian(F, args.variant)
+        G = hessian(F).H if spec == "@hessian" else second_hessian(F, args.variant or "corrected")
     else:
         G = parse_poly(spec, "xyz")
     at_list = parse_parameter_list(args.at)
@@ -466,7 +472,7 @@ def _build():
     p.add_argument("--param", required=True, metavar="(e0:e1:e2)")
     p.add_argument("--poly", required=True, metavar="POLY|@hessian|@hessian2")
     p.add_argument("--implicit", metavar="POLY", help="curve equation for @hessian/@hessian2")
-    p.add_argument("--variant", choices=VARIANTS, default="corrected")
+    p.add_argument("--variant", choices=VARIANTS, help="variant of @hessian2 (default corrected)")
     p.add_argument("--at", required=True, metavar="(s0:t0),(s1:t1),...")
     p.set_defaults(func=cmd_orders)
 

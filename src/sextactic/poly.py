@@ -20,7 +20,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 from operator import add, mul, sub
 
 XYZ = ("x", "y", "z")
@@ -1183,102 +1183,51 @@ def _u_exact_div(a, b):
     return q
 
 
-# the primes of ``_u_gcd_modular``, tried in turn.  It runs when the
-# certificate of ``_u_gcd`` declines: on a common factor, mostly, and on the
-# rare coprime pair whose integer gcd at the point is large.  2^30 - 35, whose
-# residues are one CPython digit, comes first: it settles such a coprime pair
-# in one Euclid over small residues.  The Mersenne primes after it leave more
-# room each for a common factor's residues.  Climbing them split a degree-160
-# form with a repeated factor in 0.13 s, against 0.23 s for one prime past a
-# Landau-Mignotte bound.
-_GCD_PRIMES = (2**30 - 35,) + tuple(
-    2**e - 1
-    for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
-              9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503)
-)
-
-
-def _u_gcd_mod_p(a, b, p):
-    """The monic gcd of two trimmed lists modulo the prime p, by Euclid over
-    F_p; p must not divide both leading coefficients."""
-    a = _u_trim([c % p for c in a])
-    b = _u_trim([c % p for c in b])
-    if len(a) < len(b):
-        a, b = b, a
-    while b[-1]:
-        # a <- a mod b over F_p, each quotient digit scaled by 1 / lead b,
-        # then swap
-        n = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        for k in range(len(a) - 1 - n, -1, -1):
-            c = r.pop() * inv % p
-            if c:
-                r[k:] = [(x - c * y) % p for x, y in zip(r[k:], b)]
-        a, b = b, _u_trim(r or [0])
-    if a[-1] != 1:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
+# ``_u_gcd`` doubles its digit width until a width past _GCD_MAX_BITS bits
+# has failed, then gives up.  110503 is the exponent of the largest Mersenne
+# prime of the modular gcd it replaced, so no pair that gcd answered is
+# refused.
+_GCD_MAX_BITS = 110503
 
 
 def _u_gcd(a, b):
     """Primitive gcd, positive leading coefficient, of two trimmed lists, not
-    both zero.
+    both zero: the heuristic gcd of Char, Geddes and Gonnet (1989) on the
+    packed digits of ``_pack`` and ``_digits``.
 
-    Coprime operands are certified by one integer gcd at a point (the
-    heuristic gcd of Char, Geddes and Gonnet 1989, used only to say "1").  A
-    nonzero constant operand leaves gcd 1.  For two operands of degree at
-    least 1, k the smaller degree, let M = 2^k min(ceil |a|_2, ceil |b|_2)
-    and B = 2M + 2.  A common factor g of degree m, 1 <= m <= k, divides
-    both, so |g|_1 <= M by the Landau-Mignotte bound (|g|_1 <= 2^m |a|_2 for
-    g dividing a), and as |lead g| >= 1,
-    |g(B)| >= B^(m-1) (|lead g| B - |g|_1 + |lead g|) >= B - M + 1 > B/2.
-    g(B) divides a(B) and b(B), hence their gcd, which is not zero: B
-    exceeds the Cauchy bound of the operand of least norm, so that operand
-    does not vanish at B.  So 0 < 2 gcd(a(B), b(B)) < B leaves no common
-    factor, and the gcd is 1.  Everything else, zero operands, common factors
-    and the coprime pairs the test declines, goes to ``_u_gcd_modular``.
+    A nonzero constant operand leaves gcd 1.  Otherwise let m be the largest
+    |coefficient| of either operand, w = ``digit_width``(m + 1) and
+    xi = 2^(8w), so xi > 2m + 2.  Every root z of a nonzero operand u has
+    |z| < 1 + m (Cauchy), so u(xi) != 0, and |u(xi)| < xi^len(u) / 2.  Hence
+    gamma = gcd(a(xi), b(xi)) is nonzero and its len(u) + 1 signed base-xi
+    digits G, u the shorter nonzero operand, hold it: G(xi) = gamma.  The gcd
+    g has g(xi) dividing gamma, and a nonconstant g has
+    |g(xi)| > (xi - 1 - m)^deg g >= xi/2, so 2 gamma < xi (one digit) leaves
+    g = 1.  Otherwise pp(G), the primitive part of G with a positive lead, is
+    returned once it divides both operands (``_u_exact_div``), for then it is
+    g: write g = pp(G) h; h(xi) divides cont(G) < xi/2, and a nonconstant h
+    has |h(xi)| > xi/2 as g does, so h = +-1.  A pp(G) that does not divide
+    both doubles w; once a width past _GCD_MAX_BITS bits has failed,
+    IntegerTooLong is raised.
     """
     if len(a) == 1 and a[0] or len(b) == 1 and b[0]:
         return [1]
-    if len(a) > 1 and len(b) > 1:
-        norm = min(isqrt(sum(c * c for c in u) - 1) + 1 for u in (a, b))
-        big = 2 * (norm << (min(len(a), len(b)) - 1)) + 2
-        if 0 < 2 * gcd(_u_at(a, big, 1), _u_at(b, big, 1)) < big:
+    w = digit_width(max(map(abs, chain(a, b))) + 1)
+    k = (min(len(a), len(b)) if a[-1] and b[-1] else max(len(a), len(b))) + 1
+    while True:
+        gamma = gcd(_pack(a, w), _pack(b, w))
+        if gamma.bit_length() < 8 * w:
             return [1]
-    return _u_gcd_modular(a, b)
-
-
-def _u_gcd_modular(a, b):
-    """Primitive gcd, positive leading coefficient, of two trimmed lists, not
-    both zero: a modular gcd (Brown 1971) over the primes of _GCD_PRIMES.
-
-    Let l = gcd(lead a, lead b) and g the gcd.  For a prime p that does not
-    divide l, lead g divides l, so g mod p keeps its degree and divides the
-    gcd h mod p.  A constant h therefore certifies coprime operands.
-    Otherwise the symmetric residues of l * h, made primitive, are g once p is
-    large enough and p divides no resultant of the cofactors; a candidate is
-    accepted only if it divides both a and b, and a primitive common divisor
-    of degree at least deg g is g itself.
-    """
-    lead = gcd(a[-1], b[-1])
-    for p in _GCD_PRIMES:
-        if lead % p == 0:
-            continue
-        h = _u_gcd_mod_p(a, b, p)
-        if len(h) == 1:
-            return [1]
-        half = p // 2
-        r = [x - p if x > half else x for x in (lead * c % p for c in h)]
-        g = primitive_ints(r, r[-1])[0]
+        g = _u_trim(_digits(gamma, w, k))
+        g = primitive_ints(g, g[-1])[0]
         try:
             _u_exact_div(a, g)
             _u_exact_div(b, g)
+            return g
         except ExactDivisionError:
-            continue
-        return g
-    raise IntegerTooLong("binary-form gcd: the coefficients outgrow every prime of the modular gcd")
+            if 8 * w > _GCD_MAX_BITS:
+                raise IntegerTooLong("binary-form gcd: no digit width up to the cap reads the gcd back") from None
+        w *= 2
 
 
 def _u_squarefree(u):

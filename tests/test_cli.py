@@ -794,6 +794,8 @@ class TestOptionsWhereRead:
         assert out == ""
         assert "unrecognized arguments: --normalize" in err
 
+    ORDERS = ["orders", "--param", "(s^4:s^3*t:t^4)", "--at", "(1:0)"]
+
     @pytest.mark.parametrize(
         "argv,refusal",
         [
@@ -801,6 +803,19 @@ class TestOptionsWhereRead:
             (
                 ["orders", "--param", "(s^3:t^3:s*t^2)", "--poly", "@hessian", "--at", "(1:1)"],
                 "--poly @hessian requires --implicit",
+            ),
+            # options accepted by a handler that would not read them
+            (
+                [*ORDERS, "--poly", "x*z-y^2", "--implicit", "((", "--variant", "cayley1865"],
+                "--implicit requires --poly @hessian or @hessian2",
+            ),
+            (
+                [*ORDERS, "--poly", "@hessian", "--implicit", "x^3 + y^3 + z^3", "--variant", "cayley1865"],
+                "--variant requires --poly @hessian2",
+            ),
+            (
+                ["wronski", "--param", "(s^3:t^3:s*t^2)", "--omega", "--normalize"],
+                "--normalize is not allowed with --omega",
             ),
         ],
     )
@@ -812,6 +827,13 @@ class TestOptionsWhereRead:
         assert out == ""
         assert err.startswith(f"usage: sextactic {argv[0]} ")
         assert err.endswith(f"sextactic {argv[0]}: error: {refusal}\n")
+
+    def test_variant_defaults_to_corrected(self, capsys):
+        argv = [*self.ORDERS, "--poly", "@hessian2", "--implicit", "x^4 - x^3*y + y^3*z"]
+        assert cli.main(argv) == 0
+        default = capsys.readouterr().out
+        assert cli.main([*argv, "--variant", "corrected"]) == 0
+        assert capsys.readouterr().out == default
 
 
 class TestRepeatedParameters:

@@ -1186,15 +1186,13 @@ def wide_lists(draw, low, high):
 
 
 class TestCoprimeCertificate:
-    """``_u_gcd`` certifies coprime operands with one integer gcd: a nonzero
-    constant operand, or 0 < 2 gcd(a(B), b(B)) < B at B = 2M + 2, where
-    M = 2^k min(ceil |a|_2, ceil |b|_2) bounds the 1-norm of any common factor
-    (Landau-Mignotte), so such a factor g has |g(B)| > B/2 and would divide
-    that gcd.  Everything else goes to ``_u_gcd_modular``, which takes the gcd
-    modulo the primes of ``_GCD_PRIMES`` in turn: a constant gcd mod p
-    certifies coprime operands; otherwise its residues are read back and
-    checked by exact division.  ``prs_gcd``, the primitive PRS the modular gcd
-    replaced, is the reference."""
+    """``_u_gcd`` is the heuristic gcd at xi = 2^(8w), w the digit width of
+    the operands' largest |coefficient| + 1: gamma = gcd(a(xi), b(xi)) below
+    xi/2 certifies coprime operands, and otherwise the primitive part of
+    gamma's signed base-xi digits is the gcd once it divides both operands
+    exactly; if it does not, w doubles.  Several tests keep the inputs on
+    which the modular gcd over a prime table, which this replaced, skipped or
+    climbed primes.  ``prs_gcd``, the primitive PRS, is the reference."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(binary_forms(), binary_forms())
@@ -1214,8 +1212,8 @@ class TestCoprimeCertificate:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(wide_lists(1, 3), wide_lists(0, 3), wide_lists(0, 3))
     def test_matches_bare_prs_on_wide_shared_factors(self, h, c1, c2):
-        # h * lead(h)-sized residues outgrow 2^30 - 35, so a later prime of
-        # the list has to answer
+        # coefficients of about 300 bits: a digit width past the machine
+        # words, read back from fields spread over several 8-byte limbs
         a = poly._u_mul(poly._u_mul(h, h), c1)
         b = poly._u_mul(h, c2)
         assert poly._u_gcd(a, b) == prs_gcd(a, b)
@@ -1223,22 +1221,21 @@ class TestCoprimeCertificate:
         d = poly._u_deriv(a)
         assert poly._u_gcd(a, d) == prs_gcd(a, d)
 
-    def spy_primes(self, monkeypatch):
-        primes = []
-        mod_p = poly._u_gcd_mod_p
+    def spy_widths(self, monkeypatch):
+        """The digit width of every ``_pack`` call, two per point tried."""
+        widths = []
+        pack = poly._pack
 
-        def spy(a, b, p):
-            primes.append(p)
-            return mod_p(a, b, p)
+        def spy(u, w):
+            widths.append(w)
+            return pack(u, w)
 
-        monkeypatch.setattr(poly, "_u_gcd_mod_p", spy)
-        return primes
+        monkeypatch.setattr(poly, "_pack", spy)
+        return widths
 
-    def test_repeated_factor_is_not_certified(self, monkeypatch):
-        primes = self.spy_primes(monkeypatch)
+    def test_repeated_factor_is_not_certified(self):
         u = dense_list((S + 2 * T) ** 3 * (S - T))
         assert poly._u_gcd(u, poly._u_deriv(u)) == dense_list((S + 2 * T) ** 2)
-        assert primes == [poly._GCD_PRIMES[0]]
 
     def test_constants_and_zero(self):
         assert poly._u_gcd([5], [0]) == [1]
@@ -1263,74 +1260,62 @@ class TestCoprimeCertificate:
             assert g == prs_gcd(x, y)
             assert g != [1]
 
-    def test_declined_certificate_falls_back_to_the_modular_gcd(self, monkeypatch):
-        # M = 2 * ceil(sqrt 2) = 4 and B = 10; a(10) = 11 divides
-        # b(10) = 110, so the certificate declines coprime operands
-        answers = []
-        modular = poly._u_gcd_modular
-
-        def spy(a, b):
-            answers.append(modular(a, b))
-            return answers[-1]
-
-        monkeypatch.setattr(poly, "_u_gcd_modular", spy)
+    def test_declined_certificate_falls_back_to_the_modular_gcd(self):
+        # a(10) = 11 divides b(10) = 110, so the Landau-Mignotte point B = 10
+        # of the certificate this replaced declined these coprime operands
         assert poly._u_gcd([1, 1], [10, 0, 1]) == [1]
-        assert answers == [[1]]
 
-    def test_coprime_operands_skip_the_prs(self, monkeypatch):
-        primes = self.spy_primes(monkeypatch)
-        assert poly._u_gcd_modular([1, 2, 3], [5, 0, 7]) == [1]
-        assert primes == [poly._GCD_PRIMES[0]]
+    # Two pairs from a seeded search (random.Random(0), dense lists of
+    # degree 1 to 6 with coefficients in [-3, 3], half of them times a random
+    # common factor of degree 1 or 2) whose first point, xi = 2^8, reads back
+    # digits that divide neither operand, so a second width is evaluated.
+    @pytest.mark.parametrize(
+        "a,b",
+        [([2, 3, -2, -3], [3, 0, 2]), ([9, 15, -3, -18, -3, 6], [0, 6, 9, 3])],
+        ids=["coprime", "common-factor"],
+    )
+    def test_declined_first_point_doubles_the_width(self, a, b, monkeypatch):
+        widths = self.spy_widths(monkeypatch)
+        assert poly._u_gcd(a, b) == prs_gcd(a, b)
+        assert widths == [1, 1, 2, 2]
 
-    def test_prime_dividing_one_leading_coefficient_uses_the_other(self, monkeypatch):
-        primes = self.spy_primes(monkeypatch)
-        p = poly._GCD_PRIMES[0]
-        assert poly._u_gcd_modular([1, 2, p], [3, 1]) == [1]
-        assert primes == [p]
+    def test_coprime_operands_skip_the_prs(self):
+        assert poly._u_gcd([1, 2, 3], [5, 0, 7]) == [1]
 
-    def test_next_prime_when_the_first_divides_both(self, monkeypatch):
-        primes = self.spy_primes(monkeypatch)
-        p = poly._GCD_PRIMES[0]
-        assert poly._u_gcd_modular([1, 2, p], [3, 2 * p]) == [1]
-        assert primes == [2**61 - 1]
+    def test_prime_dividing_one_leading_coefficient_uses_the_other(self):
+        p = 2**30 - 35
+        assert poly._u_gcd([1, 2, p], [3, 1]) == [1]
 
-    def test_fallback_when_every_prime_divides_both_leads(self, monkeypatch):
-        # every prime of the three-prime certificate the modular gcd replaced
-        # divides both leading coefficients; 2^61 - 1, its second prime, does
-        # not and answers
-        primes = self.spy_primes(monkeypatch)
+    def test_next_prime_when_the_first_divides_both(self):
+        p = 2**30 - 35
+        assert poly._u_gcd([1, 2, p], [3, 2 * p]) == [1]
+
+    def test_fallback_when_every_prime_divides_both_leads(self):
         lead = (2**30 - 35) * (2**30 - 41) * (2**30 - 83)
         a, b = [1, 0, lead], [3, lead]
-        assert poly._u_gcd_modular(a, b) == [1]
-        assert primes == [2**61 - 1]
+        assert poly._u_gcd(a, b) == [1]
 
-    def test_prime_divides_the_leading_coefficient_of_a_common_factor(self, monkeypatch):
-        # modulo the first prime, (p*s + t) drops to t; both leading
-        # coefficients are multiples of p, so the gcd skips that prime and
-        # reads the common factor back modulo the next
-        primes = self.spy_primes(monkeypatch)
-        p = poly._GCD_PRIMES[0]
+    def test_prime_divides_the_leading_coefficient_of_a_common_factor(self):
+        p = 2**30 - 35
         h = p * S + T
         f, g = h * (S + 2 * T), h * (S - 3 * T) ** 2
         assert gcd_form(f, g) == h
-        assert primes == [2**61 - 1]
         _, factors = squarefree_decomp(h**2 * (S - 3 * T))
         assert (h, 2) in factors and (S - 3 * T, 1) in factors
 
-    def test_the_first_two_primes_divide_the_common_factors_lead(self, monkeypatch):
-        # both primes divide l and are skipped; h's 91-bit leading coefficient
-        # does not fit the residues of 2^89 - 1, so 2^107 - 1 answers
-        primes = self.spy_primes(monkeypatch)
+    def test_the_first_two_primes_divide_the_common_factors_lead(self):
+        # a 91-bit leading coefficient in the common factor
         h = (2**30 - 35) * (2**61 - 1) * S - T
         f, g = h * (S + 2 * T), h**2 * (S - 3 * T)
         assert gcd_form(f, g) == h
-        assert primes == [2**89 - 1, 2**107 - 1]
 
     def test_no_prime_answers(self, monkeypatch):
-        monkeypatch.setattr(poly, "_GCD_PRIMES", poly._GCD_PRIMES[:1])
-        p = poly._GCD_PRIMES[0]
+        # with the width cap under the first width, the first point that
+        # declines is the last one tried
+        monkeypatch.setattr(poly, "_GCD_MAX_BITS", 4)
         with pytest.raises(poly.IntegerTooLong):
-            poly._u_gcd_modular([1, p], [2, p])
+            poly._u_gcd([2, 3, -2, -3], [3, 0, 2])
+        assert poly._u_gcd([1, 2, 3], [5, 0, 7]) == [1]
 
     @pytest.mark.parametrize("n1,n2,bits", [(10, 40, 30), (20, 60, 60), (30, 100, 100)])
     def test_baseline_repeated_factor_rows(self, n1, n2, bits):

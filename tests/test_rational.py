@@ -95,14 +95,15 @@ class TestRationalParam:
     def test_coprime_components_are_certified(self, d, monkeypatch):
         # no two components of these params share a factor other than a
         # power of s or t, which is split off before any gcd, so each gcd of
-        # the components' fold is settled by the coprime certificate of
-        # poly._u_gcd, the second on a constant operand.  At these sizes the
-        # certificate declines under one coprime pair in a hundred (the
-        # first at seed 43, d = 4), which the modular gcd then settles
-        def no_modular(a, b):
-            raise AssertionError("the coprime certificate declined")
+        # the components' fold is settled at the first point of poly._u_gcd,
+        # by an integer gcd below half that point, without reading back
+        # its digits; the second gcd has a constant operand.  At these sizes
+        # the first point declines under about one param in eighty (the first
+        # at seed 26, d = 4), and a wider point then answers
+        def no_digits(n, w, k):
+            raise AssertionError("the first point of the gcd declined")
 
-        monkeypatch.setattr(poly, "_u_gcd_modular", no_modular)
+        monkeypatch.setattr(poly, "_digits", no_digits)
         for seed in range(1, 21):
             try:
                 parse_param(random_param_text(seed, d, 3))
