@@ -51,9 +51,10 @@ from .parse import (
     parse_poly,
     parse_profile,
 )
-from .poly import CONIC_BASIS, XYZ, MPoly, PolyError, _coeff_str, _int_str, _point_str
+from .poly import CONIC_BASIS, ST, XYZ, MPoly, PolyError, _coeff_str, _int_str, _point_str, _u_str
 from .rational import (
     RationalError,
+    _conic_family,
     conic_wronskian,
     intersection_orders,
     osculating_conic_family,
@@ -233,6 +234,10 @@ def _emit_weight_entries(rep, entries):
     rep.table(("weight", "points", "parameter", "point", "factor"), rows, "weight")
 
 
+# (index in CONIC_BASIS, key) of the family's lines, in graded-lex order
+_OMEGA_KEYS = [(i, f"omega[{MPoly(XYZ, {e: 1})}]") for e, i in sorted(zip(CONIC_BASIS, range(6)), reverse=True)]
+
+
 def cmd_wronski(args, rep: Reporter):
     if args.at and not args.omega:
         args.parser.error("--at requires --omega")
@@ -246,10 +251,10 @@ def cmd_wronski(args, rep: Reporter):
             rep.kv("at", _point_str(at))
             rep.kv("O", conic)
             return
-        family = osculating_conic_family(param)
+        family = _conic_family(param)
         rep.kv("d", param.degree)
-        for expo, form in sorted(zip(CONIC_BASIS, family), reverse=True):
-            rep.kv(f"omega[{MPoly(XYZ, {expo: 1})}]", form)
+        for i, key in _OMEGA_KEYS:
+            rep.kv(key, _u_str(family[i], ST))
         return
     scan = conic_wronskian(param)
     xi = scan.xi

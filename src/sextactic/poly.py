@@ -19,7 +19,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from math import comb, gcd, lcm
 from operator import add, mul, sub
 
@@ -142,17 +142,23 @@ def _terms_str(pairs) -> str:
     "+ " or "- ".  No pairs give the empty string."""
     parts = []
     for c, mono in pairs:
-        mag = abs(c)
-        if mono and mag == 1:
-            body = mono
+        if c > 0:
+            sign = "+ " if parts else ""
         else:
-            num = _int_str(mag) if type(mag) is int else _coeff_str(mag)
-            body = f"{num}*{mono}" if mono else num
-        if parts:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        else:
-            parts.append(body if c > 0 else f"-{body}")
+            sign = "- " if parts else "-"
+            c = -c
+        try:
+            parts.append((f"{sign}{mono}" if c == 1 else f"{sign}{c}*{mono}") if mono else f"{sign}{c}")
+        except ValueError:  # an integer over the digit limit: _coeff_str names it
+            _coeff_str(c)
+            raise
     return " ".join(parts)
+
+
+def _power_texts(v, d):
+    """The texts "", "v*", "v^2*", ..., "v^d*" of v^0..v^d: a monomial's
+    text is the concatenation of its powers less the last "*"."""
+    return [""] + [f"{v}*" if e == 1 else f"{v}^{e}*" for e in range(1, d + 1)]
 
 
 def _point_str(coords) -> str:
@@ -811,37 +817,29 @@ def laplace_minors(rows):
     Entry j is (-1)^j times the determinant of ``rows`` with column j
     deleted, so sum(c[j] * minors[j]) is the determinant of [c] + rows.
     Entries may be MPoly or int/Fraction; a zero entry is skipped by
-    truthiness.  All k+1 minors share one memo of their lower sub-minors.
+    truthiness.  The minors are built bottom-up: those of the last r rows,
+    on every r-subset of the columns, expand along their top row into those
+    of the last r - 1.
     """
     k = len(rows)
     if not k:
         return [1]
     zero = rows[0][0] * 0
-    memo = {}
-
-    def minor(cols):
-        row = rows[k - len(cols)]
-        if len(cols) == 1:
-            return row[cols[0]]
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        acc = zero
-        for idx, c in enumerate(cols):
-            e = row[c]
-            if not e:
-                continue
-            sub = e * minor(cols[:idx] + cols[idx + 1 :])
-            acc = acc + sub if idx % 2 == 0 else acc - sub
-        memo[cols] = acc
-        return acc
-
-    full = tuple(range(k + 1))
-    minors = []
-    for j in full:
-        m = minor(full[:j] + full[j + 1 :])
-        minors.append(m if j % 2 == 0 else -m)
-    return minors
+    below = {(c,): e for c, e in enumerate(rows[-1])}
+    for r in range(2, k + 1):
+        row = rows[k - r]
+        level = {}
+        for cols in combinations(range(k + 1), r):
+            acc = zero
+            for idx, c in enumerate(cols):
+                e = row[c]
+                if e:
+                    sub = e * below[cols[:idx] + cols[idx + 1 :]]
+                    acc = acc - sub if idx % 2 else acc + sub
+            level[cols] = acc
+        below = level
+    # the k-subsets come in the order that leaves out column k, ..., 0
+    return [m if j % 2 == 0 else -m for j, m in enumerate(reversed(below.values()))]
 
 
 # -- dense ternary forms in (x, y, z) ------------------------------------------
@@ -1063,9 +1061,7 @@ class TernaryForm:
         """The text of ``self.mpoly()``: rows from x^degree down, each from
         its highest power of y down, is the graded-lex order."""
         d, den = self.degree, self.den
-        # "v^e*" for e >= 1 and "" for e = 0; a monomial's text is the
-        # concatenation of its three powers less the last "*"
-        xs, ys, zs = ([""] + [f"{v}*" if e == 1 else f"{v}^{e}*" for e in range(1, d + 1)] for v in XYZ)
+        xs, ys, zs = (_power_texts(v, d) for v in XYZ)
         pairs = (
             (c if den == 1 else _ratio(c, den), (xs[i] + ys[j] + zs[d - i - j])[:-1])
             for i in range(d, -1, -1)
@@ -1111,6 +1107,14 @@ def _form(u, a, b, variables) -> MPoly:
     """The MPoly s^a * t^b * sum u[i] s^i t^(n-i)."""
     n = len(u) - 1
     return MPoly._make(variables, {(i + a, n - i + b): c for i, c in enumerate(u)})
+
+
+def _u_str(u, variables) -> str:
+    """The text of ``_form(u, 0, 0, variables)``, written from the dense list:
+    entry n down to 0 is the graded-lex order."""
+    ss, ts = (_power_texts(v, len(u) - 1) for v in variables)
+    monos = [(a + b)[:-1] for a, b in zip(reversed(ss), ts)]
+    return _terms_str(compress(zip(reversed(u), monos), reversed(u))) or "0"
 
 
 def _u_trim(u):

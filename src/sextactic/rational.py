@@ -166,6 +166,14 @@ def osculating_conic_family(param: RationalParam, at=None):
     canonical primitive form.  Only when that conic is zero are the symbolic
     minors built, to tell an identically zero family from one that vanishes
     at the parameter.
+    """
+    family = _conic_family(param, at)
+    return family if at is not None else tuple(_form(u, 0, 0, ST) for u in family)
+
+
+def _conic_family(param: RationalParam, at=None):
+    """``osculating_conic_family`` on dense lists: without ``at``, the six
+    minors as dense lists of degree 10d-20; with it, the canonical conic.
 
     The minors are taken on the divided rows of ``_derivative_rows``: the
     symbolic ones are read back at once (``_digit_runs``) and multiplied by
@@ -187,12 +195,11 @@ def osculating_conic_family(param: RationalParam, at=None):
     w, ints = _evaluated_rows(rows)
     scale = _row_divisor(4)
     runs = _digit_runs(laplace_minors(ints), w, [10 * param.degree - 19] * 6)
-    minors = tuple(_form([c * scale for c in u], 0, 0, ST) for u in runs)
-    if not any(minors):
+    if not any(map(any, runs)):
         raise DegenerateParam("conic family is identically zero")
     if at is not None:
         raise DegenerateParam(f"conic family vanishes at {_point_str((s0, t0))}")
-    return minors
+    return [[c * scale for c in u] for u in runs]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -871,6 +872,28 @@ class TestTermsStr:
         with pytest.raises(poly.IntegerTooLong):
             poly._terms_str([(1, "x"), (-(10**5000), "y")])
 
+    @pytest.mark.parametrize(
+        "pairs, bits",
+        [
+            ([(1, "x"), (-(10**5000), "y")], 16610),
+            ([(Fraction(-(10**5000) - 1, 3), "x")], 16610),
+            ([(2, ""), (Fraction(5, 10**4400 + 1), "y")], 14617),
+            # both over the limit: the numerator is named
+            ([(Fraction(3 * 10**6000 + 1, 10**4400 + 1), "")], 19934),
+        ],
+        ids=["int", "numerator", "denominator", "both"],
+    )
+    def test_over_limit_message(self, pairs, bits):
+        # the messages the writer gave before its per-term f-string
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(poly.IntegerTooLong) as err:
+                poly._terms_str(iter(pairs))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(err.value) == f"a computed integer of {bits} bits is over the limit of 4300 digits for printing"
+
     def test_edge_cases(self):
         assert str(MPoly.zero(XYZ)) == "0"
         assert str(MPoly.constant(XYZ, -1)) == "-1"
@@ -879,6 +902,35 @@ class TestTermsStr:
         assert str(TruncSeries({0: -1, 1: 1, 3: Fraction(-2, 3)}, 5)) == "-1 + t - 2/3*t^3 + O(t^5)"
         assert poly._terms_str([]) == ""
         assert poly._point_str((1, Fraction(-1, 2), 0)) == "(1 : -1/2 : 0)"
+
+
+dense_coeffs = st.one_of(st.integers(-1, 1), st.integers(-(2**200), 2**200))
+
+
+class TestUStr:
+    """``_u_str`` writes a dense binary-form list without building its
+    ``MPoly``; the reference is that ``MPoly``'s text."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(dense_coeffs, min_size=1, max_size=60), st.sampled_from([ST, ("u", "v")]))
+    def test_matches_form_text(self, u, names):
+        assert poly._u_str(u, names) == str(poly._form(u, 0, 0, names))
+
+    @pytest.mark.parametrize(
+        "u, text",
+        [
+            ([0], "0"),
+            ([0, 0, 0, 0], "0"),
+            ([-1], "-1"),
+            ([0, 1], "s"),
+            ([1, 0, 0], "t^2"),
+            ([0, 0, -1], "-s^2"),
+            ([0, -1, 0], "-s*t"),
+            ([5, -1, 1, 0], "s^2*t - s*t^2 + 5*t^3"),
+        ],
+    )
+    def test_zeros_and_units(self, u, text):
+        assert poly._u_str(u, ST) == text == str(poly._form(u, 0, 0, ST))
 
 
 class TestPartial:
@@ -1017,6 +1069,40 @@ class TestDeterminant:
         for j, minor in enumerate(laplace_minors(rows)):
             want = det_bareiss(PolyMatrix([r[:j] + r[j + 1 :] for r in rows]))
             assert minor == (want if j % 2 == 0 else -want)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_laplace_minors_match_bareiss_by_size(self, k):
+        rng = random.Random(f"laplace/{k}")
+        rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(k + 1)] for _ in range(k)]
+        if k:
+            zero_col = rng.randrange(k + 1)
+            for row in rows:
+                row[zero_col] = 0
+        got = laplace_minors(rows)
+        assert len(got) == k + 1
+        if not k:
+            assert got == [1]
+            return
+        for j, minor in enumerate(got):
+            sub = [[MPoly.constant(XYZ, c) for c in r[:j] + r[j + 1 :]] for r in rows]
+            want = det_bareiss(PolyMatrix(sub))
+            assert MPoly.constant(XYZ, minor) == (want if j % 2 == 0 else -want)
+            # every minor keeping the zero column vanishes
+            assert minor == 0 or j == zero_col
+
+    def test_laplace_minors_of_polynomials_with_a_zero_column(self):
+        rng = random.Random(44)
+        zero = MPoly.zero(ST)
+        rows = [[random_poly(rng, ST, 2, 3) for _ in range(6)] for _ in range(5)]
+        for row in rows:
+            row[3] = zero
+        rows[0][1] = rows[4][5] = zero
+        got = laplace_minors(rows)
+        for j, minor in enumerate(got):
+            want = det_bareiss(PolyMatrix([r[:j] + r[j + 1 :] for r in rows]))
+            assert minor == (want if j % 2 == 0 else -want)
+        assert all(m.is_zero() for j, m in enumerate(got) if j != 3)
+        assert not got[3].is_zero()
 
     def test_one_by_one(self):
         assert PolyMatrix([[X]]).det() == X

@@ -586,6 +586,30 @@ class TestKroneckerEvaluation:
     @DEGREES
     @CHECK
     @given(data=st.data())
+    def test_family_lists_are_the_family_terms(self, d, data):
+        # the CLI prints the list core; the MPoly family is its form
+        param = data.draw(coprime_params(d))
+        at = data.draw(parameters)
+        try:
+            family = osculating_conic_family(param)
+        except DegenerateParam:
+            with pytest.raises(DegenerateParam, match="identically zero"):
+                rational._conic_family(param)
+            return
+        lists = rational._conic_family(param)
+        assert len(lists) == 6
+        assert [padded(form, 10 * d - 20) for form in family] == lists
+        try:
+            conic = osculating_conic_family(param, at=at)
+        except DegenerateParam:
+            with pytest.raises(DegenerateParam, match="vanishes at"):
+                rational._conic_family(param, at)
+        else:
+            assert rational._conic_family(param, at) == conic
+
+    @DEGREES
+    @CHECK
+    @given(data=st.data())
     def test_wronskian_matches_polynomial_determinant(self, d, data):
         param = data.draw(coprime_params(d))
         want = PolyMatrix(derivative_rows_reference(param_veronese(param), 5)).det()
