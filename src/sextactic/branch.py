@@ -28,7 +28,7 @@ from .poly import (
     digit_width,
     veronese,
 )
-from .series import TruncSeries
+from .series import TruncSeries, product_trunc
 
 
 class BranchError(ValueError):
@@ -206,12 +206,11 @@ def _veronese_lists(coords, k):
     a slot of a product of two prefixes sums at most k products of two
     entries, so one digit width serves all six, and a coefficient below k
     of a product depends only on the entries below k, so the prefixes give
-    it exactly.  The product of a and b is known up to min(t_a + v_b,
-    t_b + v_a), the ``TruncSeries`` rule, with the valuation v of an
-    all-zero list taken as its truncation t.
+    it exactly.  Each product's truncation is ``product_trunc`` of its
+    factors' (truncation, valuation) pairs.
     """
     cuts = [(len(u), next(compress(count(), u), len(u))) for u in coords]
-    ends = veronese(*cuts, times=lambda a, b: min(a[0] + b[1], b[0] + a[1]))
+    ends = veronese(*cuts, times=product_trunc)
     heads = [u[:k] for u in coords]
     w = digit_width(max(map(abs, chain(*heads))) ** 2 * max(map(len, heads)))
     products = veronese(*[_pack(u, w) for u in heads])

@@ -20,7 +20,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, compress, repeat
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add, mul, sub
 
 XYZ = ("x", "y", "z")
@@ -638,35 +638,14 @@ class MPoly:
         return tuple(self.partial(v) for v in self.variables)
 
     def eval(self, values):
-        """Evaluate at a point given as one rational per variable.
-
-        The sum is taken in the integers: with the point as nums / den and
-        the coefficients over their common denominator, each term of total
-        degree k is scaled by den^(top - k), and one division at the end
-        gives the value, an int when integral.
-        """
+        """Evaluate at a point given as one rational per variable: the exact
+        sum of c * prod(v^e) over the terms, an int when integral."""
         values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
         if len(values) != len(self.variables):
             raise VariableSetMismatch(
                 f"expected {len(self.variables)} values, got {len(values)}"
             )
-        den = lcm(*[v.denominator for v in values])
-        nums = [v.numerator * (den // v.denominator) for v in values]
-        cden = lcm(*[c.denominator for c in self.terms.values()])
-        top = max(map(sum, self.terms), default=0)
-        total = 0
-        for expo, c in self.terms.items():
-            term = c.numerator * (cden // c.denominator)
-            k = top
-            for n, e in zip(nums, expo):
-                if e:
-                    term *= n**e
-                    k -= e
-            total += term * den**k if k else term
-        scale = cden * den**top
-        if total % scale:
-            return Fraction(total, scale)
-        return total // scale
+        return _norm(sum(c * prod(map(pow, values, expo)) for expo, c in self.terms.items()))
 
     def compose(self, images):
         """Substitute one polynomial per variable; images share a variable set."""
@@ -799,16 +778,22 @@ class PolyMatrix:
         return self.entries[0][0].variables
 
     def det(self) -> MPoly:
-        """Determinant of a square matrix: Laplace expansion along the top
-        row, the minors sharing their lower sub-minors (``laplace_minors``)."""
+        """Determinant of a square matrix (``laplace_det``)."""
         if self.rows != self.cols:
             raise NonSquareMatrix(f"{self.rows}x{self.cols} matrix")
-        top, *rest = self.entries
-        acc = MPoly.zero(self.variables)
-        for e, minor in zip(top, laplace_minors(rest)):
-            if e:
-                acc = acc + e * minor
-        return acc
+        return laplace_det(self.entries)
+
+
+def laplace_det(rows):
+    """Determinant of a square matrix of ints, Fractions or MPolys: Laplace
+    expansion along the top row, against the ``laplace_minors`` of the rest;
+    zero entries are skipped."""
+    top, *rest = rows
+    acc = top[0] * 0
+    for e, minor in zip(top, laplace_minors(rest)):
+        if e:
+            acc = acc + e * minor
+    return acc
 
 
 def laplace_minors(rows):

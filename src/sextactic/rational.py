@@ -23,6 +23,7 @@ from .poly import (
     _digit_runs,
     _digits,
     _form,
+    _is_int,
     _pack,
     _point_str,
     _root_order,
@@ -35,6 +36,7 @@ from .poly import (
     binaryform_gcd,
     canonical_conic,
     digit_width,
+    laplace_det,
     laplace_minors,
     linear_root_form,
     primitive_ints,
@@ -234,8 +236,8 @@ def _wronskian_form(dense):
     multiplied by ``_row_divisor(5)``."""
     d = len(dense[0]) - 1
     rows = _derivative_rows(veronese(*dense, times=_u_mul), 5)
-    w, (top, *rest) = _evaluated_rows(rows)
-    xi = _digits(sum(e * m for e, m in zip(top, laplace_minors(rest))), w, 12 * d - 29)
+    w, ints = _evaluated_rows(rows)
+    xi = _digits(laplace_det(ints), w, 12 * d - 29)
     scale = _row_divisor(5)
     return [c * scale for c in xi]
 
@@ -357,6 +359,8 @@ def local_branch_at(param: RationalParam, at, trunc: int) -> BranchParam:
     s0, t0 = Fraction(at[0]), Fraction(at[1])
     if not s0 and not t0:
         raise RationalError("(0, 0) is not a projective parameter")
+    if not (_is_int(trunc) and trunc >= 1):
+        raise RationalError(f"truncation must be a positive integer, got {trunc!r}")
     if t0:
         a, b = (s0 / t0).as_integer_ratio()
         den = b**param.degree

@@ -17,6 +17,12 @@ class SeriesError(ValueError):
     pass
 
 
+def product_trunc(a, b):
+    """Truncation of a product of series given as (truncation, valuation) pairs,
+    v = t when no term is known: where a tail times the other's lowest term starts."""
+    return min(a[0] + b[1], b[0] + a[1])
+
+
 class TruncSeries:
     __slots__ = ("coeffs", "trunc")
 
@@ -85,12 +91,8 @@ class TruncSeries:
                 {e: _norm(k * c) for e, k in self.coeffs.items()}, self.trunc
             )
         a, b = self.coeffs, other.coeffs
-        # unknown tails limit the product: a tail times the other factor's
-        # lowest term is the first coefficient we cannot determine
-        trunc = min(
-            self.trunc + (min(b) if b else other.trunc),
-            other.trunc + (min(a) if a else self.trunc),
-        )
+        trunc = product_trunc((self.trunc, min(a, default=self.trunc)),
+                              (other.trunc, min(b, default=other.trunc)))
         out = kronecker_product(a, b, trunc) if worth_packing(len(a), len(b)) else None
         if out is None:
             acc = {}

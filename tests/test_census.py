@@ -91,6 +91,22 @@ class TestRecords:
         # 2m + 1 records with l != 2m and 4m - 2 values of c for each m
         assert checked == sum(6 * m - 1 for m in range(1, 6))
 
+    def test_weight_law_over_every_admissible_record(self):
+        # m <= 6, l <= 2m + 6 and c <= 4m + 6: the record's weight, the
+        # ladder's sum less 15 and the paper's 4m + 4l - 15 or 10m + c - 15
+        checked = 0
+        for m in range(1, 7):
+            for l in range(m + 1, 2 * m + 7):
+                role = "cusp" if m > 1 else "smooth" if l == 2 else "inflection"
+                cs = [c for c in range(2 * m + 1, 4 * m + 7) if c not in (3 * m, 4 * m)] if l == 2 * m else [None]
+                for c in cs:
+                    w = PointRecord(role, m, l, c).weight()
+                    assert w == sum(closed_form_ladder(m, l, c)) - 15
+                    assert w == (10 * m + c - 15 if l == 2 * m else 4 * m + 4 * l - 15)
+                    checked += 1
+        # m + 5 records with l != 2m and 2m + 4 values of c for each m
+        assert checked == sum(3 * m + 9 for m in range(1, 7))
+
     def test_c_constraints(self):
         with pytest.raises(CensusError):
             PointRecord("cusp", 2, 4)  # l = 2m but no c

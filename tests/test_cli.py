@@ -395,6 +395,81 @@ class TestFixtures:
             assert (out / name).read_text(encoding="utf-8") == fixtures.read_data_file(name)
 
 
+# the expected stdout of TestRecordedStdout
+WRONSKI_NORMALIZED_QUINTIC = (
+    "d = 5\n"
+    "xi_degree = 30\n"
+    "xi = 192*s^20*t^10 + 1680*s^19*t^11 + 5275*s^18*t^12 + 5250*s^17*t^13\n"
+    "content = -535188929406566400\n"
+    "content_factored = -2^24 * 3^12 * 5^2 * 7^4\n"
+    "# zero classes\n"
+    "factor                     | degree | multiplicity\n"
+    "--------------------------------------------------\n"
+    "s                          | 1      | 17          \n"
+    "t                          | 1      | 10          \n"
+    "8*s + 15*t                 | 1      | 1           \n"
+    "24*s^2 + 165*s*t + 350*t^2 | 2      | 1           \n"
+    "# weights\n"
+    "weight | points | parameter | point                     | factor                    \n"
+    "------------------------------------------------------------------------------------\n"
+    "17     | 1      | (0 : 1)   | (0 : 0 : 1)               | s                         \n"
+    "10     | 1      | (1 : 0)   | (1 : 0 : 0)               | t                         \n"
+    "1      | 1      | (15 : -8) | (759375 : 216000 : 28672) | 8*s + 15*t                \n"
+    "1      | 2      | -         | -                         | 24*s^2 + 165*s*t + 350*t^2\n"
+    "total_weight = 30\n"
+)
+SEXTACTIC_BRANCH_WEIGHT = (
+    "m = 1\nl = 2\nc = 6\norders = 0,1,2,3,4,6\nw2 = 1\n"
+    "classification = sextactic\nsextactic_order = 1\n"
+)
+EXAMPLES_MACHINE = (
+    "example_1_name = nodal-cubic\n"
+    'example_1_command = osculate --implicit "y^2*z - x^3 - x^2*z" --point "(-1:0:1)"\n'
+    "example_2_name = nodal-cubic-conics\n"
+    'example_2_command = wronski --param "(s*t^2 - s^3 : t^3 - s^2*t : s^3)" --omega --at "(1:0)"\n'
+    "example_3_name = cuspidal-quartic\n"
+    'example_3_command = hessian2 --implicit "x^4 - x^3*y + y^3*z"\n'
+    "example_4_name = cuspidal-quartic-orders\n"
+    'example_4_command = orders --param "(s*t^3 : t^4 : s^3*t - s^4)" --implicit "x^4 - x^3*y + y^3*z"'
+    ' --poly @hessian2 --at "(1:0),(1:4)"\n'
+    "example_5_name = quartic-count\n"
+    "example_5_command = count --profile profile_quartic_cusp.json\n"
+    "example_6_name = quintic-two-cusps\n"
+    'example_6_command = wronski --param "(s^5 : s^3*t^2 : s*t^4 + t^5)"\n'
+    "example_7_name = quintic-two-cusps-count\n"
+    "example_7_command = count --profile profile_quintic_two_cusps.json\n"
+    "example_8_name = quintic-binomial\n"
+    'example_8_command = wronski --param "(s^5 : s^3*t^2 : t^5)"\n'
+    "example_9_name = quintic-binomial-count\n"
+    "example_9_command = count --profile profile_quintic_binomial.json\n"
+    "example_10_name = smooth-cubic-count\n"
+    "example_10_command = count --profile profile_smooth_cubic.json\n"
+    "example_11_name = branch-cusp-3-5\n"
+    "example_11_command = weight --branch branch_cusp_3_5.json\n"
+    "example_12_name = branch-cusp-2-4\n"
+    "example_12_command = weight --branch branch_cusp_2_4.json\n"
+    "example_13_name = branch-smooth-sextactic\n"
+    "example_13_command = osc-branch --branch branch_smooth_sextactic.json\n"
+)
+
+
+class TestRecordedStdout:
+    """Whole stdout of report lines that no other test reaches."""
+
+    def test_wronski_normalize_in_plain_mode(self, capsys):
+        assert cli.main(["wronski", "--normalize", "--param", "(s^5 : s^3*t^2 : s*t^4 + t^5)"]) == 0
+        assert capsys.readouterr().out == WRONSKI_NORMALIZED_QUINTIC
+
+    def test_weight_of_a_sextactic_branch(self, tmp_path, capsys):
+        fixtures.write_files(tmp_path)
+        assert cli.main(["weight", "--branch", str(tmp_path / "branch_smooth_sextactic.json")]) == 0
+        assert capsys.readouterr().out == SEXTACTIC_BRANCH_WEIGHT
+
+    def test_examples_machine_format(self, capsys):
+        assert cli.main(["examples", "--format", "machine"]) == 0
+        assert capsys.readouterr().out == EXAMPLES_MACHINE
+
+
 def readme_cli_lines():
     """The command lines of the README's CLI block, continuation lines
     joined, each without its leading ``sextactic``."""

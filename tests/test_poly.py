@@ -41,6 +41,7 @@ from sextactic.poly import (
     ZeroFormError,
     digit_width,
     exact_div,
+    laplace_det,
     laplace_minors,
     linear_factor_orders,
     linear_root_form,
@@ -739,6 +740,17 @@ class TestEval:
         assert got == want
         assert type(got) is type(want)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(polys_and_points())
+    def test_matches_sympy(self, case):
+        # an oracle outside the library's arithmetic: sympy's exact value
+        f, point = case
+        syms = sympy.symbols(" ".join(f.variables), seq=True)
+        want = to_sympy(f).xreplace(dict(zip(syms, map(sympy.Rational, point))))
+        got = f.eval(point)
+        assert Fraction(got) == Fraction(int(want.p), int(want.q))
+        assert (type(got) is int) == (want.q == 1)
+
     def test_mixed_degrees_and_types(self):
         f = X**2 * Y - Fraction(1, 3) * Z + 5
         for point in [(1, 2, 3), (Fraction(1, 2), Fraction(-2, 3), 3), ("1/2", 0.5, 1)]:
@@ -1106,6 +1118,44 @@ class TestDeterminant:
 
     def test_one_by_one(self):
         assert PolyMatrix([[X]]).det() == X
+
+
+def laplace_entry(rng, kind):
+    """A random matrix entry of ``kind``, zero one time in four."""
+    if kind == "mpoly":
+        return random_poly(rng, ST, 1, 2) if rng.random() < 0.75 else MPoly.zero(ST)
+    if rng.random() < 0.25:
+        return 0
+    if kind == "int":
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+class TestLaplaceDet:
+    """``laplace_det``, the one top-row expansion, against Bareiss and sympy."""
+
+    @pytest.mark.parametrize("top", ["one_zero", "all_zero"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mpoly"])
+    def test_matches_bareiss_and_sympy(self, kind, n, top):
+        rng = random.Random(f"laplace_det/{kind}/{n}/{top}")
+        rows = [[laplace_entry(rng, kind) for _ in range(n)] for _ in range(n)]
+        zero = rows[0][0] * 0
+        if top == "all_zero":
+            rows[0] = [zero] * n
+        else:
+            rows[0][rng.randrange(n)] = zero
+        polys = rows if kind == "mpoly" else [[MPoly.constant(ST, c) for c in r] for r in rows]
+        got = laplace_det(rows)
+        want = det_bareiss(PolyMatrix(polys))
+        assert (got if kind == "mpoly" else MPoly.constant(ST, got)) == want
+        oracle = sympy.Matrix(n, n, lambda i, j: to_sympy(polys[i][j])).det(method="berkowitz")
+        assert sympy.expand(oracle) == to_sympy(want)
+        if top == "all_zero":
+            assert not got
+        if kind == "int":
+            # xi reads its determinant back as an int
+            assert type(got) is int
 
 
 class TestExactDiv:

@@ -399,6 +399,13 @@ class TestLocalBranch:
         assert b.y.coeffs == {3: 1}
         assert b.z.coeffs == {0: 1}
 
+    @pytest.mark.parametrize("trunc", [0, -1, 2.5, True])
+    def test_truncation_must_be_a_positive_int(self, trunc):
+        with pytest.raises(RationalError, match=r"^truncation must be a positive integer, got "):
+            local_branch_at(parse_param(BINOMIAL_PARAM), (1, 2), trunc)
+        with pytest.raises(RationalError, match=r"^truncation must be a positive integer, got "):
+            local_branch_at(parse_param(BINOMIAL_PARAM), (1, 0), trunc)
+
     def test_weights_match_wronskian_orders(self):
         # at every rational zero of the Wronskian, the local branch weight
         # equals the multiplicity of the zero
